@@ -2,17 +2,24 @@
 // consumes a classic program plus its dynamic profile, builds a
 // recomputation slice (RSlice) for every load where one exists, grows each
 // slice level by level under the probabilistic load-energy budget, validates
-// the slices empirically against a second profiling run (the stand-in for
-// the paper's profile-guided binary generator), and emits an annotated
-// binary in which selected loads become RCMP instructions, slice bodies are
+// the slices empirically against a classic run (the stand-in for the
+// paper's profile-guided binary generator), and emits an annotated binary
+// in which selected loads become RCMP instructions, slice bodies are
 // appended (each terminated by RTN), and REC instructions checkpoint
 // non-recomputable leaf inputs into Hist.
+//
+// The pass splits at validation. A Plan holds the mode-independent half:
+// the candidate slices and their validator, which observes one classic run
+// through an exec.Watch — the harness's own classic baseline, so prepare
+// runs the program twice (profile, baseline) rather than once per mode.
+// Emit then produces the binary of each mode from the same verdicts.
 package compiler
 
 import (
 	"fmt"
 	"sort"
 
+	"github.com/amnesiac-sim/amnesiac/internal/cpu"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
@@ -211,80 +218,21 @@ func (a *Annotated) SwappedLoadPCs() []int {
 	return pcs
 }
 
-// Compile runs the full pass: build → validate → select → emit.
-// The initial memory is used (via clones) for the validation re-run.
+// Compile runs the full pass for one mode: plan (build the candidate
+// slices), validate them against a classic run of prog over a clone of
+// initial, select, and emit. Callers that need both modes, or that run the
+// classic baseline anyway, should use NewPlan and validate once.
 func Compile(model *energy.Model, prog *isa.Program, prof *profile.Profile, initial *mem.Memory, opts Options) (*Annotated, error) {
-	if opts.MaxSliceLen <= 0 || opts.MaxHeight <= 0 {
-		return nil, fmt.Errorf("compiler: non-positive slice caps %+v", opts)
-	}
-	if opts.BudgetSlack <= 0 {
-		opts.BudgetSlack = 1.0
-	}
-	b := &builder{model: model, prog: prog, prof: prof, opts: opts}
-
-	var stats Stats
-	var candidates []*rslice.Slice
-	for _, pc := range prof.SortedLoadPCs() {
-		li := prof.Loads[pc]
-		stats.LoadsSeen++
-		if li.Count < opts.MinLoadCount {
-			continue
-		}
-		sl, reason := b.build(pc)
-		switch reason {
-		case rejectNone:
-			candidates = append(candidates, sl)
-		case rejectNoProducer:
-			stats.RejectedNoProducer++
-		case rejectUnstable:
-			stats.RejectedUnstable++
-		}
-	}
-
-	// Feeder map: for each candidate load, the static stores whose values
-	// it consumed (inverted from the profile's store->loads relation).
-	feeders := make(map[int]map[int]bool)
-	for st, loads := range prof.StoresConsumedBy {
-		for ld := range loads {
-			m := feeders[ld]
-			if m == nil {
-				m = make(map[int]bool)
-				feeders[ld] = m
-			}
-			m[st] = true
-		}
-	}
-	stats.RejectedDetail = make(map[int]string)
-	valid, err := validateWithProfileStores(model, prog, initial, candidates, feeders, stats.RejectedDetail)
+	p, err := NewPlan(model, prog, prof, opts)
 	if err != nil {
 		return nil, err
 	}
-	stats.RejectedInvalid = len(candidates) - len(valid)
-	stats.SlicesBuilt = len(valid)
-
-	// Selection: final Erc uses post-validation input kinds (live inputs
-	// no longer pay Hist reads).
-	var selected []*rslice.Slice
-	for _, sl := range valid {
-		eld := prof.Loads[sl.LoadPC].ExpectedLoadEnergy(model)
-		erc := b.sliceCost(sl)
-		if opts.Mode == ModeOracleAll || erc < eld {
-			selected = append(selected, sl)
-		} else {
-			stats.RejectedCost++
+	if w := p.Watch(); w != nil {
+		core := cpu.New(model, mem.NewDefaultHierarchy(), initial.Clone())
+		core.Watch = w
+		if err := core.Run(prog); err != nil {
+			return nil, fmt.Errorf("compiler: validation run: %w", err)
 		}
 	}
-	stats.SlicesSelected = len(selected)
-
-	ann := emit(model, prog, prof, selected, opts, b)
-	ann.Stats = stats
-	ann.Stats.SlicesSelected = len(ann.Slices)
-	ann.Stats.DeadStores = len(ann.EliminatedStores)
-	for _, s := range ann.Slices {
-		ann.Stats.HistEntriesTotal += s.HistEntries
-	}
-	if err := ann.Prog.Validate(); err != nil {
-		return nil, fmt.Errorf("compiler: emitted invalid program: %w", err)
-	}
-	return ann, nil
+	return p.Emit(opts.Mode)
 }

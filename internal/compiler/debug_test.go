@@ -8,7 +8,7 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
 	"github.com/amnesiac-sim/amnesiac/internal/profile"
-	"github.com/amnesiac-sim/amnesiac/internal/rslice"
+	"github.com/amnesiac-sim/amnesiac/internal/workloads"
 )
 
 func debugProgram(t testing.TB, n int) (*isa.Program, *mem.Memory) {
@@ -65,29 +65,58 @@ func debugProgram(t testing.TB, n int) (*isa.Program, *mem.Memory) {
 	return prog, mem.NewMemory()
 }
 
-func TestDebugSliceConstruction(t *testing.T) {
-	model := energy.Default()
-	prog, initial := debugProgram(t, 40000)
+// logSlices dumps, per profiled load, its candidate slice and the verdict
+// one validated plan reaches on it.
+func logSlices(t *testing.T, name string, model *energy.Model, prog *isa.Program, initial *mem.Memory) {
+	t.Helper()
 	prof, err := profile.Collect(model, prog, initial)
 	if err != nil {
-		t.Fatalf("profile: %v", err)
+		t.Fatalf("%s: profile: %v", name, err)
 	}
 	opts := DefaultOptions()
+	opts.Mode = ModeOracleAll
+	ann, err := Compile(model, prog, prof, initial, opts)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", name, err)
+	}
+	valid := make(map[int]*SliceInfo)
+	for _, si := range ann.Slices {
+		valid[si.LoadPC] = si
+	}
 	b := &builder{model: model, prog: prog, prof: prof, opts: opts}
 	for _, pc := range prof.SortedLoadPCs() {
 		li := prof.Loads[pc]
-		t.Logf("load @%d %s count=%d levels=%v eld=%.2f valueProd=%v",
-			pc, prog.Code[pc], li.Count, li.ByLevel, li.ExpectedLoadEnergy(model), li.ValueProducer)
+		t.Logf("%s: load @%d %s count=%d levels=%v eld=%.2f valueProd=%v",
+			name, pc, prog.Code[pc], li.Count, li.ByLevel, li.ExpectedLoadEnergy(model), li.ValueProducer)
 		sl, reason := b.build(pc)
 		if sl == nil {
 			t.Logf("  no slice: reason=%d", reason)
 			continue
 		}
 		t.Logf("  slice:\n%s  cost=%.2f", sl.String(), b.sliceCost(sl))
-		valid, err := validate(model, prog, initial, []*rslice.Slice{sl})
-		t.Logf("  validated: %d slices", len(valid))
-		if err != nil {
-			t.Logf("  validate err: %v", err)
+		if si := valid[pc]; si != nil {
+			t.Logf("  validated: inputs resolved to\n%s", si.Slice.String())
+		} else {
+			t.Logf("  rejected: %s", ann.Stats.RejectedDetail[pc])
 		}
+	}
+}
+
+func TestDebugSliceConstruction(t *testing.T) {
+	prog, initial := debugProgram(t, 40000)
+	logSlices(t, "derived-array", energy.Default(), prog, initial)
+}
+
+func TestDebugWorkloadSlices(t *testing.T) {
+	if testing.Short() {
+		t.Skip("debug dump")
+	}
+	for _, name := range []string{"fs", "rt", "cg", "sr"} {
+		w, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, initial := w.Build(0.2)
+		logSlices(t, name, energy.Default(), prog, initial)
 	}
 }

@@ -86,6 +86,10 @@ type Core struct {
 	// Engine, after a hook-free Run, is the trace engine the run used (nil
 	// when tracing was disabled): counters for tests and diagnostics.
 	Engine *trace.Engine
+	// Watch, if non-nil, observes its PCs during a hook-free Run (see
+	// exec.Watch); the compiler's slice validator rides the classic
+	// baseline this way. A hooked run ignores it.
+	Watch *exec.Watch
 }
 
 // New returns a core over fresh state with the given model and hierarchy.
@@ -140,6 +144,7 @@ func (c *Core) Run(p *isa.Program) error {
 			Classic:     true,
 			StoreHook:   c.StoreHook,
 			Trace:       c.Trace,
+			Watch:       c.Watch,
 		}
 		err := exec.Run(&env, p)
 		c.PC = env.PC
@@ -342,11 +347,15 @@ func RunProgram(model *energy.Model, p *isa.Program, m *mem.Memory) (*Result, er
 // RunProgramLimit is RunProgram with a dynamic-instruction budget
 // (0 means DefaultMaxInstrs).
 func RunProgramLimit(model *energy.Model, p *isa.Program, m *mem.Memory, maxInstrs uint64) (*Result, error) {
-	h := mem.NewDefaultHierarchy()
-	core := New(model, h, m)
+	core := New(model, mem.NewDefaultHierarchy(), m)
 	core.MaxInstrs = maxInstrs
 	if err := core.Run(p); err != nil {
 		return nil, err
 	}
-	return &Result{Program: p.Name, Acct: core.Acct, Serviced: h.Serviced, Regs: core.Regs}, nil
+	return core.Result(p), nil
+}
+
+// Result summarizes the core's finished run of p.
+func (c *Core) Result(p *isa.Program) *Result {
+	return &Result{Program: p.Name, Acct: c.Acct, Serviced: c.Hier.Serviced, Regs: c.Regs}
 }

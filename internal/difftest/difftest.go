@@ -162,9 +162,10 @@ func CheckSeed(seed int64, opts Options) error {
 }
 
 // Check runs the full differential pipeline over one program: flat
-// reference, classic core, profile, compile (probabilistic and oracle
-// binaries), then the amnesic machine under each policy. The first
-// mismatch is returned as a *Divergence.
+// reference, classic core, profile, one watched classic run validating the
+// compiler's slices, the probabilistic and oracle binaries emitted from
+// it, then the amnesic machine under each policy. The first mismatch is
+// returned as a *Divergence.
 func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 	if opts.Model == nil || opts.MaxInstrs == 0 {
 		return fmt.Errorf("difftest: incomplete options (start from DefaultOptions)")
@@ -256,17 +257,43 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 		cow.Mem.Release()
 	}
 
-	prof, err := profile.Collect(opts.Model, prog, initial)
+	prof, err := profile.CollectLimit(opts.Model, prog, initial, opts.MaxInstrs)
 	if err != nil {
 		return diverge("profile", "profiling a program the reference executed cleanly failed: %v", err)
 	}
-	ann, err := compiler.Compile(opts.Model, prog, prof, initial, opts.Compiler)
+	plan, err := compiler.NewPlan(opts.Model, prog, prof, opts.Compiler)
+	if err != nil {
+		return diverge("compile", "planning failed: %v", err)
+	}
+
+	// Classic under the plan's validation watch, with trace reuse forced
+	// on: one watched run validates the slices for both binaries, as the
+	// harness's baseline does. Watched PCs interpret while every other loop
+	// records and replays, and the run must be indistinguishable from the
+	// hooked one — state, store stream, and energy account bit for bit.
+	watched := cpu.New(opts.Model, mem.NewDefaultHierarchy(), initial.Clone())
+	watched.MaxInstrs = opts.MaxInstrs
+	watched.Trace = trace.Config{Enable: true, Threshold: 1}
+	watched.Watch = plan.Watch()
+	var watchedStores []StoreEvent
+	watched.StoreHook = func(addr, val uint64) {
+		watchedStores = append(watchedStores, StoreEvent{addr, val})
+	}
+	if err := watched.Run(prog); err != nil {
+		return diverge("classic watched", "interpreted run halted but watched run failed: %v", err)
+	}
+	if d := compareState("classic watched", "flat-memory replay", ref, watched.Regs, watched.Mem, watchedStores, prog, initial); d != nil {
+		return d
+	}
+	if watched.Acct != core.Acct {
+		return diverge("classic watched", "watched energy account differs from interpreted: %s",
+			accountDiff(&watched.Acct, &core.Acct))
+	}
+	ann, err := plan.Emit(opts.Compiler.Mode)
 	if err != nil {
 		return diverge("compile", "probabilistic compile failed: %v", err)
 	}
-	oracleOpts := opts.Compiler
-	oracleOpts.Mode = compiler.ModeOracleAll
-	oracleAnn, err := compiler.Compile(opts.Model, prog, prof, initial, oracleOpts)
+	oracleAnn, err := plan.Emit(compiler.ModeOracleAll)
 	if err != nil {
 		return diverge("compile", "oracle compile failed: %v", err)
 	}

@@ -124,6 +124,10 @@ type Env struct {
 	// Trace configures the trace-reuse engine.
 	Trace trace.Config
 
+	// Watch, if non-nil, observes its PCs during the run (see Watch). A nil
+	// Watch leaves the run exactly as fast as it was without one.
+	Watch *Watch
+
 	// StartPC is the program counter execution begins at (resume from a
 	// checkpoint; 0 for a fresh run).
 	StartPC int
@@ -144,6 +148,40 @@ type Env struct {
 	// Engine is the trace engine the run used, for statistics and tests
 	// (out; nil when tracing is disabled).
 	Engine *trace.Engine
+}
+
+// Watch observes a sparse set of static PCs. Before each dynamic instance
+// of a watched PC executes, Run calls Observe with the pc and the live
+// machine state: the register file and memory exactly as the instruction
+// is about to read them. Observe must not modify either. Instances the run
+// never executes (budget exhaustion, StopAt, CrashAt, an earlier fault)
+// are not observed.
+//
+// A watched run dispatches over a private copy of the decoded kinds in
+// which every watched PC carries kindWatch: the dispatch switch reaches one
+// cold case there, calls Observe, and re-dispatches on the instruction's
+// real kind. kindWatch is unrecordable, so loops through a watched PC
+// interpret while every other loop still records and replays; the run's
+// architectural state and energy account are bit-identical to an
+// unwatched run's, since replay and interpretation are.
+type Watch struct {
+	PCs     []int
+	Observe func(pc int, regs *[isa.NumRegs]uint64, m *mem.Memory)
+}
+
+// kindWatch marks a watched PC in a watched run's private kinds copy. It
+// lies past every decoded kind, so trace recording treats it as
+// unrecordable.
+const kindWatch = isa.KindBad + 1
+
+// watchKinds returns kinds with every watched PC replaced by kindWatch.
+func watchKinds(kinds []isa.Kind, pcs []int) []isa.Kind {
+	wk := make([]isa.Kind, len(kinds))
+	copy(wk, kinds)
+	for _, pc := range pcs {
+		wk[pc] = kindWatch
+	}
+	return wk
 }
 
 // prefix returns the error-text prefix for this environment.
@@ -179,6 +217,9 @@ func Run(env *Env, p *isa.Program) error {
 	}
 	env.Stopped = false
 	kinds, ops, cats := d.Kind[:n], d.Op[:n], d.Cat[:n]
+	if env.Watch != nil && len(env.Watch.PCs) > 0 {
+		kinds = watchKinds(kinds, env.Watch.PCs)
+	}
 	dsts, src1s, src2s, imms, targets := d.Dst[:n], d.Src1[:n], d.Src2[:n], d.Imm[:n], d.Target[:n]
 	hier, l1, memory := env.Hier, env.Hier.L1, env.Mem
 	acct := env.Acct
@@ -373,7 +414,9 @@ loop:
 			fetchNJ += fetchE
 			timeNS += fetchT
 		}
-		switch kinds[pc] {
+		k := kinds[pc]
+	dispatch:
+		switch k {
 		case isa.KindCompute:
 			op := ops[pc]
 			a, b := regs[src1s[pc]&31], regs[src2s[pc]&31]
@@ -642,6 +685,12 @@ loop:
 			// never falls into them.
 			rerr = env.Aux.StrayRtn(pc)
 			break loop
+		case kindWatch:
+			// Cold path: observe the state the instruction is about to
+			// read, then execute it under its real kind.
+			env.Watch.Observe(pc, regs, memory)
+			k = d.Kind[pc]
+			goto dispatch
 		default:
 			rerr = fmt.Errorf("%s: pc %d (%s): unimplemented opcode %s", rsh.pfx, pc, code[pc], ops[pc])
 			break loop

@@ -109,8 +109,9 @@ func TestPolicyFanOutConcurrent(t *testing.T) {
 	}
 }
 
-// TestMaxInstrsPlumbed asserts Config.MaxInstrs bounds both the classic
-// baseline and the amnesic machines.
+// TestMaxInstrsPlumbed asserts Config.MaxInstrs bounds the whole job, from
+// its first pass on: an over-budget workload fails in the profile pass,
+// before any validation or classic run spends its instructions.
 func TestMaxInstrsPlumbed(t *testing.T) {
 	w, err := workloads.Get("is")
 	if err != nil {
@@ -119,8 +120,12 @@ func TestMaxInstrsPlumbed(t *testing.T) {
 	cfg := harness.DefaultConfig()
 	cfg.Scale = 0.1
 	cfg.MaxInstrs = 100
-	if _, err := harness.Run(cfg, w); !errors.Is(err, cpu.ErrInstrBudget) {
+	_, err = harness.Run(cfg, w)
+	if !errors.Is(err, cpu.ErrInstrBudget) {
 		t.Fatalf("want ErrInstrBudget, got %v", err)
+	}
+	if want := "harness: is: profile: "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("budget error %q does not come from the profile pass (want prefix %q)", err, want)
 	}
 }
 

@@ -9,11 +9,12 @@
 //	            ├─ policy(w, FLC)
 //	            └─ policy(w, LLC)
 //
-// prepare builds the workload, profiles it, compiles both annotated
-// binaries, and runs the classic baseline; the five policy runs then only
-// read those artifacts. Results are written into pre-indexed slots and
-// assembled in workload/policy order after the pool drains, so parallel
-// output is byte-identical to serial output. All shared inputs (the
+// prepare builds the workload, profiles it, runs the classic baseline —
+// validating the compiler's slices on the way — and emits both annotated
+// binaries; the five policy runs then only read those artifacts. Results
+// are written into pre-indexed slots and assembled in workload/policy
+// order after the pool drains, so parallel output is byte-identical to
+// serial output. All shared inputs (the
 // energy.Model, compiler.Annotated binaries, profiles, and the initial
 // memory image) are read-only during runs; every simulation clones the
 // memory image and builds private caches and machine state.
@@ -185,37 +186,45 @@ func (c *ArtifactCache) Len() int {
 	return len(c.m)
 }
 
-// buildArtifacts runs the prepare stage for one workload: build, profile,
-// compile (probabilistic + oracle), and the classic baseline run.
+// buildArtifacts runs the prepare stage for one workload in two classic
+// passes: build, the fused profile, then the classic baseline — which also
+// validates the compiler's candidate slices through the plan's watch — and
+// finally the probabilistic and oracle binaries emitted from that one
+// validation. Both passes run under cfg.MaxInstrs.
 func buildArtifacts(cfg Config, w *workloads.Workload) (*Artifacts, error) {
 	prog, initial := w.Build(cfg.Scale)
-	prof, err := profile.Collect(cfg.Model, prog, initial)
+	prof, err := profile.CollectLimit(cfg.Model, prog, initial, cfg.MaxInstrs)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
 	}
-	ann, err := compiler.Compile(cfg.Model, prog, prof, initial, cfg.Opts)
+	plan, err := compiler.NewPlan(cfg.Model, prog, prof, cfg.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
-	}
-	oracleOpts := cfg.Opts
-	oracleOpts.Mode = compiler.ModeOracleAll
-	oracleAnn, err := compiler.Compile(cfg.Model, prog, prof, initial, oracleOpts)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s (oracle): %w", w.Name, err)
 	}
 	// Seal the prepared image once; the classic baseline — like every
 	// policy run after it — executes on a copy-on-write fork instead of a
 	// second deep clone of the initial memory.
 	img := initial.Seal()
 	cm := img.Fork()
-	classic, err := cpu.RunProgramLimit(cfg.Model, prog, cm, cfg.MaxInstrs)
+	core := cpu.New(cfg.Model, mem.NewDefaultHierarchy(), cm)
+	core.MaxInstrs = cfg.MaxInstrs
+	core.Watch = plan.Watch()
+	err = core.Run(prog)
 	cm.Release()
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s classic: %w", w.Name, err)
 	}
+	ann, err := plan.Emit(cfg.Opts.Mode)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
+	}
+	oracleAnn, err := plan.Emit(compiler.ModeOracleAll)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s (oracle): %w", w.Name, err)
+	}
 	return &Artifacts{
 		Prog: prog, Initial: img.Mem(), Image: img, Profile: prof,
-		Ann: ann, OracleAnn: oracleAnn, Classic: classic,
+		Ann: ann, OracleAnn: oracleAnn, Classic: core.Result(prog),
 	}, nil
 }
 

@@ -255,6 +255,12 @@ func buildRecMasks(d *isa.Decoded) []uint8 {
 // CollectReference's (the differential tests enforce this over the workload
 // suite and generated programs) at a fraction of the cost.
 func Collect(model *energy.Model, p *isa.Program, initial *mem.Memory) (*Profile, error) {
+	return CollectLimit(model, p, initial, 0)
+}
+
+// CollectLimit is Collect with a dynamic-instruction budget (0 means
+// cpu.DefaultMaxInstrs): a run past it fails with cpu.ErrInstrBudget.
+func CollectLimit(model *energy.Model, p *isa.Program, initial *mem.Memory, maxInstrs uint64) (*Profile, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("profile: cpu: %w", err)
 	}
@@ -309,7 +315,10 @@ func Collect(model *energy.Model, p *isa.Program, initial *mem.Memory) (*Profile
 	loads := prof.Loads
 	instrCount := prof.InstrCount
 	var total, instrs uint64
-	max := uint64(cpu.DefaultMaxInstrs)
+	max := maxInstrs
+	if max == 0 {
+		max = cpu.DefaultMaxInstrs
+	}
 
 	var rerr error
 	pc := 0

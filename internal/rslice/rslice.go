@@ -107,6 +107,43 @@ func (s *Slice) Finalize() {
 	}
 }
 
+// Clone returns a deep copy of s: a fresh tree with the same shape, and
+// Nodes and Inputs re-pointed at the copied nodes. Input kinds carry over.
+func (s *Slice) Clone() *Slice {
+	c := &Slice{ID: s.ID, LoadPC: s.LoadPC, Load: s.Load}
+	copyOf := make(map[*Node]*Node, len(s.Nodes))
+	var walk func(n *Node) *Node
+	walk = func(n *Node) *Node {
+		cn := &Node{PC: n.PC, In: n.In, Depth: n.Depth, ReadOnlyLoad: n.ReadOnlyLoad}
+		if n.Children != nil {
+			cn.Children = make(map[int]*Node, len(n.Children))
+			for op, ch := range n.Children {
+				cn.Children[op] = walk(ch)
+			}
+		}
+		copyOf[n] = cn
+		return cn
+	}
+	if s.Root != nil {
+		c.Root = walk(s.Root)
+	}
+	if s.Nodes != nil {
+		c.Nodes = make([]*Node, len(s.Nodes))
+		for i, n := range s.Nodes {
+			c.Nodes[i] = copyOf[n]
+		}
+	}
+	if s.Inputs != nil {
+		c.Inputs = make([]*Input, len(s.Inputs))
+		for i, in := range s.Inputs {
+			ci := *in
+			ci.Node = copyOf[in.Node]
+			c.Inputs[i] = &ci
+		}
+	}
+	return c
+}
+
 // operandOrder returns the source-operand indices instruction in consumes.
 func operandOrder(n *Node) []int {
 	in := n.In
