@@ -2,7 +2,7 @@
 // retired instruction and MIPS — for the three execution modes every
 // experiment in the repro pays for:
 //
-//   - classic:  the hook-free classic core (cpu.Core.Run, fast path);
+//   - classic:  the classic core (cpu.Core.Run);
 //   - profiled: the fused profiling interpreter (profile.Collect, the
 //     prepare stage of every harness run);
 //   - amnesic:  the amnesic machine under the Compiler policy.
@@ -152,7 +152,7 @@ func measure(w *workloads.Workload, scale float64, maxInstrs uint64, runs int, w
 
 	out := &WorkloadResult{Name: w.Name, Modes: make(map[string]ModeResult, len(modes))}
 
-	// classic: hook-free fast path. Memory clones happen outside the timer;
+	// classic: cpu.Core.Run. Memory clones happen outside the timer;
 	// they are workload setup, not interpreter work.
 	if want["classic"] {
 		classic, err := bestOf(runs, func() (uint64, time.Duration, error) {
@@ -173,7 +173,7 @@ func measure(w *workloads.Workload, scale float64, maxInstrs uint64, runs int, w
 		out.Modes["classic"] = classic
 	}
 
-	// profiled: the full profiler hook (the harness prepare stage).
+	// profiled: the fused profiler (the harness prepare stage).
 	if want["profiled"] {
 		profiled, err := bestOf(runs, func() (uint64, time.Duration, error) {
 			start := time.Now()

@@ -30,7 +30,7 @@ func kindsOf(s *rslice.Slice) []rslice.InputKind {
 }
 
 // refVerdict validates the plan's candidates — a fresh set, since
-// validation writes input kinds — with the hooked reference validator.
+// validation writes input kinds — with the reference validator.
 func refVerdict(model *energy.Model, prog *isa.Program, prof *profile.Profile, initial *mem.Memory, opts Options) (verdict, error) {
 	p, err := NewPlan(model, prog, prof, opts)
 	if err != nil {
@@ -53,7 +53,7 @@ func refVerdict(model *energy.Model, prog *isa.Program, prof *profile.Profile, i
 			feeders[ld][st] = true
 		}
 	}
-	valid, err := refValidate(model, prog, initial, cands, feeders, v.Rejected)
+	valid, err := refValidate(prog, initial, cands, feeders, v.Rejected)
 	if err != nil {
 		return verdict{}, err
 	}

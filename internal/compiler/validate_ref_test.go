@@ -1,15 +1,16 @@
 package compiler
 
-// The reference validator: the hooked-core implementation the production
-// validator (validate.go) is differentially tested against.
+// The reference validator: an observer on the flat reference stepper
+// (internal/ref) that the production validator (validate.go) is
+// differentially tested against.
 
 import (
 	"fmt"
 
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
-	"github.com/amnesiac-sim/amnesiac/internal/energy"
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
+	"github.com/amnesiac-sim/amnesiac/internal/ref"
 	"github.com/amnesiac-sim/amnesiac/internal/rslice"
 )
 
@@ -136,13 +137,13 @@ func (cs *refCandState) evalSlice(m *mem.Memory, snap []uint64) (uint64, bool) {
 	return cs.vals[cs.s.Root], true
 }
 
-// refValidate is the hooked validator the dense one replaced, kept as the
-// reference for the differential tests: it replays the program on the
-// hooked classic core (cpu.Core.Hook) with map-keyed state, taking a
+// refValidate is the map-keyed validator the dense one replaced, kept as
+// the reference for the differential tests: it replays the program on the
+// reference stepper, observing every retired instruction and taking a
 // map-assigned snapshot on every feeder store. feeders maps load PC ->
 // static store PCs feeding it; if diag is non-nil, rejection reasons are
 // recorded per load PC.
-func refValidate(model *energy.Model, prog *isa.Program, initial *mem.Memory, candidates []*rslice.Slice, feeders map[int]map[int]bool, diag map[int]string) ([]*rslice.Slice, error) {
+func refValidate(prog *isa.Program, initial *mem.Memory, candidates []*rslice.Slice, feeders map[int]map[int]bool, diag map[int]string) ([]*rslice.Slice, error) {
 	if len(candidates) == 0 {
 		return nil, nil
 	}
@@ -173,50 +174,50 @@ func refValidate(model *energy.Model, prog *isa.Program, initial *mem.Memory, ca
 		}
 	}
 
-	core := cpu.New(model, mem.NewDefaultHierarchy(), initial.Clone())
-	core.Hook = func(ev *cpu.Event) {
-		for _, site := range recSites[ev.PC] {
+	m := initial.Clone()
+	_, err := ref.Run(prog, m, cpu.DefaultMaxInstrs, func(st *ref.Step) {
+		for _, site := range recSites[st.PC] {
 			ck := site.cs.ck[site.node]
 			if ck == nil {
 				ck = &refCheckpoint{}
 				site.cs.ck[site.node] = ck
 			}
-			ck.vals = ev.SrcVals
+			ck.vals = st.Srcs
 			ck.recorded = true
 		}
 
-		switch ev.In.Op {
+		switch st.In.Op {
 		case isa.ST:
-			for _, cs := range snapAt[ev.PC] {
+			for _, cs := range snapAt[st.PC] {
 				if cs.valid {
-					cs.snaps[ev.Addr] = cs.snapshot()
+					cs.snaps[st.Addr] = cs.snapshot()
 				}
 			}
 		case isa.LD:
-			cs := cands[ev.PC]
+			cs := cands[st.PC]
 			if cs == nil || !cs.valid {
 				return
 			}
 			cs.seen = true
-			snap, ok := cs.snaps[ev.Addr]
+			snap, ok := cs.snaps[st.Addr]
 			if !ok || snap == nil {
 				cs.valid = false
-				cs.fail = fmt.Sprintf("no ground-truth snapshot for addr %#x (ok=%v)", ev.Addr, ok)
+				cs.fail = fmt.Sprintf("no ground-truth snapshot for addr %#x (ok=%v)", st.Addr, ok)
 				return
 			}
-			res, ok := cs.evalSlice(core.Mem, snap)
-			if !ok || res != ev.Value {
+			res, ok := cs.evalSlice(m, snap)
+			if !ok || res != st.Value {
 				cs.valid = false
-				cs.fail = fmt.Sprintf("recomputed %#x != loaded %#x (structural ok=%v)", res, ev.Value, ok)
+				cs.fail = fmt.Sprintf("recomputed %#x != loaded %#x (structural ok=%v)", res, st.Value, ok)
 				return
 			}
-			// Registers as the RCMP would observe them: inside this hook
-			// the load's destination write has already happened; undo it.
+			// Registers as the RCMP would observe them: the observer runs
+			// after the load's destination write; undo it.
 			regAt := func(r isa.Reg) uint64 {
-				if r == ev.In.Dst {
-					return ev.SrcVals[2]
+				if r == st.In.Dst {
+					return st.Srcs[2]
 				}
-				return core.ReadReg(r)
+				return st.Regs[r]
 			}
 			for i, in := range cs.s.Inputs {
 				want := snap[i]
@@ -236,9 +237,8 @@ func refValidate(model *energy.Model, prog *isa.Program, initial *mem.Memory, ca
 				}
 			}
 		}
-	}
-
-	if err := core.Run(prog); err != nil {
+	})
+	if err != nil {
 		return nil, fmt.Errorf("compiler: validation run: %w", err)
 	}
 

@@ -105,27 +105,6 @@ func TestInstructionBudget(t *testing.T) {
 	}
 }
 
-func TestHookObservesSrcVals(t *testing.T) {
-	b := asm.NewBuilder("hook")
-	b.Li(1, 5).Li(2, 7)
-	b.Add(1, 1, 2) // dst == src1: SrcVals must hold pre-exec values
-	b.Halt()
-	p := b.MustAssemble()
-	core := cpu.New(energy.Default(), mem.NewDefaultHierarchy(), mem.NewMemory())
-	var got [3]uint64
-	core.Hook = func(ev *cpu.Event) {
-		if ev.In.Op == isa.ADD {
-			got = ev.SrcVals
-		}
-	}
-	if err := core.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 5 || got[1] != 7 {
-		t.Errorf("SrcVals = %v, want pre-exec 5,7", got)
-	}
-}
-
 // Property: the core computes the same sums as Go for random linear loops.
 func TestCoreMatchesGoSemantics(t *testing.T) {
 	f := func(n uint8, k uint16) bool {
@@ -155,53 +134,8 @@ func TestCoreMatchesGoSemantics(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesHookedPath locks the nil-Hook fast loop to the hooked
-// loop: same architectural state, same accounting, same serviced levels.
-func TestFastPathMatchesHookedPath(t *testing.T) {
-	build := func() (*cpu.Core, *mem.Hierarchy, *isa.Program) {
-		b := asm.NewBuilder("fastpath")
-		b.Li(1, 64).Li(2, 0).Li(3, 1).Li(4, 4096)
-		b.Label("loop")
-		b.St(4, 0, 2)    // mem[r4] = counter
-		b.Ld(5, 4, 0)    // load it back
-		b.Add(2, 2, 5)   // accumulate
-		b.Addi(4, 4, 64) // stride one cache line
-		b.Sub(1, 1, 3)
-		b.Bne(1, isa.R0, "loop")
-		b.Halt()
-		p := b.MustAssemble()
-		h := mem.NewDefaultHierarchy()
-		return cpu.New(energy.Default(), h, mem.NewMemory()), h, p
-	}
-
-	fast, fastH, p := build()
-	if err := fast.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	hooked, hookedH, p2 := build()
-	events := 0
-	hooked.Hook = func(*cpu.Event) { events++ }
-	if err := hooked.Run(p2); err != nil {
-		t.Fatal(err)
-	}
-
-	if fast.Regs != hooked.Regs {
-		t.Errorf("registers diverge: fast %v vs hooked %v", fast.Regs, hooked.Regs)
-	}
-	if fast.Acct != hooked.Acct {
-		t.Errorf("accounting diverges:\nfast   %+v\nhooked %+v", fast.Acct, hooked.Acct)
-	}
-	if fastH.Serviced != hookedH.Serviced {
-		t.Errorf("serviced levels diverge: %v vs %v", fastH.Serviced, hookedH.Serviced)
-	}
-	// Every retired instruction except HALT raises a hook event.
-	if uint64(events) != hooked.Acct.Instrs-1 {
-		t.Errorf("hook saw %d events for %d instructions", events, hooked.Acct.Instrs)
-	}
-}
-
 // TestMisalignedErrorsWrapErrMisaligned locks the error contract of the
-// hook-free fast path: misaligned program addresses surface as errors
+// core: misaligned program addresses surface as errors
 // wrapping mem.ErrMisaligned — never as the Memory accessors' panic — even
 // when the access would otherwise take the inline flat-arena route.
 func TestMisalignedErrorsWrapErrMisaligned(t *testing.T) {
@@ -227,42 +161,10 @@ func TestMisalignedErrorsWrapErrMisaligned(t *testing.T) {
 	}
 }
 
-// TestHookedRunEventReuse verifies the hooked loop reuses one Event for the
-// whole run: thousands of retired instructions may cost at most a handful
-// of fixed allocations (the shared Event escaping to the hook, per-run
-// setup), never one per event.
-func TestHookedRunEventReuse(t *testing.T) {
-	b := asm.NewBuilder("alloc")
-	b.Li(1, 2000).Li(3, 1).Li(4, 4096)
-	b.Label("loop")
-	b.St(4, 0, 1)
-	b.Ld(5, 4, 0)
-	b.Sub(1, 1, 3)
-	b.Bne(1, isa.R0, "loop")
-	b.Halt()
-	p := b.MustAssemble()
-	core := cpu.New(energy.Default(), mem.NewDefaultHierarchy(), mem.NewMemory())
-	events := 0
-	core.Hook = func(*cpu.Event) { events++ }
-	if err := core.Run(p); err != nil { // warm decode cache and arena
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1, func() {
-		if err := core.Run(p); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if events < 8000 {
-		t.Fatalf("hook saw only %d events; test needs a long run", events)
-	}
-	if allocs > 16 {
-		t.Errorf("hooked run allocated %.0f objects for ~8000 events; Event is not being reused", allocs)
-	}
-}
-
-// Throughput benchmarks for the two interpreter loops; run with -benchmem
-// to confirm the steady state allocates nothing per instruction.
-func benchLoop(b *testing.B, hook func(*cpu.Event)) {
+// BenchmarkRun measures interpreter throughput on a store/load loop; run
+// with -benchmem to confirm the steady state allocates nothing per
+// instruction.
+func BenchmarkRun(b *testing.B) {
 	ab := asm.NewBuilder("bench")
 	ab.Li(1, 5000).Li(3, 1).Li(4, 4096)
 	ab.Label("loop")
@@ -275,7 +177,6 @@ func benchLoop(b *testing.B, hook func(*cpu.Event)) {
 	ab.Halt()
 	p := ab.MustAssemble()
 	core := cpu.New(energy.Default(), mem.NewDefaultHierarchy(), mem.NewMemory())
-	core.Hook = hook
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -285,9 +186,6 @@ func benchLoop(b *testing.B, hook func(*cpu.Event)) {
 	}
 	b.ReportMetric(float64(core.Acct.Instrs)/float64(b.N), "instrs/op")
 }
-
-func BenchmarkRunFast(b *testing.B)   { benchLoop(b, nil) }
-func BenchmarkRunHooked(b *testing.B) { benchLoop(b, func(*cpu.Event) {}) }
 
 // TestRunProgramLimit verifies the budget plumbing of the wrapper.
 func TestRunProgramLimit(t *testing.T) {

@@ -1,11 +1,12 @@
 // Package difftest is the differential-execution oracle: it runs one
 // program through three independent implementations of the architecture —
-// a flat reference interpreter with no cache hierarchy, the classic
-// hierarchy-coupled core, and the amnesic machine under every evaluation
-// policy — and demands bit-identical final register files, memory images,
-// and store streams. Amnesic execution is a semantics-preserving energy
-// optimization (paper §3), so ANY divergence is a bug in the transformation
-// or the machine, never an accepted approximation.
+// the flat reference stepper (internal/ref) with no cache hierarchy, the
+// classic hierarchy-coupled core, and the amnesic machine under every
+// evaluation policy — and demands bit-identical final register files,
+// memory images, and store streams. Amnesic execution is a
+// semantics-preserving energy optimization (paper §3), so ANY divergence is
+// a bug in the transformation or the machine, never an accepted
+// approximation.
 //
 // Programs come from the seeded generator in internal/gen, so a failure is
 // fully described by its seed. CheckSeed shrinks failing programs by
@@ -17,8 +18,10 @@
 //   - cache hierarchy: the hierarchy is a pure timing/energy model, so the
 //     classic core's architectural state must equal the flat replay;
 //   - energy accounting: every account satisfies Account.CheckConsistency,
-//     and the classic account additionally satisfies the per-category
-//     EPI·count identity (E_nonmem = Σ count·EPI, E_fetch = Instrs·EPI).
+//     and the classic account must equal an independent pricing of the
+//     reference's retired-instruction stream through energy.Account's own
+//     charge methods over a fresh hierarchy: counts and serviced levels
+//     exactly, energy and time within floating-point tolerance.
 package difftest
 
 import (
@@ -37,6 +40,7 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
 	"github.com/amnesiac-sim/amnesiac/internal/policy"
 	"github.com/amnesiac-sim/amnesiac/internal/profile"
+	"github.com/amnesiac-sim/amnesiac/internal/ref"
 	"github.com/amnesiac-sim/amnesiac/internal/trace"
 	"github.com/amnesiac-sim/amnesiac/internal/uarch"
 )
@@ -181,31 +185,30 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 		}
 	}
 
-	ref, err := runReference(prog, initial.Clone(), opts.MaxInstrs)
+	want, err := runReference(opts.Model, prog, initial, opts.MaxInstrs)
 	if err != nil {
 		return fmt.Errorf("difftest: reference: %w", err)
 	}
 
+	// Classic, interpreted: trace reuse off, so the traced arm below
+	// compares replay against genuine interpretation.
 	core := cpu.New(opts.Model, mem.NewDefaultHierarchy(), initial.Clone())
 	core.MaxInstrs = opts.MaxInstrs
+	core.Trace = trace.Config{}
 	var classicStores []StoreEvent
-	core.Hook = func(ev *cpu.Event) {
-		if ev.In.Op == isa.ST {
-			classicStores = append(classicStores, StoreEvent{ev.Addr, ev.Value})
-		}
-	}
+	core.StoreHook = collectStores(&classicStores)
 	if err := core.Run(prog); err != nil {
 		// The reference completed, so the identical program must complete
 		// on the classic core too.
 		return diverge("classic execution", "reference halted but classic core failed: %v", err)
 	}
-	if d := compareState("classic-vs-reference", "flat-memory replay", ref, core.Regs, core.Mem, classicStores, prog, initial); d != nil {
+	if d := compareState("classic-vs-reference", "flat-memory replay", want, core.Regs, core.Mem, classicStores, prog, initial); d != nil {
 		return d
 	}
 	if err := core.Acct.CheckConsistency(); err != nil {
 		return diverge("classic energy account", "%v", err)
 	}
-	if err := checkClassicEPI(opts.Model, &core.Acct); err != nil {
+	if err := checkClassicAccount(&core.Acct, core.Hier.Serviced, want); err != nil {
 		return diverge("classic energy account", "%v", err)
 	}
 
@@ -214,18 +217,16 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 	// indistinguishable from interpretation: same final registers, memory,
 	// store stream, and — because replay charges every instruction in the
 	// interpreter's exact order — an energy account equal bit-for-bit to the
-	// hooked run's.
+	// interpreted run's.
 	traced := cpu.New(opts.Model, mem.NewDefaultHierarchy(), initial.Clone())
 	traced.MaxInstrs = opts.MaxInstrs
 	traced.Trace = trace.Config{Enable: true, Threshold: 1}
 	var tracedStores []StoreEvent
-	traced.StoreHook = func(addr, val uint64) {
-		tracedStores = append(tracedStores, StoreEvent{addr, val})
-	}
+	traced.StoreHook = collectStores(&tracedStores)
 	if err := traced.Run(prog); err != nil {
 		return diverge("classic traced", "interpreted run halted but traced run failed: %v", err)
 	}
-	if d := compareState("classic traced", "flat-memory replay", ref, traced.Regs, traced.Mem, tracedStores, prog, initial); d != nil {
+	if d := compareState("classic traced", "flat-memory replay", want, traced.Regs, traced.Mem, tracedStores, prog, initial); d != nil {
 		return d
 	}
 	if traced.Acct != core.Acct {
@@ -241,13 +242,11 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 		cow := cpu.New(opts.Model, mem.NewDefaultHierarchy(), img.Fork())
 		cow.MaxInstrs = opts.MaxInstrs
 		var cowStores []StoreEvent
-		cow.StoreHook = func(addr, val uint64) {
-			cowStores = append(cowStores, StoreEvent{addr, val})
-		}
+		cow.StoreHook = collectStores(&cowStores)
 		if err := cow.Run(prog); err != nil {
 			return diverge("classic cow", "cloned run halted but forked run failed: %v", err)
 		}
-		if d := compareState("classic cow", "flat-memory replay", ref, cow.Regs, cow.Mem, cowStores, prog, initial); d != nil {
+		if d := compareState("classic cow", "flat-memory replay", want, cow.Regs, cow.Mem, cowStores, prog, initial); d != nil {
 			return d
 		}
 		if cow.Acct != core.Acct {
@@ -270,19 +269,17 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 	// on: one watched run validates the slices for both binaries, as the
 	// harness's baseline does. Watched PCs interpret while every other loop
 	// records and replays, and the run must be indistinguishable from the
-	// hooked one — state, store stream, and energy account bit for bit.
+	// interpreted one — state, store stream, and energy account bit for bit.
 	watched := cpu.New(opts.Model, mem.NewDefaultHierarchy(), initial.Clone())
 	watched.MaxInstrs = opts.MaxInstrs
 	watched.Trace = trace.Config{Enable: true, Threshold: 1}
 	watched.Watch = plan.Watch()
 	var watchedStores []StoreEvent
-	watched.StoreHook = func(addr, val uint64) {
-		watchedStores = append(watchedStores, StoreEvent{addr, val})
-	}
+	watched.StoreHook = collectStores(&watchedStores)
 	if err := watched.Run(prog); err != nil {
 		return diverge("classic watched", "interpreted run halted but watched run failed: %v", err)
 	}
-	if d := compareState("classic watched", "flat-memory replay", ref, watched.Regs, watched.Mem, watchedStores, prog, initial); d != nil {
+	if d := compareState("classic watched", "flat-memory replay", want, watched.Regs, watched.Mem, watchedStores, prog, initial); d != nil {
 		return d
 	}
 	if watched.Acct != core.Acct {
@@ -311,13 +308,11 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 		// genuine interpretation.
 		m.Trace = trace.Config{}
 		var stores []StoreEvent
-		m.StoreHook = func(addr, val uint64) {
-			stores = append(stores, StoreEvent{addr, val})
-		}
+		m.StoreHook = collectStores(&stores)
 		if err := m.Run(); err != nil {
 			return diverge("policy "+label, "amnesic run failed where classic succeeded: %v", err)
 		}
-		if d := compareState("policy "+label, "classic baseline", ref, m.Regs, m.Mem, stores, prog, initial); d != nil {
+		if d := compareState("policy "+label, "classic baseline", want, m.Regs, m.Mem, stores, prog, initial); d != nil {
 			return d
 		}
 		if err := m.Acct.CheckConsistency(); err != nil {
@@ -339,13 +334,11 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 			cm.TamperRTN = opts.TamperRTN
 			cm.Trace = trace.Config{} // match the untraced baseline arm exactly
 			var cowStores []StoreEvent
-			cm.StoreHook = func(addr, val uint64) {
-				cowStores = append(cowStores, StoreEvent{addr, val})
-			}
+			cm.StoreHook = collectStores(&cowStores)
 			if err := cm.Run(); err != nil {
 				return diverge("policy "+label+" cow", "cloned run succeeded but forked run failed: %v", err)
 			}
-			if d := compareState("policy "+label+" cow", "classic baseline", ref, cm.Regs, cm.Mem, cowStores, prog, initial); d != nil {
+			if d := compareState("policy "+label+" cow", "classic baseline", want, cm.Regs, cm.Mem, cowStores, prog, initial); d != nil {
 				return d
 			}
 			if len(cowStores) != len(stores) {
@@ -379,13 +372,11 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 		tm.TamperRTN = opts.TamperRTN
 		tm.Trace = trace.Config{Enable: true, Threshold: 1}
 		var tracedStores []StoreEvent
-		tm.StoreHook = func(addr, val uint64) {
-			tracedStores = append(tracedStores, StoreEvent{addr, val})
-		}
+		tm.StoreHook = collectStores(&tracedStores)
 		if err := tm.Run(); err != nil {
 			return diverge("policy "+label+" traced", "untraced run succeeded but traced run failed: %v", err)
 		}
-		if d := compareState("policy "+label+" traced", "classic baseline", ref, tm.Regs, tm.Mem, tracedStores, prog, initial); d != nil {
+		if d := compareState("policy "+label+" traced", "classic baseline", want, tm.Regs, tm.Mem, tracedStores, prog, initial); d != nil {
 			return d
 		}
 		if len(tracedStores) != len(stores) {
@@ -462,82 +453,63 @@ func policyBinary(label string, ann, oracleAnn *compiler.Annotated) (*compiler.A
 	}
 }
 
-// refResult is the flat interpreter's final architectural state.
-type refResult struct {
-	Regs   [isa.NumRegs]uint64
-	Mem    *mem.Memory
-	Stores []StoreEvent
+// reference is the flat stepper's run: final architectural state and store
+// stream, plus the classic account and serviced-level counts priced from
+// its retired-instruction stream.
+type reference struct {
+	Regs     [isa.NumRegs]uint64
+	Mem      *mem.Memory
+	Stores   []StoreEvent
+	Acct     energy.Account
+	Serviced [energy.NumLevels]uint64
 }
 
-// runReference interprets p over m with no cache hierarchy, no energy
-// accounting, and no amnesic anything: the simplest possible executable
-// semantics of the classic ISA. It deliberately shares only isa.EvalCompute
-// and isa.BranchTaken with the production cores, so a bug in either core's
-// dispatch loop shows up as a divergence rather than agreeing with itself.
-func runReference(p *isa.Program, m *mem.Memory, max uint64) (*refResult, error) {
-	var regs [isa.NumRegs]uint64
-	read := func(r isa.Reg) uint64 {
-		if r == isa.R0 {
-			return 0
+// runReference runs p over a clone of initial on the reference stepper and
+// prices each retired instruction as the classic core must, but through
+// energy.Account's own charge methods and a fresh default hierarchy: fetch,
+// then the category EPI, or the load/store at its servicing level after
+// any dirty-victim writebacks the access caused.
+func runReference(model *energy.Model, p *isa.Program, initial *mem.Memory, max uint64) (*reference, error) {
+	r := &reference{Mem: initial.Clone()}
+	hier := mem.NewDefaultHierarchy()
+	a := &r.Acct
+	access := func(addr uint64, write bool) energy.Level {
+		res := hier.Access(addr, write)
+		for i := 0; i < res.WritebackL2; i++ {
+			a.AddWriteback(model, energy.L2)
 		}
-		return regs[r]
+		for i := 0; i < res.WritebackMem; i++ {
+			a.AddWriteback(model, energy.Mem)
+		}
+		return res.Level
 	}
-	write := func(r isa.Reg, v uint64) {
-		if r != isa.R0 {
-			regs[r] = v
-		}
-	}
-	var stores []StoreEvent
-	pc := 0
-	for steps := uint64(0); ; steps++ {
-		if pc < 0 || pc >= len(p.Code) {
-			return nil, fmt.Errorf("pc %d out of range (%d instrs)", pc, len(p.Code))
-		}
-		if steps >= max {
-			return nil, fmt.Errorf("instruction budget exceeded (%d)", max)
-		}
-		in := p.Code[pc]
-		switch {
-		case in.Op == isa.NOP:
-			pc++
-		case isa.Recomputable(in.Op):
-			write(in.Dst, isa.EvalCompute(in, read(in.Src1), read(in.Src2), read(in.Dst)))
-			pc++
-		case in.Op == isa.LD:
-			addr := read(in.Src1) + uint64(in.Imm)
-			if err := mem.CheckAligned(addr); err != nil {
-				return nil, fmt.Errorf("load: %w", err)
-			}
-			write(in.Dst, m.Load(addr))
-			pc++
-		case in.Op == isa.ST:
-			addr := read(in.Src1) + uint64(in.Imm)
-			if err := mem.CheckAligned(addr); err != nil {
-				return nil, fmt.Errorf("store: %w", err)
-			}
-			v := read(in.Src2)
-			m.Store(addr, v)
-			stores = append(stores, StoreEvent{addr, v})
-			pc++
-		case in.Op == isa.HALT:
-			return &refResult{Regs: regs, Mem: m, Stores: stores}, nil
-		case in.Op == isa.JMP:
-			pc = int(in.Imm)
-		case in.Op == isa.BEQ, in.Op == isa.BNE, in.Op == isa.BLT, in.Op == isa.BGE:
-			if isa.BranchTaken(in.Op, read(in.Src1), read(in.Src2)) {
-				pc = int(in.Imm)
-			} else {
-				pc++
-			}
+	regs, err := ref.Run(p, r.Mem, max, func(s *ref.Step) {
+		a.AddFetch(model.FetchEnergy, model.FetchLatency)
+		switch s.In.Op {
+		case isa.LD:
+			a.AddLoad(model, access(s.Addr, false))
+		case isa.ST:
+			a.AddStore(model, access(s.Addr, true))
+			r.Stores = append(r.Stores, StoreEvent{s.Addr, s.Value})
 		default:
-			return nil, fmt.Errorf("op %s has no reference semantics", in.Op)
+			a.AddInstr(model, isa.CategoryOf(s.In.Op))
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	r.Regs, r.Serviced = regs, hier.Serviced
+	return r, nil
+}
+
+// collectStores returns a StoreHook appending to *dst.
+func collectStores(dst *[]StoreEvent) func(addr, val uint64) {
+	return func(addr, val uint64) { *dst = append(*dst, StoreEvent{addr, val}) }
 }
 
 // compareState checks final registers, memory image, and store stream
 // against the reference, returning a *Divergence naming the first mismatch.
-func compareState(stage, against string, ref *refResult, regs [isa.NumRegs]uint64, memory *mem.Memory, stores []StoreEvent, prog *isa.Program, initial *mem.Memory) *Divergence {
+func compareState(stage, against string, want *reference, regs [isa.NumRegs]uint64, memory *mem.Memory, stores []StoreEvent, prog *isa.Program, initial *mem.Memory) *Divergence {
 	diverge := func(format string, args ...any) *Divergence {
 		return &Divergence{
 			Seed: -1, Stage: stage,
@@ -546,55 +518,58 @@ func compareState(stage, against string, ref *refResult, regs [isa.NumRegs]uint6
 		}
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		if regs[r] != ref.Regs[r] {
-			return diverge("r%d = %#x, want %#x", r, regs[r], ref.Regs[r])
+		if regs[r] != want.Regs[r] {
+			return diverge("r%d = %#x, want %#x", r, regs[r], want.Regs[r])
 		}
 	}
-	if !memory.Equal(ref.Mem) {
-		addrs := memory.Diff(ref.Mem, 4)
+	if !memory.Equal(want.Mem) {
+		addrs := memory.Diff(want.Mem, 4)
 		parts := make([]string, 0, len(addrs))
 		for _, a := range addrs {
-			parts = append(parts, fmt.Sprintf("[%#x] = %#x, want %#x", a, memory.Load(a), ref.Mem.Load(a)))
+			parts = append(parts, fmt.Sprintf("[%#x] = %#x, want %#x", a, memory.Load(a), want.Mem.Load(a)))
 		}
 		return diverge("memory differs: %s", strings.Join(parts, "; "))
 	}
-	if len(stores) != len(ref.Stores) {
-		return diverge("store stream has %d events, want %d", len(stores), len(ref.Stores))
+	if len(stores) != len(want.Stores) {
+		return diverge("store stream has %d events, want %d", len(stores), len(want.Stores))
 	}
 	for i := range stores {
-		if stores[i] != ref.Stores[i] {
+		if stores[i] != want.Stores[i] {
 			return diverge("store #%d is [%#x] <- %#x, want [%#x] <- %#x",
-				i, stores[i].Addr, stores[i].Val, ref.Stores[i].Addr, ref.Stores[i].Val)
+				i, stores[i].Addr, stores[i].Val, want.Stores[i].Addr, want.Stores[i].Val)
 		}
 	}
 	return nil
 }
 
-// checkClassicEPI verifies the classic run's per-category energy identity:
-// non-memory energy is exactly Σ count·EPI over non-memory categories, and
-// fetch energy is exactly Instrs·EPI_fetch. (Load/store energy depends on
-// the servicing level, so those buckets are covered by CheckConsistency's
-// sum identity instead.) Only classic runs satisfy this — the amnesic
-// machine charges RCMP overheads through AddOverhead, which lands in the
-// non-mem bucket without a category count.
-func checkClassicEPI(m *energy.Model, a *energy.Account) error {
-	tol := 1e-6 * (1 + math.Abs(a.EnergyNJ))
-	var nonmem float64
-	for cat := isa.Category(0); cat < isa.NumCategories; cat++ {
-		if cat == isa.CatLoad || cat == isa.CatStore {
-			continue
+// checkClassicAccount compares the interpreted classic run's account and
+// serviced-level counts against the reference pricing: counts and levels
+// exactly, each energy and time bucket within 1e-6 relative.
+func checkClassicAccount(got *energy.Account, serviced [energy.NumLevels]uint64, want *reference) error {
+	if serviced != want.Serviced {
+		return fmt.Errorf("serviced levels %v, reference hierarchy %v", serviced, want.Serviced)
+	}
+	w := &want.Acct
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"EnergyNJ", got.EnergyNJ, w.EnergyNJ}, {"TimeNS", got.TimeNS, w.TimeNS},
+		{"LoadNJ", got.LoadNJ, w.LoadNJ}, {"StoreNJ", got.StoreNJ, w.StoreNJ},
+		{"NonMemNJ", got.NonMemNJ, w.NonMemNJ}, {"HistReadNJ", got.HistReadNJ, w.HistReadNJ},
+		{"ProbeNJ", got.ProbeNJ, w.ProbeNJ}, {"FetchNJ", got.FetchNJ, w.FetchNJ},
+	} {
+		if math.Abs(f.got-f.want) > 1e-6*(1+math.Abs(f.want)) {
+			return fmt.Errorf("%s is %.9g, reference pricing says %.9g", f.name, f.got, f.want)
 		}
-		nonmem += float64(a.ByCategory[cat]) * m.InstrEnergy(cat)
 	}
-	if math.Abs(nonmem-a.NonMemNJ) > tol {
-		return fmt.Errorf("energy: Σ count·EPI over non-mem categories is %.9g nJ, account says %.9g nJ", nonmem, a.NonMemNJ)
-	}
-	if fetch := float64(a.Instrs) * m.FetchEnergy; math.Abs(fetch-a.FetchNJ) > tol {
-		return fmt.Errorf("energy: %d instrs × fetch EPI is %.9g nJ, account says %.9g nJ", a.Instrs, fetch, a.FetchNJ)
-	}
-	if a.Loads != a.ByCategory[isa.CatLoad] || a.Stores != a.ByCategory[isa.CatStore] {
-		return fmt.Errorf("energy: load/store counts (%d/%d) disagree with categories (%d/%d)",
-			a.Loads, a.Stores, a.ByCategory[isa.CatLoad], a.ByCategory[isa.CatStore])
+	// With the floating-point buckets equal, any remaining difference is in
+	// an integer count.
+	g := *got
+	g.EnergyNJ, g.TimeNS, g.LoadNJ, g.StoreNJ = w.EnergyNJ, w.TimeNS, w.LoadNJ, w.StoreNJ
+	g.NonMemNJ, g.HistReadNJ, g.ProbeNJ, g.FetchNJ = w.NonMemNJ, w.HistReadNJ, w.ProbeNJ, w.FetchNJ
+	if g != *w {
+		return fmt.Errorf("counts differ from the reference pricing: %s", accountDiff(&g, w))
 	}
 	return nil
 }

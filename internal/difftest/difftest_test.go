@@ -8,8 +8,12 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/amnesiac-sim/amnesiac/internal/asm"
+	"github.com/amnesiac-sim/amnesiac/internal/cpu"
+	"github.com/amnesiac-sim/amnesiac/internal/energy"
 	"github.com/amnesiac-sim/amnesiac/internal/gen"
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
+	"github.com/amnesiac-sim/amnesiac/internal/mem"
 )
 
 var (
@@ -23,11 +27,44 @@ var (
 		"rerun the classic core and every amnesic policy on a copy-on-write fork of the sealed image, asserting forked == cloned bit-for-bit")
 )
 
-// TestDiffOracle is the main oracle sweep: N seeded random programs, each
-// executed by the flat reference, the classic core, and the amnesic machine
-// under all five policies, asserting identical final register files, memory
-// images, and store streams. With -difftest.seed=N it replays exactly one
-// reported seed instead.
+// hierarchyWalk builds a program whose accesses leave L1, with its
+// initial memory. Four line-stride walks: stores over 1 MiB of region B
+// (misses to memory; dirty victims into L2, then into memory), loads over
+// 1 MiB of region A (misses evicting those dirty lines from both levels),
+// then loads and stores over A's last 64 KiB, lines L1 has lost but L2
+// still holds. Generated programs stay inside a 2 KiB arena, so once warm
+// their accesses never leave L1.
+func hierarchyWalk() (*isa.Program, *mem.Memory) {
+	const line, kib = 64, 1 << 10
+	const a, b = 0x100000, 0x200000
+	bld := asm.NewBuilder("hierarchy-walk")
+	walk := func(label string, store bool, from, bytes int64) {
+		bld.Li(1, from).Li(2, bytes/line).Li(5, 1)
+		bld.Label(label)
+		if store {
+			bld.Add(4, 4, 1).St(1, 0, 4)
+		} else {
+			bld.Ld(3, 1, 0).Add(4, 4, 3)
+		}
+		bld.Addi(1, 1, line).Sub(2, 2, 5).Bne(2, isa.R0, label)
+	}
+	walk("dirty", true, b, 1024*kib)
+	walk("evict", false, a, 1024*kib)
+	walk("reload", false, a+960*kib, 64*kib)
+	walk("rewrite", true, a+960*kib, 64*kib)
+	bld.Halt()
+	initial := mem.NewMemory()
+	for off := uint64(0); off < 1024*kib; off += line {
+		initial.Store(a+off, 7*off+1)
+	}
+	return bld.MustAssemble(), initial
+}
+
+// TestDiffOracle is the main oracle sweep: N seeded random programs plus
+// the hierarchy walk, each executed by the flat reference, the classic
+// core, and the amnesic machine under all five policies, asserting
+// identical final register files, memory images, and store streams. With
+// -difftest.seed=N it replays exactly one reported seed instead.
 func TestDiffOracle(t *testing.T) {
 	opts := DefaultOptions()
 	opts.TraceForce = *traceFlag
@@ -37,6 +74,17 @@ func TestDiffOracle(t *testing.T) {
 			t.Fatalf("seed %d: %v", *seedFlag, err)
 		}
 		return
+	}
+	walk, initial := hierarchyWalk()
+	res, err := cpu.RunProgram(opts.Model, walk, initial.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Serviced[energy.L2] == 0 {
+		t.Fatalf("hierarchy walk serviced no access at L2: %v", res.Serviced)
+	}
+	if err := Check(walk, initial, opts); err != nil {
+		t.Error(err)
 	}
 	n := *seedCount
 	if testing.Short() {

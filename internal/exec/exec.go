@@ -1,6 +1,5 @@
 // Package exec implements the shared decoded-dispatch execution core used
-// by the classic core (cpu.Core, hook-free path) and the amnesic machine's
-// fast path. Both loops previously hand-copied the same idiom — pre-decoded
+// by the classic core (cpu.Core) and the amnesic machine's fast path. Both loops previously hand-copied the same idiom — pre-decoded
 // struct-of-arrays dispatch, re-sliced arrays for a single bounds check,
 // masked register indices, an inline hot-ALU switch, a two-entry flat-window
 // data micro-TLB, and local energy accumulators flushed at exit — so trace
@@ -15,12 +14,13 @@
 // associative, so charges are never combined), and every memory access
 // still probes the cache hierarchy so its state evolves unchanged.
 //
-// The profiler's fused interpreter (internal/profile) and the difftest flat
-// reference deliberately do NOT consume this core: the profiler interleaves
-// shadow dependence tracking that has no energy model and would only slow
-// this loop down, and the reference must stay an independent implementation
-// for the differential oracle to be able to catch bugs here (an oracle that
-// shares its subject's dispatch loop can only agree with it). See DESIGN.md.
+// The profiler's fused interpreter (internal/profile) and the flat reference
+// stepper (internal/ref) deliberately do NOT consume this core: the
+// profiler interleaves shadow dependence tracking that has no energy model
+// and would only slow this loop down, and the reference must stay an
+// independent implementation for the differential oracle to be able to
+// catch bugs here (an oracle that shares its subject's dispatch loop can
+// only agree with it). See DESIGN.md.
 package exec
 
 import (

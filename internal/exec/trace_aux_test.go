@@ -19,17 +19,17 @@ func auxLoopProgram(t *testing.T, auxOp isa.Instr, innerN, outerN int64) *isa.Pr
 	t.Helper()
 	auxOp.SliceID = 0
 	p := &isa.Program{Name: "aux-loop", Code: []isa.Instr{
-		{Op: isa.LI, Dst: 1, Imm: 0},      // 0: outer counter
-		{Op: isa.LI, Dst: 2, Imm: outerN}, // 1
-		{Op: isa.LI, Dst: 3, Imm: 0},      // 2: outer head — inner counter reset
-		{Op: isa.LI, Dst: 4, Imm: innerN}, // 3
-		auxOp,                             // 4: inner head
-		{Op: isa.ADDI, Dst: 3, Src1: 3, Imm: 1},  // 5
-		{Op: isa.ADDI, Dst: 5, Src1: 5, Imm: 1},  // 6: work the replay covers
-		{Op: isa.BLT, Src1: 3, Src2: 4, Imm: 4},  // 7: inner back-edge
-		{Op: isa.ADDI, Dst: 1, Src1: 1, Imm: 1},  // 8
-		{Op: isa.BLT, Src1: 1, Src2: 2, Imm: 2},  // 9: outer back-edge
-		{Op: isa.HALT},                           // 10
+		{Op: isa.LI, Dst: 1, Imm: 0},            // 0: outer counter
+		{Op: isa.LI, Dst: 2, Imm: outerN},       // 1
+		{Op: isa.LI, Dst: 3, Imm: 0},            // 2: outer head — inner counter reset
+		{Op: isa.LI, Dst: 4, Imm: innerN},       // 3
+		auxOp,                                   // 4: inner head
+		{Op: isa.ADDI, Dst: 3, Src1: 3, Imm: 1}, // 5
+		{Op: isa.ADDI, Dst: 5, Src1: 5, Imm: 1}, // 6: work the replay covers
+		{Op: isa.BLT, Src1: 3, Src2: 4, Imm: 4}, // 7: inner back-edge
+		{Op: isa.ADDI, Dst: 1, Src1: 1, Imm: 1}, // 8
+		{Op: isa.BLT, Src1: 1, Src2: 2, Imm: 2}, // 9: outer back-edge
+		{Op: isa.HALT},                          // 10
 	}}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)

@@ -10,6 +10,7 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/gen"
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
+	"github.com/amnesiac-sim/amnesiac/internal/ref"
 	"github.com/amnesiac-sim/amnesiac/internal/trace"
 	"github.com/amnesiac-sim/amnesiac/internal/workloads"
 )
@@ -25,33 +26,30 @@ type watchEvent struct {
 // assertWatchTransparent watches every third instruction of p and asserts
 // that (1) the watched run's architectural state and energy
 // account equal an unwatched traced run's, and (2) the observer saw
-// exactly the hooked core's event stream at those PCs, with the state
-// before each instruction executed.
+// exactly the reference stepper's event stream at those PCs, with the
+// state before each instruction executed.
 func assertWatchTransparent(t *testing.T, name string, p *isa.Program, initial *mem.Memory, threshold uint32) {
 	t.Helper()
 	model := energy.Default()
 	var pcs []int
 	watched := make(map[int]bool)
-	for pc, in := range p.Code {
-		// HALT retires without a hooked-core event, so it is left out.
-		if in.Op != isa.HALT && pc%3 == 0 {
+	for pc := range p.Code {
+		if pc%3 == 0 {
 			pcs = append(pcs, pc)
 			watched[pc] = true
 		}
 	}
 
-	ref := cpu.New(model, mem.NewDefaultHierarchy(), initial.Clone())
 	var want []watchEvent
-	ref.Hook = func(ev *cpu.Event) {
-		if watched[ev.PC] {
-			e := watchEvent{pc: ev.PC, srcs: ev.SrcVals}
-			if ev.In.Op == isa.LD {
-				e.value = ev.Value
+	_, refErr := ref.Run(p, initial.Clone(), exec.DefaultMaxInstrs, func(s *ref.Step) {
+		if watched[s.PC] {
+			e := watchEvent{pc: s.PC, srcs: s.Srcs}
+			if s.In.Op == isa.LD {
+				e.value = s.Value
 			}
 			want = append(want, e)
 		}
-	}
-	refErr := ref.Run(p)
+	})
 
 	plain := cpu.New(model, mem.NewDefaultHierarchy(), initial.Clone())
 	plain.Trace = trace.Config{Enable: true, Threshold: threshold}
@@ -67,7 +65,7 @@ func assertWatchTransparent(t *testing.T, name string, p *isa.Program, initial *
 			e.value = m.Load(addr)
 		}
 		if refErr == nil && (seen >= len(want) || e != want[seen]) {
-			t.Fatalf("%s: event %d: observed %+v, hooked core retired %d events here", name, seen, e, len(want))
+			t.Fatalf("%s: event %d: observed %+v, reference retired %d events here", name, seen, e, len(want))
 		}
 		seen++
 	}}
@@ -80,12 +78,12 @@ func assertWatchTransparent(t *testing.T, name string, p *isa.Program, initial *
 		t.Fatalf("%s: watched run diverges from the unwatched run", name)
 	}
 	if refErr == nil && seen != len(want) {
-		t.Fatalf("%s: observed %d events, hooked core retired %d at the watched PCs", name, seen, len(want))
+		t.Fatalf("%s: observed %d events, reference retired %d at the watched PCs", name, seen, len(want))
 	}
 }
 
 // TestWatchTransparentWorkloads covers the three smallest responsive
-// kernels; the hooked reference run dominates the cost.
+// kernels; the reference run dominates the cost.
 func TestWatchTransparentWorkloads(t *testing.T) {
 	for _, name := range []string{"bfs", "sr", "rt"} {
 		w, err := workloads.Get(name)

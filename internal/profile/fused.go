@@ -10,11 +10,12 @@ import (
 )
 
 // The fused collector is a dedicated profiling interpreter: instead of
-// running the classic core with a per-instruction hook (one indirect call,
-// an Event fill, and several map operations per retired instruction), it
-// executes the program itself — the same pre-decoded dispatch, register
-// masking, and flat-arena data micro-TLB as cpu.Core's fast path — and
-// interleaves dependence tracking inline. Because a profiling run's energy
+// observing a generic run per retired instruction (one indirect call and
+// several map operations each, as CollectReference does on the reference
+// stepper), it executes the program itself — the same pre-decoded
+// dispatch, register masking, and flat-arena data micro-TLB as the shared
+// dispatch core (internal/exec) — and interleaves dependence tracking
+// inline. Because a profiling run's energy
 // account is never observed (Profile carries no energy), the loop drops
 // energy/time accounting entirely and keeps only what the Profile needs:
 // the cache hierarchy still evolves access by access (service levels feed
@@ -300,7 +301,7 @@ func CollectLimit(model *energy.Model, p *isa.Program, initial *mem.Memory, maxI
 		consCache[i] = [2]int32{slotEmpty, slotEmpty}
 	}
 
-	// Data micro-TLB (as in cpu.Core's fast path): the primary arena plus
+	// Data micro-TLB (as in exec.Run): the primary arena plus
 	// the last-missed region, re-fetched after any store that misses both.
 	arenaBase, arena := memory.ArenaView()
 	var w2base uint64
@@ -585,8 +586,8 @@ loop:
 			instrs++
 			pc++
 		case isa.KindHalt:
-			// HALT is not hooked by the reference collector, so it is not
-			// counted here either.
+			// HALT ends the run uncounted; the reference collector skips
+			// it too.
 			break loop
 		case isa.KindRcmp, isa.KindRtn, isa.KindRec:
 			rerr = fmt.Errorf("profile: cpu: pc %d (%s): amnesic opcode %s on classic core", pc, p.Code[pc], ops[pc])

@@ -100,7 +100,7 @@ func collectBoth(t *testing.T, p *isa.Program, m *mem.Memory) (ref, fus *profile
 }
 
 // TestFusedMatchesReferenceWorkloads proves the fused profiler bit-identical
-// to the hook-based reference across the full workload suite.
+// to the reference collector across the full workload suite.
 func TestFusedMatchesReferenceWorkloads(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w

@@ -13,12 +13,12 @@
 //     by the program);
 //   - last-value locality per static load (§5.6, Fig. 8).
 //
-// Collect is a fused, hook-free specialized interpreter: a dedicated run
-// loop interleaves execution with dependence tracking, with all
-// address-keyed state held in dense per-word shadow arrays aligned to
-// mem.Memory's flat arena windows (see fused.go). CollectReference keeps
-// the original hook-per-instruction, map-per-address collector as the
-// slow reference implementation; the differential tests assert both
+// Collect is a fused specialized interpreter: a dedicated run loop
+// interleaves execution with dependence tracking, with all address-keyed
+// state held in dense per-word shadow arrays aligned to mem.Memory's flat
+// arena windows (see fused.go). CollectReference is the slow reference
+// implementation: an observer on the flat reference stepper (internal/ref)
+// recording through per-address maps; the differential tests assert both
 // produce identical profiles.
 package profile
 
@@ -30,6 +30,7 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
+	"github.com/amnesiac-sim/amnesiac/internal/ref"
 )
 
 // NoProducer marks an operand value with no producing instruction observed:
@@ -194,11 +195,13 @@ func newProfile(p *isa.Program) *Profile {
 	}
 }
 
-// CollectReference profiles program p with the original hook-per-instruction
-// collector: a classic core run with a cpu.Event hook, recording through
-// sparse per-address maps. It is retained purely as the reference
-// implementation the fused collector (Collect) is differentially tested
-// against; production paths should call Collect.
+// CollectReference profiles program p with the reference collector: an
+// observer on the flat reference stepper, recording through sparse
+// per-address maps, with service levels from its own default hierarchy.
+// It is retained purely as the reference implementation the fused
+// collector (Collect) is differentially tested against; production paths
+// should call Collect. The model is unused, as in Collect: profiles carry
+// no energy.
 func CollectReference(model *energy.Model, p *isa.Program, initial *mem.Memory) (*Profile, error) {
 	prof := newProfile(p)
 	n := len(p.Code)
@@ -230,12 +233,16 @@ func CollectReference(model *energy.Model, p *isa.Program, initial *mem.Memory) 
 
 	kinds := p.Decoded().Kind
 
-	core := cpu.New(model, mem.NewDefaultHierarchy(), initial.Clone())
-	core.Hook = func(ev *cpu.Event) {
-		pc := ev.PC
+	hier := mem.NewDefaultHierarchy()
+	_, err := ref.Run(p, initial.Clone(), cpu.DefaultMaxInstrs, func(s *ref.Step) {
+		pc := s.PC
+		// HALT is not profiled: Collect stops at it uncounted.
+		if kinds[pc] == isa.KindHalt {
+			return
+		}
 		prof.InstrCount[pc]++
 		prof.TotalDynamic++
-		in := &ev.In
+		in := &s.In
 
 		switch kinds[pc] {
 		case isa.KindCompute:
@@ -258,12 +265,12 @@ func CollectReference(model *energy.Model, p *isa.Program, initial *mem.Memory) 
 				prof.Loads[pc] = li
 			}
 			li.Count++
-			li.ByLevel[ev.Level]++
-			if li.lastValueSet && li.lastValue == ev.Value {
+			li.ByLevel[hier.Access(s.Addr, false).Level]++
+			if li.lastValueSet && li.lastValue == s.Value {
 				li.SameValue++
 			}
-			li.lastValue, li.lastValueSet = ev.Value, true
-			org, written := memProd[ev.Addr]
+			li.lastValue, li.lastValueSet = s.Value, true
+			org, written := memProd[s.Addr]
 			if written {
 				li.ValueProducer.Add(int32(org.valueProducer))
 				set := prof.StoresConsumedBy[org.storePC]
@@ -280,25 +287,25 @@ func CollectReference(model *energy.Model, p *isa.Program, initial *mem.Memory) 
 				t = make(map[uint64]bool)
 				loadTouched[pc] = t
 			}
-			t[ev.Addr] = true
+			t[s.Addr] = true
 			// A load is a register def for dependence purposes.
 			regProducer[in.Dst] = pc
 		case isa.KindStore:
 			record(pc, 0, in.Src1) // address operand
 			record(pc, 1, in.Src2) // value operand
+			hier.Access(s.Addr, true)
 			prof.StoreCount[pc]++
 			prof.StoreValueProducer[pc].Add(int32(regProducer[in.Src2]))
-			writtenAddrs[ev.Addr] = true
-			memProd[ev.Addr] = memOrigin{valueProducer: regProducer[in.Src2], storePC: pc}
+			writtenAddrs[s.Addr] = true
+			memProd[s.Addr] = memOrigin{valueProducer: regProducer[in.Src2], storePC: pc}
 		case isa.KindCondBr:
 			// Branches: record condition operand producers too, so the
 			// compiler can reason about full dependences if it wants.
 			record(pc, 0, in.Src1)
 			record(pc, 1, in.Src2)
 		}
-	}
-
-	if err := core.Run(p); err != nil {
+	})
+	if err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 

@@ -399,8 +399,17 @@ func (s *Server) runJob(j *job) {
 }
 
 // finalize moves j to a terminal state exactly once, updating metrics and
-// releasing the coalescing slot.
+// releasing the coalescing slot. The slot is released first, so an
+// identical submission racing the finish either coalesces onto a job that
+// has not settled yet or starts a fresh one — never attaches to a
+// finished job's outcome (a settled failure would be handed back as its
+// own).
 func (s *Server) finalize(j *job, state, errMsg string, result []byte) {
+	s.mu.Lock()
+	if s.inflight[j.key] == j {
+		delete(s.inflight, j.key)
+	}
+	s.mu.Unlock()
 	if !j.finish(state, errMsg, result, time.Now()) {
 		return
 	}
@@ -415,11 +424,6 @@ func (s *Server) finalize(j *job, state, errMsg string, result []byte) {
 	case StateCanceled:
 		s.met.canceled.Add(1)
 	}
-	s.mu.Lock()
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	s.mu.Unlock()
 }
 
 // cancelIfSolo cancels j only when no other submission has a stake in it:

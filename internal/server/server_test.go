@@ -86,6 +86,14 @@ func TestCoalescing(t *testing.T) {
 	release()
 	waitDone(t, first.job)
 
+	// A terminal job must already have left the coalescing index, or an
+	// identical submission could attach to its settled outcome.
+	srv.mu.Lock()
+	_, still := srv.inflight[first.job.key]
+	srv.mu.Unlock()
+	if still {
+		t.Fatalf("job %s is terminal but still in the coalescing index", first.job.id)
+	}
 	if n := execs.Load(); n != 1 {
 		t.Fatalf("coalesced submissions executed %d times, want exactly 1", n)
 	}
