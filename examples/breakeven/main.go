@@ -2,7 +2,9 @@
 // (R = EPI_nonmem / EPI_ld, paper §5.5): as R grows, recomputation becomes
 // less attractive, and past the break-even point amnesic execution stops
 // paying off. The sweep freezes the C-Oracle's firing decisions at the
-// default R and scales the accounted compute energy.
+// default R and scales the accounted compute energy. Scaling R changes no
+// event count, so the example simulates the classic and C-Oracle programs
+// once each and prices their accounts at every factor.
 //
 // Usage: breakeven [benchmark] (default is)
 package main
@@ -48,25 +50,28 @@ func main() {
 		log.Fatalf("%s: no recomputation slices; pick a responsive benchmark", name)
 	}
 
+	classic, err := cpu.RunProgram(base, prog, initial.Clone())
+	if err != nil {
+		log.Fatal(err)
+	}
+	machine, err := amnesic.New(base, ann, initial.Clone(), policy.New(policy.Exact), uarch.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := machine.Run(); err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Printf("R sweep for %s (Rdefault = %.4f)\n", w.Name, base.R())
 	fmt.Printf("%10s %14s %14s %10s\n", "R factor", "classic EDP", "amnesic EDP", "EDP gain")
+	m := base.Clone()
+	c, a := classic.Acct, machine.Acct
 	for _, factor := range []float64{1, 2, 5, 10, 20, 50, 100, 200} {
-		m := base.Clone()
 		m.RScale = factor
-		classic, err := cpu.RunProgram(m, prog, initial.Clone())
-		if err != nil {
-			log.Fatal(err)
-		}
-		machine, err := amnesic.New(m, ann, initial.Clone(), policy.New(policy.Exact), uarch.DefaultConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		machine.DecisionModel = base
-		if err := machine.Run(); err != nil {
-			log.Fatal(err)
-		}
-		gain := 100 * (1 - machine.Acct.EDP()/classic.Acct.EDP())
-		fmt.Printf("%10.0f %14.4e %14.4e %+9.2f%%\n", factor, classic.Acct.EDP(), machine.Acct.EDP(), gain)
+		c.Price(m)
+		a.Price(m)
+		gain := 100 * (1 - a.EDP()/c.EDP())
+		fmt.Printf("%10.0f %14.4e %14.4e %+9.2f%%\n", factor, c.EDP(), a.EDP(), gain)
 	}
 
 	cfg := harness.DefaultConfig()

@@ -97,9 +97,10 @@ type Machine struct {
 	TamperRTN uint64
 
 	// DecisionModel, when non-nil, is the energy model policies consult to
-	// resolve RCMPs, while Model keeps doing the accounting. The Table 6
-	// break-even sweep (§5.5) uses this to freeze the C-Oracle's decision
-	// set at the default R while the accounted R grows.
+	// resolve RCMPs, while Model prices the account. A run accounted under
+	// a scaled model with decisions at the default one counts exactly what
+	// the default run counts; the Table 6 break-even sweep (§5.5) relies on
+	// that to re-price one default run instead of re-simulating.
 	DecisionModel *energy.Model
 
 	// ShadowTouch (default true, set by New) updates cache state — without
@@ -197,15 +198,13 @@ func (m *Machine) WriteReg(r isa.Reg, v uint64) {
 // Run executes the annotated program to HALT on the shared dispatch core
 // (internal/exec): pre-decoded struct-of-arrays dispatch, masked register
 // indices, inline hot ALU ops, a two-entry flat-window data micro-TLB, and
-// every energy charge accumulated in locals in exactly the order the
-// energy.Account helpers would add them, so the floating-point totals stay
-// bit-identical to the historical hand-rolled loop. The amnesic opcodes
-// (REC/RCMP and the slices they traverse) keep their out-of-line handlers,
-// reached through the exec.Aux interface; the core flushes its accumulators
-// to m.Acct before each handler call and reloads them after. Trace reuse
-// (m.Trace, on by default) replays hot loops including ones crossing
-// REC/RCMP: the machine implements trace.AuxSigger, so those sites record
-// as trace entries that call back into the same handlers at replay.
+// integer event counts the core prices under m.Model once, at exit. The
+// amnesic opcodes (REC/RCMP and the slices they traverse) keep their
+// out-of-line handlers, reached through the exec.Aux interface, which count
+// their events into m.Acct directly. Trace reuse (m.Trace, on by default)
+// replays hot loops including ones crossing REC/RCMP: the machine
+// implements trace.AuxSigger, so those sites record as trace entries that
+// call back into the same handlers at replay.
 func (m *Machine) Run() error {
 	max := m.MaxInstrs
 	if max == 0 {
@@ -218,18 +217,17 @@ func (m *Machine) Run() error {
 	// constant-answer Compiler policy.
 	m.compilerDecision = m.Policy.Kind() == policy.Compiler
 	env := exec.Env{
-		Model:       m.Model,
-		Hier:        m.Hier,
-		Mem:         m.Mem,
-		Regs:        &m.Regs,
-		Acct:        &m.Acct,
-		MaxInstrs:   max,
-		ChargeFetch: true,
-		Aux:         m,
-		StoreHook:   m.StoreHook,
-		ElimNOP:     m.elimNOP,
-		NopSkips:    &m.Stat.NOPsSkipped,
-		Trace:       m.Trace,
+		Model:     m.Model,
+		Hier:      m.Hier,
+		Mem:       m.Mem,
+		Regs:      &m.Regs,
+		Acct:      &m.Acct,
+		MaxInstrs: max,
+		Aux:       m,
+		StoreHook: m.StoreHook,
+		ElimNOP:   m.elimNOP,
+		NopSkips:  &m.Stat.NOPsSkipped,
+		Trace:     m.Trace,
 	}
 	m.env = &env
 	err := exec.Run(&env, m.Ann.Prog)
@@ -318,8 +316,8 @@ var errStrayRTN = errors.New("stray RTN outside recomputation")
 // cost is modeled after a store to L1-D (§4). A capacity overflow fails the
 // REC and permanently disables the owning slice (§3.5).
 func (m *Machine) execREC(in isa.Instr) {
-	m.Acct.AddInstr(m.Model, isa.CatAmnesic)
-	m.Acct.AddHistWrite(m.Model)
+	m.Acct.AddInstr(isa.CatAmnesic)
+	m.Acct.HistWrites++
 	m.Stat.RecExecuted++
 	if !m.recSpecOK[m.PC] {
 		// Defensive: a REC with no spec records nothing.
@@ -380,9 +378,9 @@ func (m *Machine) execRCMP(in isa.Instr) error {
 	if dec.Recompute && len(si.Body) <= m.SFile.Capacity() {
 		// The RCMP acts as a taken branch into the slice: one dynamic
 		// instruction of branch-like cost (§4).
-		m.Acct.AddInstr(m.Model, isa.CatAmnesic)
+		m.Acct.AddInstr(isa.CatAmnesic)
 		for _, l := range dec.ProbeLevels {
-			m.Acct.AddProbe(m.Model, l)
+			m.Acct.Probes[l]++
 		}
 		v, err := m.traverse(si)
 		v ^= m.TamperRTN
@@ -403,17 +401,16 @@ func (m *Machine) execRCMP(in isa.Instr) error {
 	}
 
 	// Perform the load along the classic trajectory: one dynamic load
-	// instruction plus the RCMP's branch-resolution overhead. Under a
-	// dead-store-eliminated binary this fallback would read memory the
-	// eliminated stores never wrote — fail loudly instead of silently
-	// corrupting state.
+	// instruction plus the RCMP's branch-resolution overhead, which Price
+	// charges per RcmpLoads. Under a dead-store-eliminated binary this
+	// fallback would read memory the eliminated stores never wrote — fail
+	// loudly instead of silently corrupting state.
 	if m.Ann.DeadStoreElim {
 		return fmt.Errorf("RCMP fallback load for slice %d under a dead-store-eliminated binary", si.ID)
 	}
-	m.Acct.AddOverhead(m.Model.InstrEnergy(isa.CatAmnesic), 0)
 	res := m.Hier.Access(addr, false)
-	m.chargeWritebacks(res)
-	m.Acct.AddLoad(m.Model, res.Level)
+	m.Acct.AddWritebacks(res.WritebackL2, res.WritebackMem)
+	m.Acct.AddLoad(res.Level)
 	m.Acct.RcmpLoads++
 	m.Stat.RcmpLoaded++
 	m.Stat.RcmpLoadServiced[res.Level]++
@@ -425,15 +422,15 @@ func (m *Machine) execRCMP(in isa.Instr) error {
 // from SFile (intermediate results), Hist (checkpointed inputs), or the
 // architectural register file (live values); results flow through SFile
 // only; the root value is returned for the RCMP to copy into the load's
-// destination register (RTN semantics). Instruction supply is charged via
-// IBuff/L1-I.
+// destination register (RTN semantics). Instruction supply is counted as
+// IBuff hits and L1-I fetches.
 func (m *Machine) traverse(si *compiler.SliceInfo) (uint64, error) {
 	if !m.SFile.Begin(len(si.Body)) {
 		return 0, errors.New("sfile overflow")
 	}
 	hits, misses := m.IBuff.Traverse(si.ID, len(si.Body)+1) // body + RTN
-	m.Acct.AddFetch(float64(hits)*m.Model.IBuffReadEnergy+float64(misses)*m.Model.FetchEnergy,
-		float64(hits)*m.Model.IBuffLatency+float64(misses)*m.Model.FetchLatency)
+	m.Acct.IBuffHits += uint64(hits)
+	m.Acct.Fetches += uint64(misses)
 
 	for idx := range si.Body {
 		bi := &si.Body[idx]
@@ -453,7 +450,7 @@ func (m *Machine) traverse(si *compiler.SliceInfo) (uint64, error) {
 				ops[slot] = m.ReadReg(src.Reg)
 			case compiler.SrcHist:
 				v, ok := m.Hist.Read(src.HistID, src.Slot)
-				m.Acct.AddHistRead(m.Model)
+				m.Acct.HistReads++
 				if !ok {
 					return 0, fmt.Errorf("slice %d: hist entry %d/%d missing", si.ID, src.HistID, src.Slot)
 				}
@@ -470,31 +467,22 @@ func (m *Machine) traverse(si *compiler.SliceInfo) (uint64, error) {
 				return 0, fmt.Errorf("slice %d: body load: %w", si.ID, err)
 			}
 			res := m.Hier.Access(addr, false)
-			m.chargeWritebacks(res)
-			m.Acct.AddLoad(m.Model, res.Level)
+			m.Acct.AddWritebacks(res.WritebackL2, res.WritebackMem)
+			m.Acct.AddLoad(res.Level)
 			v = m.Mem.Load(addr)
 		} else {
-			m.Acct.AddInstr(m.Model, isa.CategoryOf(bi.In.Op))
+			m.Acct.AddInstr(isa.CategoryOf(bi.In.Op))
 			v = isa.EvalCompute(bi.In, ops[0], ops[1], ops[2])
 		}
 		m.Acct.SliceInstrs++
 		m.SFile.Write(idx, v)
 	}
 	// RTN: return + copy SFile root into the destination (§3.1.2).
-	m.Acct.AddInstr(m.Model, isa.CatAmnesic)
+	m.Acct.AddInstr(isa.CatAmnesic)
 	root, ok := m.SFile.Read(len(si.Body) - 1)
 	if !ok {
 		return 0, fmt.Errorf("slice %d: empty body", si.ID)
 	}
 	m.Stat.SliceRecomputes[si.ID]++
 	return root, nil
-}
-
-func (m *Machine) chargeWritebacks(res mem.AccessResult) {
-	for i := 0; i < res.WritebackL2; i++ {
-		m.Acct.AddWriteback(m.Model, energy.L2)
-	}
-	for i := 0; i < res.WritebackMem; i++ {
-		m.Acct.AddWriteback(m.Model, energy.Mem)
-	}
 }

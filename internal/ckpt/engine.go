@@ -251,7 +251,7 @@ func (e *Engine) resume(rs *RestoreStats) (*RunResult, error) {
 	for {
 		env := exec.Env{
 			Model: e.model, Hier: e.hier, Mem: e.mem, Regs: &e.regs, Acct: &e.acct,
-			MaxInstrs: e.cfg.MaxInstrs, ChargeFetch: true, Classic: true,
+			MaxInstrs: e.cfg.MaxInstrs, Classic: true,
 			StoreHook: hook, Trace: e.trace,
 			StartPC: e.pc, StopAt: next, CrashAt: e.cfg.CrashAt,
 		}

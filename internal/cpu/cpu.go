@@ -1,7 +1,7 @@
 // Package cpu implements the classic (non-amnesic) in-order core: the
 // baseline execution model every amnesic policy is compared against. The
-// core executes an isa.Program over a mem.Hierarchy + mem.Memory, charging
-// energy and time through an energy.Account.
+// core executes an isa.Program over a mem.Hierarchy + mem.Memory, counting
+// its events into an energy.Account priced under the core's Model.
 //
 // Timing model (paper §4): one cycle per non-memory instruction at the
 // Table 3 frequency; loads stall for the round-trip latency of the level
@@ -50,10 +50,6 @@ type Core struct {
 	// retirement order. The differential tester collects store streams
 	// with it.
 	StoreHook func(addr, val uint64)
-	// ChargeFetch adds per-instruction L1-I fetch energy when true. The
-	// paper's Table 4 breakdown separates loads/stores/non-mem; fetch is
-	// charged so classic and amnesic executions are comparable.
-	ChargeFetch bool
 	// Trace configures the trace-reuse engine. New enables it with default
 	// tuning; zero it to force pure interpretation.
 	Trace trace.Config
@@ -67,7 +63,7 @@ type Core struct {
 
 // New returns a core over fresh state with the given model and hierarchy.
 func New(model *energy.Model, hier *mem.Hierarchy, m *mem.Memory) *Core {
-	return &Core{Model: model, Hier: hier, Mem: m, ChargeFetch: true, Trace: trace.DefaultConfig()}
+	return &Core{Model: model, Hier: hier, Mem: m, Trace: trace.DefaultConfig()}
 }
 
 // Run executes the program from PC 0 until HALT on the shared dispatch
@@ -86,17 +82,16 @@ func (c *Core) Run(p *isa.Program) error {
 	// invariant that Regs[0] stays zero (writes are guarded).
 	c.Regs[isa.R0] = 0
 	env := exec.Env{
-		Model:       c.Model,
-		Hier:        c.Hier,
-		Mem:         c.Mem,
-		Regs:        &c.Regs,
-		Acct:        &c.Acct,
-		MaxInstrs:   max,
-		ChargeFetch: c.ChargeFetch,
-		Classic:     true,
-		StoreHook:   c.StoreHook,
-		Trace:       c.Trace,
-		Watch:       c.Watch,
+		Model:     c.Model,
+		Hier:      c.Hier,
+		Mem:       c.Mem,
+		Regs:      &c.Regs,
+		Acct:      &c.Acct,
+		MaxInstrs: max,
+		Classic:   true,
+		StoreHook: c.StoreHook,
+		Trace:     c.Trace,
+		Watch:     c.Watch,
 	}
 	err := exec.Run(&env, p)
 	c.PC = env.PC

@@ -18,16 +18,15 @@
 //   - cache hierarchy: the hierarchy is a pure timing/energy model, so the
 //     classic core's architectural state must equal the flat replay;
 //   - energy accounting: every account satisfies Account.CheckConsistency,
-//     and the classic account must equal an independent pricing of the
-//     reference's retired-instruction stream through energy.Account's own
-//     charge methods over a fresh hierarchy: counts and serviced levels
-//     exactly, energy and time within floating-point tolerance.
+//     and the classic account must equal, field for field, an independent
+//     count of the reference's retired-instruction stream over a fresh
+//     hierarchy priced under the same model.
 package difftest
 
 import (
 	"errors"
 	"fmt"
-	"math"
+	"reflect"
 	"strings"
 
 	"github.com/amnesiac-sim/amnesiac/internal/amnesic"
@@ -407,33 +406,25 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 	return nil
 }
 
-// accountDiff names the first differing energy.Account field, for traced-vs-
-// interpreted divergence reports (the accounts are expected bit-identical,
-// so any difference is a replay accounting bug).
+// accountDiff names the first differing energy.Account field, in
+// declaration order — event counts before the energy and time priced from
+// them — for divergence reports (the accounts are expected bit-identical,
+// so any difference is an accounting bug). It walks the struct by
+// reflection, so every field is named, including ones added later.
 func accountDiff(got, want *energy.Account) string {
-	switch {
-	case got.EnergyNJ != want.EnergyNJ:
-		return fmt.Sprintf("EnergyNJ %.17g != %.17g", got.EnergyNJ, want.EnergyNJ)
-	case got.TimeNS != want.TimeNS:
-		return fmt.Sprintf("TimeNS %.17g != %.17g", got.TimeNS, want.TimeNS)
-	case got.LoadNJ != want.LoadNJ:
-		return fmt.Sprintf("LoadNJ %.17g != %.17g", got.LoadNJ, want.LoadNJ)
-	case got.StoreNJ != want.StoreNJ:
-		return fmt.Sprintf("StoreNJ %.17g != %.17g", got.StoreNJ, want.StoreNJ)
-	case got.NonMemNJ != want.NonMemNJ:
-		return fmt.Sprintf("NonMemNJ %.17g != %.17g", got.NonMemNJ, want.NonMemNJ)
-	case got.FetchNJ != want.FetchNJ:
-		return fmt.Sprintf("FetchNJ %.17g != %.17g", got.FetchNJ, want.FetchNJ)
-	case got.Instrs != want.Instrs:
-		return fmt.Sprintf("Instrs %d != %d", got.Instrs, want.Instrs)
-	case got.Loads != want.Loads:
-		return fmt.Sprintf("Loads %d != %d", got.Loads, want.Loads)
-	case got.Stores != want.Stores:
-		return fmt.Sprintf("Stores %d != %d", got.Stores, want.Stores)
-	case got.ByCategory != want.ByCategory:
-		return fmt.Sprintf("ByCategory %v != %v", got.ByCategory, want.ByCategory)
+	g, w := reflect.ValueOf(*got), reflect.ValueOf(*want)
+	for i := 0; i < g.NumField(); i++ {
+		gf, wf := g.Field(i).Interface(), w.Field(i).Interface()
+		if gf == wf {
+			continue
+		}
+		name := g.Type().Field(i).Name
+		if _, ok := gf.(float64); ok {
+			return fmt.Sprintf("%s %.17g != %.17g", name, gf, wf)
+		}
+		return fmt.Sprintf("%s %v != %v", name, gf, wf)
 	}
-	return "accounts differ in a field accountDiff does not name"
+	return "accounts are equal"
 }
 
 // policyBinary maps a policy label to the binary it executes and its
@@ -454,8 +445,8 @@ func policyBinary(label string, ann, oracleAnn *compiler.Annotated) (*compiler.A
 }
 
 // reference is the flat stepper's run: final architectural state and store
-// stream, plus the classic account and serviced-level counts priced from
-// its retired-instruction stream.
+// stream, plus the classic account and serviced-level counts taken from its
+// retired-instruction stream.
 type reference struct {
 	Regs     [isa.NumRegs]uint64
 	Mem      *mem.Memory
@@ -465,39 +456,36 @@ type reference struct {
 }
 
 // runReference runs p over a clone of initial on the reference stepper and
-// prices each retired instruction as the classic core must, but through
-// energy.Account's own charge methods and a fresh default hierarchy: fetch,
-// then the category EPI, or the load/store at its servicing level after
-// any dirty-victim writebacks the access caused.
+// counts each retired instruction as the classic core must, but through
+// energy.Account's own count methods and a fresh default hierarchy: one
+// L1-I fetch, then the category, or the load/store at its servicing level
+// and any dirty-victim writebacks the access caused. The account is priced
+// once, after the run.
 func runReference(model *energy.Model, p *isa.Program, initial *mem.Memory, max uint64) (*reference, error) {
 	r := &reference{Mem: initial.Clone()}
 	hier := mem.NewDefaultHierarchy()
 	a := &r.Acct
 	access := func(addr uint64, write bool) energy.Level {
 		res := hier.Access(addr, write)
-		for i := 0; i < res.WritebackL2; i++ {
-			a.AddWriteback(model, energy.L2)
-		}
-		for i := 0; i < res.WritebackMem; i++ {
-			a.AddWriteback(model, energy.Mem)
-		}
+		a.AddWritebacks(res.WritebackL2, res.WritebackMem)
 		return res.Level
 	}
 	regs, err := ref.Run(p, r.Mem, max, func(s *ref.Step) {
-		a.AddFetch(model.FetchEnergy, model.FetchLatency)
+		a.Fetches++
 		switch s.In.Op {
 		case isa.LD:
-			a.AddLoad(model, access(s.Addr, false))
+			a.AddLoad(access(s.Addr, false))
 		case isa.ST:
-			a.AddStore(model, access(s.Addr, true))
+			a.AddStore(access(s.Addr, true))
 			r.Stores = append(r.Stores, StoreEvent{s.Addr, s.Value})
 		default:
-			a.AddInstr(model, isa.CategoryOf(s.In.Op))
+			a.AddInstr(isa.CategoryOf(s.In.Op))
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
+	a.Price(model)
 	r.Regs, r.Serviced = regs, hier.Serviced
 	return r, nil
 }
@@ -543,33 +531,15 @@ func compareState(stage, against string, want *reference, regs [isa.NumRegs]uint
 }
 
 // checkClassicAccount compares the interpreted classic run's account and
-// serviced-level counts against the reference pricing: counts and levels
-// exactly, each energy and time bucket within 1e-6 relative.
+// serviced-level counts against the reference's. Both accounts price their
+// counts under the same model in the same order, so they must be equal in
+// every field, energy and time included.
 func checkClassicAccount(got *energy.Account, serviced [energy.NumLevels]uint64, want *reference) error {
 	if serviced != want.Serviced {
 		return fmt.Errorf("serviced levels %v, reference hierarchy %v", serviced, want.Serviced)
 	}
-	w := &want.Acct
-	for _, f := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"EnergyNJ", got.EnergyNJ, w.EnergyNJ}, {"TimeNS", got.TimeNS, w.TimeNS},
-		{"LoadNJ", got.LoadNJ, w.LoadNJ}, {"StoreNJ", got.StoreNJ, w.StoreNJ},
-		{"NonMemNJ", got.NonMemNJ, w.NonMemNJ}, {"HistReadNJ", got.HistReadNJ, w.HistReadNJ},
-		{"ProbeNJ", got.ProbeNJ, w.ProbeNJ}, {"FetchNJ", got.FetchNJ, w.FetchNJ},
-	} {
-		if math.Abs(f.got-f.want) > 1e-6*(1+math.Abs(f.want)) {
-			return fmt.Errorf("%s is %.9g, reference pricing says %.9g", f.name, f.got, f.want)
-		}
-	}
-	// With the floating-point buckets equal, any remaining difference is in
-	// an integer count.
-	g := *got
-	g.EnergyNJ, g.TimeNS, g.LoadNJ, g.StoreNJ = w.EnergyNJ, w.TimeNS, w.LoadNJ, w.StoreNJ
-	g.NonMemNJ, g.HistReadNJ, g.ProbeNJ, g.FetchNJ = w.NonMemNJ, w.HistReadNJ, w.ProbeNJ, w.FetchNJ
-	if g != *w {
-		return fmt.Errorf("counts differ from the reference pricing: %s", accountDiff(&g, w))
+	if *got != want.Acct {
+		return fmt.Errorf("account differs from the reference's: %s", accountDiff(got, &want.Acct))
 	}
 	return nil
 }

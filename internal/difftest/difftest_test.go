@@ -3,6 +3,7 @@ package difftest
 import (
 	"errors"
 	"flag"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -226,5 +227,31 @@ func TestCheckRejectsIncompleteOptions(t *testing.T) {
 	var d *Divergence
 	if errors.As(err, &d) {
 		t.Fatalf("infrastructure error misreported as divergence: %v", err)
+	}
+}
+
+// TestAccountDiffNamesEveryField perturbs each energy.Account field in turn
+// and demands accountDiff name it, so a divergence in any count or priced
+// field is reported by name.
+func TestAccountDiffNamesEveryField(t *testing.T) {
+	var want energy.Account
+	typ := reflect.TypeOf(want)
+	for i := 0; i < typ.NumField(); i++ {
+		got := want
+		f := reflect.ValueOf(&got).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(1)
+		case reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Array:
+			f.Index(f.Len() - 1).SetUint(1)
+		default:
+			t.Fatalf("field %s: unhandled kind %s", typ.Field(i).Name, f.Kind())
+		}
+		name := typ.Field(i).Name
+		if msg := accountDiff(&got, &want); !strings.HasPrefix(msg, name+" ") {
+			t.Errorf("perturbing %s: accountDiff says %q", name, msg)
+		}
 	}
 }

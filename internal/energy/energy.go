@@ -7,7 +7,6 @@ package energy
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 )
@@ -36,9 +35,11 @@ func (l Level) String() string {
 }
 
 // Model holds the machine's energy/timing parameters. The defaults mirror
-// paper Table 3 (22nm, 1.09 GHz, Xeon-Phi-like core) and the Rdefault of
-// §5.5: EPI_nonmem ≈ 0.45 nJ vs EPI_ld(Mem) = 52.14 nJ, so
-// R = 0.45/52.14 ≈ 0.0086.
+// paper Table 3 (22nm, 1.09 GHz, Xeon-Phi-like core). The mean EPI over
+// all nine non-memory categories is ≈0.45 nJ, the anchor of the paper's
+// Rdefault (§5.5: 0.45/52.14 ≈ 0.0086); R() averages only the six compute
+// categories, 0.55 nJ, so the default model reports R = 0.55/52.14 ≈ 0.0105,
+// the value the reports print.
 //
 // A Model is read-only once simulation starts: cores, amnesic machines,
 // policies, the profiler, and the compiler only ever read it, so a single
@@ -174,168 +175,158 @@ func (m *Model) StoreEnergy(l Level) float64 {
 // LoadLatency returns the round-trip latency of a load serviced at level l.
 func (m *Model) LoadLatency(l Level) float64 { return m.Latency[l] }
 
-// R returns the §5.5 ratio EPI_nonmem / EPI_ld for this model, using the
-// average compute EPI over the ALU categories and the main-memory load
-// energy, matching Rdefault = 0.45/52.14.
+// R returns the §5.5 ratio EPI_nonmem / EPI_ld for this model: the mean
+// EPI of the six compute categories (move, integer ALU and multiply, FP
+// ALU, FMA, FP divide) with RScale applied, over the main-memory load
+// energy. The default model gives 0.55/52.14 ≈ 0.0105.
 func (m *Model) R() float64 {
 	avg := (m.EPI[isa.CatIntALU] + m.EPI[isa.CatIntMul] + m.EPI[isa.CatFPALU] +
 		m.EPI[isa.CatFMA] + m.EPI[isa.CatFPDiv] + m.EPI[isa.CatMove]) / 6 * m.RScale
 	return avg / m.ReadEnergy[Mem]
 }
 
-// Account accumulates energy (nJ) and time (ns) during a simulation and
-// splits energy by source for the paper's Table 4 breakdown.
+// Account counts the events of one simulation and prices them once. Every
+// charge of the model is a per-event constant (paper Table 3: category
+// EPIs, per-level read/write energy and latency, Hist, IBuff and probe
+// costs), so a run's energy and time are dot products of these counts with
+// the model's prices. Simulators only add counts; Price writes the energy
+// and time fields. Counts gathered under one model can be re-priced under
+// another without re-simulating, which is how the break-even sweep (§5.5)
+// scales R.
 type Account struct {
-	// Totals.
-	EnergyNJ float64
-	TimeNS   float64
-
-	// Energy by source.
-	LoadNJ     float64 // loads (hierarchy + issue), incl. RCMPs that load
-	StoreNJ    float64 // stores (hierarchy + issue), incl. REC Hist writes? no: Hist tracked separately
-	NonMemNJ   float64 // all compute/branch/move instructions
-	HistReadNJ float64 // Hist reads during recomputation (Table 4 column)
-	ProbeNJ    float64 // policy cache-probing overhead (part of LoadNJ? kept separate)
-	FetchNJ    float64 // instruction supply (L1-I / IBuff)
-
 	// Dynamic instruction counts.
 	Instrs      uint64
 	Loads       uint64
 	Stores      uint64
 	ByCategory  [isa.NumCategories]uint64
 	Recomputed  uint64 // RCMPs that fired recomputation
-	RcmpLoads   uint64 // RCMPs that performed the load
+	RcmpLoads   uint64 // RCMPs that performed the load, each paying a branch-like overhead
 	SliceInstrs uint64 // recomputing instructions executed inside slices
+
+	// Memory-hierarchy events by level.
+	LoadsAt    [NumLevels]uint64 // loads serviced at each level
+	StoresAt   [NumLevels]uint64 // stores serviced at each level
+	Writebacks [NumLevels]uint64 // dirty-line writebacks into each level
+	Probes     [NumLevels]uint64 // policy probes of each level
+
+	// Amnesic structures and instruction supply.
+	HistReads  uint64
+	HistWrites uint64 // REC checkpoints, modeled after a store to L1-D
+	Fetches    uint64 // L1-I fetches, including IBuff misses
+	IBuffHits  uint64
+
+	// Priced totals, in nJ and ns. Only Price writes them.
+	EnergyNJ float64
+	TimeNS   float64
+
+	// Priced energy by source, for the paper's Table 4 breakdown. The first
+	// five sum to EnergyNJ; ProbeNJ is the part of LoadNJ spent probing.
+	LoadNJ     float64 // loads (issue + hierarchy), incl. RCMPs that load, and policy probes
+	StoreNJ    float64 // stores (issue + hierarchy), dirty writebacks, and REC Hist writes
+	NonMemNJ   float64 // compute/branch/move/amnesic instructions and the RCMP-load overhead
+	HistReadNJ float64 // Hist reads during recomputation (Table 4 column)
+	ProbeNJ    float64 // policy cache probing (part of LoadNJ)
+	FetchNJ    float64 // instruction supply (L1-I fetches and IBuff hits)
 }
 
-// AddInstr charges one non-memory instruction of category c.
-func (a *Account) AddInstr(m *Model, c isa.Category) {
-	e := m.InstrEnergy(c)
-	a.EnergyNJ += e
-	a.NonMemNJ += e
-	a.TimeNS += m.CycleNS()
+// AddInstr counts one retired non-memory instruction of category c.
+func (a *Account) AddInstr(c isa.Category) {
 	a.Instrs++
 	a.ByCategory[c]++
 }
 
-// AddFetch charges instruction-supply energy (L1-I or IBuff).
-func (a *Account) AddFetch(e, t float64) {
-	a.EnergyNJ += e
-	a.FetchNJ += e
-	a.TimeNS += t
-}
-
-// AddLoad charges a load serviced at level l.
-func (a *Account) AddLoad(m *Model, l Level) {
-	issue := m.InstrEnergy(isa.CatLoad)
-	hier := m.LoadEnergy(l)
-	a.EnergyNJ += issue + hier
-	a.LoadNJ += issue + hier
-	a.TimeNS += m.LoadLatency(l)
+// AddLoad counts one load serviced at level l.
+func (a *Account) AddLoad(l Level) {
 	a.Instrs++
 	a.Loads++
 	a.ByCategory[isa.CatLoad]++
+	a.LoadsAt[l]++
 }
 
-// AddStore charges a store serviced at level l.
-func (a *Account) AddStore(m *Model, l Level) {
-	issue := m.InstrEnergy(isa.CatStore)
-	hier := m.StoreEnergy(l)
-	a.EnergyNJ += issue + hier
-	a.StoreNJ += issue + hier
-	a.TimeNS += m.Latency[L1] // write-back L1-D: store retires at L1 speed
+// AddStore counts one store serviced at level l.
+func (a *Account) AddStore(l Level) {
 	a.Instrs++
 	a.Stores++
 	a.ByCategory[isa.CatStore]++
+	a.StoresAt[l]++
 }
 
-// AddWriteback charges dirty-line writeback energy into level l (no latency:
-// writebacks are off the critical path in the in-order model).
-func (a *Account) AddWriteback(m *Model, l Level) {
-	e := m.WriteEnergy[l]
-	a.EnergyNJ += e
-	a.StoreNJ += e
+// AddWritebacks counts the dirty-line writebacks one access caused into L2
+// and into memory.
+func (a *Account) AddWritebacks(toL2, toMem int) {
+	a.Writebacks[L2] += uint64(toL2)
+	a.Writebacks[Mem] += uint64(toMem)
 }
 
-// AddProbe charges a policy probe of level l.
-func (a *Account) AddProbe(m *Model, l Level) {
-	e := m.ProbeEnergy[l]
-	a.EnergyNJ += e
-	a.ProbeNJ += e
-	a.LoadNJ += e // probing is part of servicing the (potential) load
-	a.TimeNS += m.ProbeLatency[l]
-}
+// Price writes the energy buckets, EnergyNJ and TimeNS from the counts
+// under m, replacing any earlier pricing. The terms are summed in one fixed
+// order, so equal counts priced under equal models give bit-identical
+// results, however the counts were gathered.
+//
+// Non-memory instructions cost their category EPI and one cycle; a load
+// costs its issue EPI plus LoadEnergy and the latency of its servicing
+// level; a store its issue EPI plus StoreEnergy and L1 latency (write-back
+// L1-D); writebacks cost the write energy of the level written, off the
+// critical path. Probes, Hist accesses, L1-I fetches and IBuff hits cost
+// their own energy and latency.
+func (a *Account) Price(m *Model) {
+	var nonMem, cycles float64
+	for c, n := range a.ByCategory {
+		if cat := isa.Category(c); cat != isa.CatLoad && cat != isa.CatStore {
+			nonMem += float64(n) * m.InstrEnergy(cat)
+			cycles += float64(n)
+		}
+	}
+	nonMem += float64(a.RcmpLoads) * m.InstrEnergy(isa.CatAmnesic)
 
-// AddOverhead charges bookkeeping energy/time (e.g. the branch-like issue
-// overhead of an RCMP that ends up performing its load) without counting a
-// dynamic instruction.
-func (a *Account) AddOverhead(e, t float64) {
-	a.EnergyNJ += e
-	a.NonMemNJ += e
-	a.TimeNS += t
-}
+	var load, store, probe, t float64
+	for l := L1; l < NumLevels; l++ {
+		load += float64(a.LoadsAt[l]) * (m.InstrEnergy(isa.CatLoad) + m.LoadEnergy(l))
+		store += float64(a.StoresAt[l]) * (m.InstrEnergy(isa.CatStore) + m.StoreEnergy(l))
+		store += float64(a.Writebacks[l]) * m.WriteEnergy[l]
+		probe += float64(a.Probes[l]) * m.ProbeEnergy[l]
+		t += float64(a.LoadsAt[l])*m.LoadLatency(l) + float64(a.Probes[l])*m.ProbeLatency[l]
+	}
+	store += float64(a.HistWrites) * m.HistWriteEnergy
 
-// AddHistRead charges one Hist lookup during slice traversal.
-func (a *Account) AddHistRead(m *Model) {
-	a.EnergyNJ += m.HistReadEnergy
-	a.HistReadNJ += m.HistReadEnergy
-	a.TimeNS += m.HistLatency
-}
-
-// AddHistWrite charges one REC checkpoint (modeled after a store to L1-D).
-func (a *Account) AddHistWrite(m *Model) {
-	a.EnergyNJ += m.HistWriteEnergy
-	a.StoreNJ += m.HistWriteEnergy
-	a.TimeNS += m.HistLatency
+	a.LoadNJ = load + probe
+	a.StoreNJ = store
+	a.NonMemNJ = nonMem
+	a.HistReadNJ = float64(a.HistReads) * m.HistReadEnergy
+	a.ProbeNJ = probe
+	a.FetchNJ = float64(a.Fetches)*m.FetchEnergy + float64(a.IBuffHits)*m.IBuffReadEnergy
+	a.EnergyNJ = a.LoadNJ + a.StoreNJ + a.NonMemNJ + a.HistReadNJ + a.FetchNJ
+	a.TimeNS = cycles*m.CycleNS() + t + float64(a.Stores)*m.Latency[L1] +
+		float64(a.HistReads+a.HistWrites)*m.HistLatency +
+		float64(a.Fetches)*m.FetchLatency + float64(a.IBuffHits)*m.IBuffLatency
 }
 
 // EDP returns the energy-delay product in nJ·ns.
 func (a *Account) EDP() float64 { return a.EnergyNJ * a.TimeNS }
 
-// CheckConsistency verifies the account's internal bookkeeping invariants:
-// every charged nanojoule is attributed to exactly one source bucket
-// (E_total = load + store + non-mem + hist-read + fetch; probe energy is a
-// sub-bucket of load), and every counted dynamic instruction carries exactly
-// one category. The differential tester asserts these after every
-// simulation as a metamorphic energy invariant.
+// CheckConsistency verifies the count identities every simulation keeps:
+// each retired instruction carries exactly one category, and the load and
+// store totals equal both their category counts and the sums of their
+// per-level splits. The differential tester asserts them after every
+// simulation as a metamorphic invariant.
 func (a *Account) CheckConsistency() error {
-	var byCat uint64
+	var byCat, loads, stores uint64
 	for _, n := range a.ByCategory {
 		byCat += n
 	}
-	if byCat != a.Instrs {
+	for l := L1; l < NumLevels; l++ {
+		loads += a.LoadsAt[l]
+		stores += a.StoresAt[l]
+	}
+	switch {
+	case byCat != a.Instrs:
 		return fmt.Errorf("energy: category counts sum to %d, %d instructions retired", byCat, a.Instrs)
-	}
-	sum := a.LoadNJ + a.StoreNJ + a.NonMemNJ + a.HistReadNJ + a.FetchNJ
-	tol := 1e-6 * (1 + math.Abs(a.EnergyNJ))
-	if math.Abs(sum-a.EnergyNJ) > tol {
-		return fmt.Errorf("energy: source buckets sum to %.9g nJ, total is %.9g nJ", sum, a.EnergyNJ)
-	}
-	if a.ProbeNJ > a.LoadNJ+tol {
-		return fmt.Errorf("energy: probe energy %.9g nJ exceeds its parent load bucket %.9g nJ", a.ProbeNJ, a.LoadNJ)
+	case a.ByCategory[isa.CatLoad] != a.Loads || loads != a.Loads:
+		return fmt.Errorf("energy: %d loads, %d in the load category, %d by level", a.Loads, a.ByCategory[isa.CatLoad], loads)
+	case a.ByCategory[isa.CatStore] != a.Stores || stores != a.Stores:
+		return fmt.Errorf("energy: %d stores, %d in the store category, %d by level", a.Stores, a.ByCategory[isa.CatStore], stores)
 	}
 	return nil
-}
-
-// Add merges o into a (counts and energies; used to combine phases).
-func (a *Account) Add(o *Account) {
-	a.EnergyNJ += o.EnergyNJ
-	a.TimeNS += o.TimeNS
-	a.LoadNJ += o.LoadNJ
-	a.StoreNJ += o.StoreNJ
-	a.NonMemNJ += o.NonMemNJ
-	a.HistReadNJ += o.HistReadNJ
-	a.ProbeNJ += o.ProbeNJ
-	a.FetchNJ += o.FetchNJ
-	a.Instrs += o.Instrs
-	a.Loads += o.Loads
-	a.Stores += o.Stores
-	a.Recomputed += o.Recomputed
-	a.RcmpLoads += o.RcmpLoads
-	a.SliceInstrs += o.SliceInstrs
-	for i := range a.ByCategory {
-		a.ByCategory[i] += o.ByCategory[i]
-	}
 }
 
 // Breakdown returns the percent share of load / store / non-mem / hist-read

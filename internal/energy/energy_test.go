@@ -2,6 +2,8 @@ package energy
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
@@ -55,13 +57,13 @@ func TestRScaleOnlyAffectsCompute(t *testing.T) {
 }
 
 func TestAccountBreakdownSumsTo100(t *testing.T) {
-	m := Default()
 	var a Account
-	a.AddInstr(m, isa.CatIntALU)
-	a.AddLoad(m, Mem)
-	a.AddStore(m, L1)
-	a.AddHistRead(m)
-	a.AddProbe(m, L1)
+	a.AddInstr(isa.CatIntALU)
+	a.AddLoad(Mem)
+	a.AddStore(L1)
+	a.HistReads++
+	a.Probes[L1]++
+	a.Price(Default())
 	l, s, n, h := a.Breakdown()
 	if sum := l + s + n + h; math.Abs(sum-100) > 1e-9 {
 		t.Errorf("breakdown sums to %v", sum)
@@ -69,20 +71,8 @@ func TestAccountBreakdownSumsTo100(t *testing.T) {
 	if a.Instrs != 3 || a.Loads != 1 || a.Stores != 1 {
 		t.Errorf("counts wrong: %+v", a)
 	}
-}
-
-func TestAccountAddMerges(t *testing.T) {
-	m := Default()
-	var a, b Account
-	a.AddLoad(m, L1)
-	b.AddStore(m, L2)
-	b.AddInstr(m, isa.CatFMA)
-	a.Add(&b)
-	if a.Instrs != 3 || a.Loads != 1 || a.Stores != 1 {
-		t.Errorf("merged counts wrong: %+v", a)
-	}
-	if a.EDP() <= 0 {
-		t.Error("EDP must be positive after activity")
+	if err := a.CheckConsistency(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -106,5 +96,124 @@ func TestCloneIndependence(t *testing.T) {
 	c.RScale = 99
 	if m.RScale == 99 {
 		t.Error("Clone shares state")
+	}
+}
+
+// randomAccount returns a count vector with up to ~1e9 events per field,
+// internally consistent (CheckConsistency holds).
+func randomAccount(rng *rand.Rand) Account {
+	var a Account
+	n := func() uint64 { return uint64(rng.Int63n(1_000_000_000)) }
+	for c := range a.ByCategory {
+		if cat := isa.Category(c); cat != isa.CatLoad && cat != isa.CatStore {
+			a.ByCategory[c] = n()
+			a.Instrs += a.ByCategory[c]
+		}
+	}
+	for l := L1; l < NumLevels; l++ {
+		a.LoadsAt[l], a.StoresAt[l], a.Writebacks[l], a.Probes[l] = n(), n(), n(), n()
+		a.Loads += a.LoadsAt[l]
+		a.Stores += a.StoresAt[l]
+	}
+	a.ByCategory[isa.CatLoad], a.ByCategory[isa.CatStore] = a.Loads, a.Stores
+	a.Instrs += a.Loads + a.Stores
+	a.RcmpLoads, a.HistReads, a.HistWrites, a.Fetches, a.IBuffHits = n(), n(), n(), n(), n()
+	return a
+}
+
+// term is one (event count, per-event price) pair of a dot product.
+type term struct {
+	n     uint64
+	price float64
+}
+
+// exactDot sums n·price over the terms in exact rational arithmetic and
+// rounds once.
+func exactDot(terms []term) float64 {
+	sum := new(big.Rat)
+	for _, t := range terms {
+		p := new(big.Rat).SetFloat64(t.price)
+		sum.Add(sum, p.Mul(p, new(big.Rat).SetInt(new(big.Int).SetUint64(t.n))))
+	}
+	f, _ := sum.Float64()
+	return f
+}
+
+// TestPriceMatchesExactDotProduct checks Price against an exact dot product
+// of each bucket's counts with the model's per-event prices, on random
+// count vectors under the default model and one with the compute EPIs
+// scaled 37x.
+func TestPriceMatchesExactDotProduct(t *testing.T) {
+	scaled := Default()
+	scaled.RScale = 37
+	rng := rand.New(rand.NewSource(1))
+	for _, m := range []*Model{Default(), scaled} {
+		for i := 0; i < 200; i++ {
+			a := randomAccount(rng)
+			a.Price(m)
+			var load, store, nonMem, hist, probe, fetch, tm []term
+			for c, n := range a.ByCategory {
+				if cat := isa.Category(c); cat != isa.CatLoad && cat != isa.CatStore {
+					nonMem = append(nonMem, term{n, m.InstrEnergy(cat)})
+					tm = append(tm, term{n, m.CycleNS()})
+				}
+			}
+			nonMem = append(nonMem, term{a.RcmpLoads, m.InstrEnergy(isa.CatAmnesic)})
+			for l := L1; l < NumLevels; l++ {
+				load = append(load, term{a.LoadsAt[l], m.InstrEnergy(isa.CatLoad) + m.LoadEnergy(l)})
+				store = append(store,
+					term{a.StoresAt[l], m.InstrEnergy(isa.CatStore) + m.StoreEnergy(l)},
+					term{a.Writebacks[l], m.WriteEnergy[l]})
+				probe = append(probe, term{a.Probes[l], m.ProbeEnergy[l]})
+				tm = append(tm, term{a.LoadsAt[l], m.Latency[l]}, term{a.Probes[l], m.ProbeLatency[l]})
+			}
+			store = append(store, term{a.HistWrites, m.HistWriteEnergy})
+			hist = append(hist, term{a.HistReads, m.HistReadEnergy})
+			fetch = append(fetch, term{a.Fetches, m.FetchEnergy}, term{a.IBuffHits, m.IBuffReadEnergy})
+			tm = append(tm, term{a.Stores, m.Latency[L1]}, term{a.HistReads + a.HistWrites, m.HistLatency},
+				term{a.Fetches, m.FetchLatency}, term{a.IBuffHits, m.IBuffLatency})
+			load = append(load, probe...)
+			var all []term
+			for _, b := range [][]term{load, store, nonMem, hist, fetch} {
+				all = append(all, b...)
+			}
+			for _, c := range []struct {
+				name string
+				got  float64
+				want []term
+			}{
+				{"EnergyNJ", a.EnergyNJ, all}, {"TimeNS", a.TimeNS, tm},
+				{"LoadNJ", a.LoadNJ, load}, {"StoreNJ", a.StoreNJ, store},
+				{"NonMemNJ", a.NonMemNJ, nonMem}, {"HistReadNJ", a.HistReadNJ, hist},
+				{"ProbeNJ", a.ProbeNJ, probe}, {"FetchNJ", a.FetchNJ, fetch},
+			} {
+				want := exactDot(c.want)
+				if math.Abs(c.got-want) > 1e-13*math.Abs(want) {
+					t.Fatalf("RScale %v vector %d: %s = %.17g, exact dot product %.17g", m.RScale, i, c.name, c.got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckConsistencyIdentities: a consistent account passes, and
+// breaking any one count identity is reported.
+func TestCheckConsistencyIdentities(t *testing.T) {
+	a := randomAccount(rand.New(rand.NewSource(2)))
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for name, breakIt := range map[string]func(*Account){
+		"instrs":         func(a *Account) { a.Instrs++ },
+		"load category":  func(a *Account) { a.ByCategory[isa.CatLoad]++; a.Instrs++ },
+		"load level":     func(a *Account) { a.LoadsAt[L2]++ },
+		"store category": func(a *Account) { a.ByCategory[isa.CatStore]--; a.ByCategory[isa.CatNop]++ },
+		"store level":    func(a *Account) { a.StoresAt[Mem]-- },
+	} {
+		b := a
+		breakIt(&b)
+		if b.CheckConsistency() == nil {
+			t.Errorf("%s: broken identity not reported", name)
+		}
 	}
 }

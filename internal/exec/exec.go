@@ -2,17 +2,21 @@
 // by the classic core (cpu.Core) and the amnesic machine's fast path. Both loops previously hand-copied the same idiom — pre-decoded
 // struct-of-arrays dispatch, re-sliced arrays for a single bounds check,
 // masked register indices, an inline hot-ALU switch, a two-entry flat-window
-// data micro-TLB, and local energy accumulators flushed at exit — so trace
-// support would have had to land twice. It now lands once, here.
+// data micro-TLB, and local event counters folded into the account at exit —
+// so trace support would have had to land twice. It now lands once, here.
+//
+// The loop only counts events: retired instructions by category, loads and
+// stores by servicing level, writebacks, and L1-I fetches. Energy and time
+// are priced once from those counts at exit (energy.Account.Price), so the
+// loop carries no floating-point state, and counts may be batched or
+// reordered freely because integer addition is exact.
 //
 // The core also hosts the trace-reuse engine (internal/trace): hot loop
 // heads are detected on taken backward branches, recorded into superblocks,
 // fused, and replayed as dense loop bodies with one guard per recorded
-// conditional branch. Replay is bit-identical to interpretation: every
-// original instruction keeps its own fetch/energy/latency charge in the
-// interpreter's exact accumulation order (floating-point addition is not
-// associative, so charges are never combined), and every memory access
-// still probes the cache hierarchy so its state evolves unchanged.
+// conditional branch. Replay is bit-identical to interpretation: it counts
+// the same events, and every memory access still probes the cache
+// hierarchy so its state evolves unchanged.
 //
 // The profiler's fused interpreter (internal/profile) and the flat reference
 // stepper (internal/ref) deliberately do NOT consume this core: the
@@ -48,41 +52,12 @@ var ErrInstrBudget = errors.New("cpu: dynamic instruction budget exceeded")
 // snapshot a restart must never rely on.
 var ErrCrash = errors.New("exec: injected crash")
 
-// ChargeTable holds per-run precomputed energy charges for inlined
-// accounting: per-category instruction energies and combined
-// (issue + hierarchy) load/store energies per serviced level. The values
-// are computed by the same Model methods the Account helpers call, so
-// accumulating them yields bit-identical floating-point totals.
-type ChargeTable struct {
-	EPI      [isa.NumCategories]float64
-	LoadTot  [energy.NumLevels]float64
-	StoreTot [energy.NumLevels]float64
-	LoadLat  [energy.NumLevels]float64
-	StoreLat float64
-	Cycle    float64
-}
-
-// BuildCharges derives the charge table from a read-only model.
-func BuildCharges(m *energy.Model) ChargeTable {
-	var t ChargeTable
-	for cat := range t.EPI {
-		t.EPI[cat] = m.InstrEnergy(isa.Category(cat))
-	}
-	for l := energy.L1; l < energy.NumLevels; l++ {
-		t.LoadTot[l] = m.InstrEnergy(isa.CatLoad) + m.LoadEnergy(l)
-		t.StoreTot[l] = m.InstrEnergy(isa.CatStore) + m.StoreEnergy(l)
-		t.LoadLat[l] = m.LoadLatency(l)
-	}
-	t.StoreLat = m.Latency[energy.L1]
-	t.Cycle = m.CycleNS()
-	return t
-}
-
 // Aux handles the amnesic opcodes the shared loop cannot execute inline.
-// The loop flushes its local accumulators into Env.Acct before each call
-// and reloads them after, since handlers account through the Account
-// directly. A nil Aux (the classic core) turns the amnesic kinds into the
-// classic "amnesic opcode on classic core" error.
+// Handlers count their events into Env.Acct directly. The loop counts the
+// REC/RCMP fetch itself and adds the instructions a handler retired to its
+// budget count; it writes no other account field until the run exits. A
+// nil Aux (the classic core) turns the amnesic kinds into the classic
+// "amnesic opcode on classic core" error.
 type Aux interface {
 	// ExecRec executes a REC at pc (checkpointing; cannot fail).
 	ExecRec(pc int)
@@ -97,6 +72,7 @@ type Aux interface {
 // fields and writes PC (final program counter) and Engine (the trace engine
 // used, nil when tracing is off) back.
 type Env struct {
+	// Model prices Acct when the run exits.
 	Model *energy.Model
 	Hier  *mem.Hierarchy
 	Mem   *mem.Memory
@@ -105,8 +81,6 @@ type Env struct {
 
 	// MaxInstrs bounds the run; 0 means DefaultMaxInstrs.
 	MaxInstrs uint64
-	// ChargeFetch adds per-instruction L1-I fetch energy when true.
-	ChargeFetch bool
 	// Classic selects the classic core's error texts and rejects the
 	// amnesic kinds; when false the amnesic texts are used and Aux handles
 	// them.
@@ -192,9 +166,10 @@ func (env *Env) prefix() string {
 	return "amnesic"
 }
 
-// Run executes p from PC 0 until HALT, an error, or budget exhaustion.
-// The caller has validated p and zeroed Regs[R0]; the loop reads registers
-// unmasked relying on that invariant (R0 writes are guarded).
+// Run executes p from PC 0 until HALT, an error, or budget exhaustion,
+// then prices Acct under Model — whichever way the run ends. The caller has
+// validated p and zeroed Regs[R0]; the loop reads registers unmasked
+// relying on that invariant (R0 writes are guarded).
 func Run(env *Env, p *isa.Program) error {
 	d := p.Decoded()
 	code := p.Code
@@ -224,11 +199,6 @@ func Run(env *Env, p *isa.Program) error {
 	hier, l1, memory := env.Hier, env.Hier.L1, env.Mem
 	acct := env.Acct
 	regs := env.Regs
-	ct := BuildCharges(env.Model)
-	fetchE, fetchT := env.Model.FetchEnergy, env.Model.FetchLatency
-	wbL2, wbMem := env.Model.WriteEnergy[energy.L2], env.Model.WriteEnergy[energy.Mem]
-	cycle := ct.Cycle
-	charge := env.ChargeFetch
 
 	// Trace engine construction. All engine state lives in the rsh block
 	// below, NOT in loop locals: every extra value live across the 11-way
@@ -265,36 +235,25 @@ func Run(env *Env, p *isa.Program) error {
 	var w2base, w2WN uint64
 	var w2 []uint64
 
-	// Local accumulators; flushed at the exit point below and around Aux
-	// handler calls. The additions happen in exactly the order the Account
-	// methods would perform them, so the floating-point totals stay
-	// bit-identical, but the loop body carries no stores to shared memory
-	// the compiler must assume aliased.
-	energyNJ, timeNS := acct.EnergyNJ, acct.TimeNS
-	loadNJ, storeNJ, nonMemNJ, fetchNJ := acct.LoadNJ, acct.StoreNJ, acct.NonMemNJ, acct.FetchNJ
+	// instrs is the budget-visible instruction count: everything retired so
+	// far, including what Aux handlers retire. The other counts are this
+	// run's deltas, held in rsh and folded into the account at exit.
+	// acct.Instrs itself is not written until then, so at exit it still
+	// holds the entry count plus the handlers' instructions, and the
+	// difference is what the loop retired — and fetched — itself.
 	instrs := acct.Instrs
-	// The integer counters are deltas, folded into the account additively at
-	// the exit below. Integer addition commutes, so deferring them across
-	// Aux handler calls — which increment the account's own fields directly —
-	// yields the same final totals as the interpreter-ordered updates, and
-	// the aux boundary round-trips only the order-sensitive float
-	// accumulators plus the budget-visible Instrs instead of copying the
-	// whole ByCategory array both ways.
-	var loadCnt, storeCnt uint64
-	var byCat [isa.NumCategories]uint64
 
-	// Parameter block for replayTrace and home of all mutable trace-engine
-	// state (see replay.go). rsh is address-taken, so its fields live on the
-	// stack and never compete with the interpreter's hot locals for
-	// registers; the only trace state the loop itself carries is `slow`.
+	// Parameter block for replayTrace, home of the event counts and of all
+	// mutable trace-engine state (see replay.go). rsh is address-taken, so
+	// its fields live on the stack and never compete with the interpreter's
+	// hot locals for registers; the only trace state the loop itself
+	// carries is `slow`.
 	rsh := replayShared{
-		ct: &ct, l1: l1, hier: hier, memory: memory,
-		regs: regs, byCat: &byCat, nopSkips: env.NopSkips, storeHook: env.StoreHook,
+		l1: l1, hier: hier, memory: memory,
+		regs: regs, nopSkips: env.NopSkips, storeHook: env.StoreHook,
 		code: code, pfx: env.prefix(), max: lim,
 		eng: eng, recHead: -1,
 		aux: env.Aux, acct: acct, sigger: sigger,
-		fetchE: fetchE, fetchT: fetchT, wbL2: wbL2, wbMem: wbMem, cycle: cycle,
-		charge: charge,
 	}
 	if eng != nil {
 		rsh.counts, rsh.traces = eng.Counts, eng.Traces
@@ -341,24 +300,15 @@ loop:
 				// a guard side-exits, a replayed access faults, or the
 				// budget check says the next iteration might not fit (the
 				// interpreter below then errors at precisely the instruction
-				// the budget rule dictates). The hot accumulators round-trip
-				// by value — nothing is added at the boundary — so totals
-				// stay bit-identical; see replay.go for why it is its own
-				// function.
+				// the budget rule dictates). It counts into rsh and hands
+				// the budget count back; see replay.go for why it is its
+				// own function.
 				tr := rsh.curTr
 				rsh.curTr = nil
 				slow = 0
 				replayFrom := instrs
-				ac := acctState{
-					energyNJ: energyNJ, timeNS: timeNS,
-					loadNJ: loadNJ, storeNJ: storeNJ, nonMemNJ: nonMemNJ, fetchNJ: fetchNJ,
-					instrs: instrs, loads: loadCnt, stores: storeCnt,
-				}
 				mw := memWin{arenaBase: arenaBase, arena: arena, arenaWN: arenaWN, w2base: w2base, w2: w2, w2WN: w2WN}
-				ac, mw, pc, rerr = replayTrace(&rsh, tr, ac, mw)
-				energyNJ, timeNS = ac.energyNJ, ac.timeNS
-				loadNJ, storeNJ, nonMemNJ, fetchNJ = ac.loadNJ, ac.storeNJ, ac.nonMemNJ, ac.fetchNJ
-				instrs, loadCnt, storeCnt = ac.instrs, ac.loads, ac.stores
+				instrs, mw, pc, rerr = replayTrace(&rsh, tr, instrs, mw)
 				arenaBase, arena, arenaWN = mw.arenaBase, mw.arena, mw.arenaWN
 				w2base, w2, w2WN = mw.w2base, mw.w2, mw.w2WN
 				eng.ReplayedInstrs += instrs - replayFrom
@@ -388,7 +338,7 @@ loop:
 			// over-long paths (e.g. a nested loop spinning inside the
 			// recording) blacklist the head instead.
 			if pc == rsh.recHead && len(rsh.recPath) > 0 {
-				nt := buildTrace(d, rsh.recPath, env.ElimNOP, &ct, rsh.sigger)
+				nt := trace.Build(d, rsh.recPath, env.ElimNOP, rsh.sigger)
 				rsh.traces[pc] = nt
 				eng.RegisterAuxSites(nt)
 				eng.Built++
@@ -408,11 +358,6 @@ loop:
 			} else {
 				rsh.recPath = append(rsh.recPath, int32(pc))
 			}
-		}
-		if charge {
-			energyNJ += fetchE
-			fetchNJ += fetchE
-			timeNS += fetchT
 		}
 		k := kinds[pc]
 	dispatch:
@@ -458,13 +403,8 @@ loop:
 			if dst := dsts[pc] & 31; dst != 0 {
 				regs[dst] = v
 			}
-			cat := cats[pc]
-			e := ct.EPI[cat]
-			energyNJ += e
-			nonMemNJ += e
-			timeNS += cycle
 			instrs++
-			byCat[cat]++
+			rsh.byCat[cats[pc]&15]++
 			pc++
 		case isa.KindLoad:
 			addr := regs[src1s[pc]&31] + uint64(imms[pc])
@@ -477,24 +417,10 @@ loop:
 				hier.Serviced[energy.L1]++
 				level = energy.L1
 			} else {
-				res := hier.AccessMiss(addr, false)
-				for i := 0; i < res.WritebackL2; i++ {
-					energyNJ += wbL2
-					storeNJ += wbL2
-				}
-				for i := 0; i < res.WritebackMem; i++ {
-					energyNJ += wbMem
-					storeNJ += wbMem
-				}
-				level = res.Level
+				level = rsh.miss(addr, false)
 			}
-			e := ct.LoadTot[level]
-			energyNJ += e
-			loadNJ += e
-			timeNS += ct.LoadLat[level]
 			instrs++
-			loadCnt++
-			byCat[isa.CatLoad]++
+			rsh.loadsAt[level]++
 			var v uint64
 			if off := addr>>3 - arenaBase; off < uint64(len(arena)) {
 				v = arena[off]
@@ -519,24 +445,10 @@ loop:
 				hier.Serviced[energy.L1]++
 				level = energy.L1
 			} else {
-				res := hier.AccessMiss(addr, true)
-				for i := 0; i < res.WritebackL2; i++ {
-					energyNJ += wbL2
-					storeNJ += wbL2
-				}
-				for i := 0; i < res.WritebackMem; i++ {
-					energyNJ += wbMem
-					storeNJ += wbMem
-				}
-				level = res.Level
+				level = rsh.miss(addr, true)
 			}
-			e := ct.StoreTot[level]
-			energyNJ += e
-			storeNJ += e
-			timeNS += ct.StoreLat
 			instrs++
-			storeCnt++
-			byCat[isa.CatStore]++
+			rsh.storesAt[level]++
 			v := regs[src2s[pc]&31]
 			if off := addr>>3 - arenaBase; off < arenaWN {
 				arena[off] = v
@@ -552,12 +464,8 @@ loop:
 			}
 			pc++
 		case isa.KindCondBr:
-			e := ct.EPI[isa.CatBranch]
-			energyNJ += e
-			nonMemNJ += e
-			timeNS += cycle
 			instrs++
-			byCat[isa.CatBranch]++
+			rsh.byCat[isa.CatBranch]++
 			a, b := regs[src1s[pc]&31], regs[src2s[pc]&31]
 			var taken bool
 			switch ops[pc] {
@@ -600,12 +508,8 @@ loop:
 				pc++
 			}
 		case isa.KindJmp:
-			e := ct.EPI[isa.CatBranch]
-			energyNJ += e
-			nonMemNJ += e
-			timeNS += cycle
 			instrs++
-			byCat[isa.CatBranch]++
+			rsh.byCat[isa.CatBranch]++
 			t := int(targets[pc])
 			if t <= pc && slow == 0 && rsh.eng != nil {
 				if tr := rsh.traces[t]; tr != nil {
@@ -628,49 +532,35 @@ loop:
 			}
 			pc = t
 		case isa.KindNop:
-			e := ct.EPI[isa.CatNop]
-			energyNJ += e
-			nonMemNJ += e
-			timeNS += cycle
 			instrs++
-			byCat[isa.CatNop]++
+			rsh.byCat[isa.CatNop]++
 			if elim := env.ElimNOP; elim != nil && elim[pc] {
 				*rsh.nopSkips++
 			}
 			pc++
 		case isa.KindHalt:
-			e := ct.EPI[isa.CatBranch]
-			energyNJ += e
-			nonMemNJ += e
-			timeNS += cycle
 			instrs++
-			byCat[isa.CatBranch]++
+			rsh.byCat[isa.CatBranch]++
 			break loop
 		case isa.KindRec:
 			if env.Aux == nil {
 				rerr = fmt.Errorf("cpu: pc %d (%s): amnesic opcode %s on classic core", pc, code[pc], ops[pc])
 				break loop
 			}
-			acct.EnergyNJ, acct.TimeNS = energyNJ, timeNS
-			acct.LoadNJ, acct.StoreNJ, acct.NonMemNJ, acct.FetchNJ = loadNJ, storeNJ, nonMemNJ, fetchNJ
-			acct.Instrs = instrs
+			acct.Fetches++
+			before := acct.Instrs
 			env.Aux.ExecRec(pc)
-			energyNJ, timeNS = acct.EnergyNJ, acct.TimeNS
-			loadNJ, storeNJ, nonMemNJ, fetchNJ = acct.LoadNJ, acct.StoreNJ, acct.NonMemNJ, acct.FetchNJ
-			instrs = acct.Instrs
+			instrs += acct.Instrs - before
 			pc++
 		case isa.KindRcmp:
 			if env.Aux == nil {
 				rerr = fmt.Errorf("cpu: pc %d (%s): amnesic opcode %s on classic core", pc, code[pc], ops[pc])
 				break loop
 			}
-			acct.EnergyNJ, acct.TimeNS = energyNJ, timeNS
-			acct.LoadNJ, acct.StoreNJ, acct.NonMemNJ, acct.FetchNJ = loadNJ, storeNJ, nonMemNJ, fetchNJ
-			acct.Instrs = instrs
+			acct.Fetches++
+			before := acct.Instrs
 			err := env.Aux.ExecRcmp(pc)
-			energyNJ, timeNS = acct.EnergyNJ, acct.TimeNS
-			loadNJ, storeNJ, nonMemNJ, fetchNJ = acct.LoadNJ, acct.StoreNJ, acct.NonMemNJ, acct.FetchNJ
-			instrs = acct.Instrs
+			instrs += acct.Instrs - before
 			if err != nil {
 				rerr = err
 				break loop
@@ -698,13 +588,12 @@ loop:
 	}
 
 	env.PC = pc
-	acct.EnergyNJ, acct.TimeNS = energyNJ, timeNS
-	acct.LoadNJ, acct.StoreNJ, acct.NonMemNJ, acct.FetchNJ = loadNJ, storeNJ, nonMemNJ, fetchNJ
+	// Every instruction the loop retired itself was fetched through L1-I
+	// (REC/RCMP fetches were counted at their dispatch); acct.Instrs still
+	// holds the entry count plus what the Aux handlers retired.
+	acct.Fetches += instrs - acct.Instrs
 	acct.Instrs = instrs
-	acct.Loads += loadCnt
-	acct.Stores += storeCnt
-	for i := range byCat {
-		acct.ByCategory[i] += byCat[i]
-	}
+	rsh.fold(acct)
+	acct.Price(env.Model)
 	return rerr
 }

@@ -9,16 +9,15 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/trace"
 )
 
-// replayShared is the loop-invariant state replayTrace needs: model pointers,
-// precomputed charge constants, and the error-text inputs. Run builds one per
-// execution and passes it by pointer so the hot arguments stay scalar.
+// replayShared is the state Run and replayTrace share: the machine
+// pointers, the error-text inputs, the run's event counts, and the
+// trace-engine state. Run builds one per execution and passes it by
+// pointer so the hot arguments stay scalar.
 type replayShared struct {
-	ct        *ChargeTable
 	l1        *mem.Cache
 	hier      *mem.Hierarchy
 	memory    *mem.Memory
 	regs      *[isa.NumRegs]uint64
-	byCat     *[isa.NumCategories]uint64
 	nopSkips  *uint64
 	storeHook func(addr, val uint64)
 	code      []isa.Instr
@@ -36,9 +35,15 @@ type replayShared struct {
 	threshold uint32
 	maxOps    int
 
+	// The run's event counts (deltas), folded into the account at exit.
+	// byCat is sized to a power of two so a category masked with &15 needs
+	// no bounds check; categories are < isa.NumCategories (≤ 16).
+	byCat                   [16]uint64
+	loadsAt, storesAt, wbAt [energy.NumLevels]uint64
+
 	// Aux-replay state (amnesic runs): the live handler CRec/CRcmp ops call
-	// back into, the account they charge through (the flush/reload target),
-	// and the sigger that makes aux kinds recordable. All cold-path only.
+	// back into, the account it counts into, and the sigger that makes aux
+	// kinds recordable. All cold-path only.
 	aux    Aux
 	acct   *energy.Account
 	sigger trace.AuxSigger
@@ -51,18 +56,33 @@ type replayShared struct {
 	curTr   *trace.Trace
 	recHead int
 	recPath []int32
-
-	fetchE, fetchT, wbL2, wbMem, cycle float64
-	charge                             bool
 }
 
-// acctState carries the hot accumulators across the Run ⇄ replayTrace
-// boundary. The values move verbatim — no additions happen at the boundary —
-// so the floating-point totals stay bit-identical to uninterrupted
-// interpretation.
-type acctState struct {
-	energyNJ, timeNS, loadNJ, storeNJ, nonMemNJ, fetchNJ float64
-	instrs, loads, stores                                uint64
+// miss services an access the L1 probe missed through the rest of the
+// hierarchy, counts the dirty writebacks it caused, and returns the level
+// that serviced it.
+func (sh *replayShared) miss(addr uint64, write bool) energy.Level {
+	res := sh.hier.AccessMiss(addr, write)
+	sh.wbAt[energy.L2] += uint64(res.WritebackL2)
+	sh.wbAt[energy.Mem] += uint64(res.WritebackMem)
+	return res.Level
+}
+
+// fold adds the run's event counts into a.
+func (sh *replayShared) fold(a *energy.Account) {
+	for c := range a.ByCategory {
+		a.ByCategory[c] += sh.byCat[c]
+	}
+	for l := energy.L1; l < energy.NumLevels; l++ {
+		ld, st := sh.loadsAt[l], sh.storesAt[l]
+		a.LoadsAt[l] += ld
+		a.StoresAt[l] += st
+		a.Writebacks[l] += sh.wbAt[l]
+		a.Loads += ld
+		a.Stores += st
+		a.ByCategory[isa.CatLoad] += ld
+		a.ByCategory[isa.CatStore] += st
+	}
 }
 
 // memWin is the two-entry flat-window data micro-TLB (see Run), threaded
@@ -81,33 +101,22 @@ type memWin struct {
 // replayTrace executes tr from its head until a guard side-exits, the
 // instruction budget might be exceeded by the next iteration, or a replayed
 // memory access faults. It exists as a separate function for register
-// allocation, not modularity: inside Run the replay loop shares the frame
-// with the whole interpreter switch, and the allocator spills the energy
-// accumulators around the dispatch jump on every op. In its own frame they
-// stay in registers.
+// allocation, not modularity: inside Run the replay loop would share the
+// frame with the whole interpreter switch.
 //
-// The returned pc is where interpretation must resume (the side-exit
-// continuation, the head on budget exhaustion, or the faulting original pc
-// with a non-nil error). Category counters are batched in a local array and
-// flushed through sh.byCat on return; integer addition is exact, so batching
-// cannot change the totals.
-func replayTrace(sh *replayShared, tr *trace.Trace, ac acctState, mw memWin) (acctState, memWin, int, error) {
-	ct, l1, hier, memory := sh.ct, sh.l1, sh.hier, sh.memory
+// instrs is the budget-visible instruction count on entry; replayTrace
+// returns it advanced, together with the pc where interpretation must
+// resume (the side-exit continuation, the head on budget exhaustion, or the
+// faulting original pc with a non-nil error). Every other event is counted
+// into sh. Batchable ops advance instrs by their dead-charge weight
+// (trace.Op.NBat); integer addition is exact, so the totals at every
+// observation point are those of interpretation.
+func replayTrace(sh *replayShared, tr *trace.Trace, instrs uint64, mw memWin) (uint64, memWin, int, error) {
+	l1, hier, memory := sh.l1, sh.hier, sh.memory
 	regs, storeHook, nopSkips := sh.regs, sh.storeHook, sh.nopSkips
-	fetchE, fetchT, wbL2, wbMem, cycle := sh.fetchE, sh.fetchT, sh.wbL2, sh.wbMem, sh.cycle
-	charge, max := sh.charge, sh.max
+	max := sh.max
+	byCat := &sh.byCat
 
-	energyNJ, timeNS := ac.energyNJ, ac.timeNS
-	loadNJ, storeNJ, nonMemNJ, fetchNJ := ac.loadNJ, ac.storeNJ, ac.nonMemNJ, ac.fetchNJ
-	// Deliberately NOT destructured: the memory windows (mw) live in their
-	// stack slots and loads/stores counters fold into catCnt. Keeping them
-	// out of the allocator's live set is what lets the six energy
-	// accumulators stay in XMM registers across the dispatch below.
-	instrs := ac.instrs
-
-	// catCnt is sized to a power of two so op.Cat&15 elides the bounds
-	// check; categories are < isa.NumCategories (≤ 16) by construction.
-	var catCnt [16]uint64
 	var rerr error
 	pc := int(tr.Head)
 	trOps := tr.Ops
@@ -116,131 +125,82 @@ chain:
 	for instrs+need <= max {
 		for i := range trOps {
 			op := &trOps[i]
-			if charge {
-				energyNJ += fetchE
-				fetchNJ += fetchE
-				timeNS += fetchT
-			}
 			switch op.Code {
 			case trace.CAdd:
 				v := regs[op.Src1&31] + regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CAddi:
 				v := regs[op.Src1&31] + uint64(op.Imm)
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CLi:
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = uint64(op.Imm)
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CMov:
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = regs[op.Src1&31]
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CSub:
 				v := regs[op.Src1&31] - regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CMul:
 				v := regs[op.Src1&31] * regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CAnd:
 				v := regs[op.Src1&31] & regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.COr:
 				v := regs[op.Src1&31] | regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CXor:
 				v := regs[op.Src1&31] ^ regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CShl:
 				v := regs[op.Src1&31] << (regs[op.Src2&31] & 63)
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CShr:
 				v := regs[op.Src1&31] >> (regs[op.Src2&31] & 63)
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CSlt:
 				var v uint64
 				if int64(regs[op.Src1&31]) < int64(regs[op.Src2&31]) {
@@ -249,12 +209,8 @@ chain:
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CSeq:
 				var v uint64
 				if regs[op.Src1&31] == regs[op.Src2&31] {
@@ -263,23 +219,15 @@ chain:
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CAluGen:
 				v := isa.EvalComputeOp(op.AOp, op.Imm, regs[op.Src1&31], regs[op.Src2&31], regs[op.Dst&31])
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 			case trace.CLoad:
 				addr := regs[op.Src1&31] + uint64(op.Imm)
 				if addr&7 != 0 {
@@ -287,28 +235,14 @@ chain:
 					rerr = fmt.Errorf("%s: pc %d (%s): load: %w", sh.pfx, pc, sh.code[pc], mem.CheckAligned(addr))
 					break chain
 				}
-				var level energy.Level
+				level := energy.L1
 				if l1.ProbeHit(addr, false) {
 					hier.Serviced[energy.L1]++
-					level = energy.L1
 				} else {
-					res := hier.AccessMiss(addr, false)
-					for k := 0; k < res.WritebackL2; k++ {
-						energyNJ += wbL2
-						storeNJ += wbL2
-					}
-					for k := 0; k < res.WritebackMem; k++ {
-						energyNJ += wbMem
-						storeNJ += wbMem
-					}
-					level = res.Level
+					level = sh.miss(addr, false)
 				}
-				e := ct.LoadTot[level]
-				energyNJ += e
-				loadNJ += e
-				timeNS += ct.LoadLat[level]
 				instrs++
-				catCnt[isa.CatLoad]++
+				sh.loadsAt[level]++
 				var v uint64
 				if off := addr>>3 - mw.arenaBase; off < uint64(len(mw.arena)) {
 					v = mw.arena[off]
@@ -328,28 +262,14 @@ chain:
 					rerr = fmt.Errorf("%s: pc %d (%s): store: %w", sh.pfx, pc, sh.code[pc], mem.CheckAligned(addr))
 					break chain
 				}
-				var level energy.Level
+				level := energy.L1
 				if l1.ProbeHit(addr, true) {
 					hier.Serviced[energy.L1]++
-					level = energy.L1
 				} else {
-					res := hier.AccessMiss(addr, true)
-					for k := 0; k < res.WritebackL2; k++ {
-						energyNJ += wbL2
-						storeNJ += wbL2
-					}
-					for k := 0; k < res.WritebackMem; k++ {
-						energyNJ += wbMem
-						storeNJ += wbMem
-					}
-					level = res.Level
+					level = sh.miss(addr, true)
 				}
-				e := ct.StoreTot[level]
-				energyNJ += e
-				storeNJ += e
-				timeNS += ct.StoreLat
 				instrs++
-				catCnt[isa.CatStore]++
+				sh.storesAt[level]++
 				v := regs[op.Src2&31]
 				if off := addr>>3 - mw.arenaBase; off < mw.arenaWN {
 					mw.arena[off] = v
@@ -364,34 +284,20 @@ chain:
 					storeHook(addr, v)
 				}
 			case trace.CNop:
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[isa.CatNop]++
+				byCat[isa.CatNop]++
 				if op.Elim {
 					*nopSkips++
 				}
 			case trace.CBrCharge:
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[isa.CatBranch]++
+				byCat[isa.CatBranch]++
 			case trace.CGuard:
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs += uint64(op.NBat)
-				catCnt[isa.CatBranch]++
+				byCat[isa.CatBranch]++
 				if isa.BranchTaken(op.BOp, regs[op.BSrc1&31], regs[op.BSrc2&31]) != op.Taken {
 					// Cold path: go through sh rather than locals so the
-					// link state is not live across the hot dispatch above
-					// (keeping register pressure low enough for the energy
-					// accumulators to stay in XMM registers).
+					// link state is not live across the hot dispatch above.
 					pc = int(op.ExitPC)
 					if nt := sh.traces[pc]; nt != nil {
 						if nt.Ops == nil {
@@ -436,25 +342,12 @@ chain:
 					v = isa.EvalComputeOp(op.AOp, op.Imm, a, b, regs[op.Dst&31])
 				}
 				regs[op.Dst&31] = v // fusePair guarantees Dst != 0
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
+				// Both halves retire whichever way the guard resolves; their
+				// count is folded into this op's NBat (weight 2).
 				instrs += uint64(op.NBat)
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
+				byCat[isa.CatBranch]++
 				// Guard half (second original instruction).
-				if charge {
-					energyNJ += fetchE
-					fetchNJ += fetchE
-					timeNS += fetchT
-				}
-				// The guard's retire count is folded into this op's NBat
-				// (weight 2: ALU + branch) applied at the ALU half above.
-				e = op.ENJ2
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
-				catCnt[isa.CatBranch]++
 				ga, gb := regs[op.BSrc1&31], regs[op.BSrc2&31]
 				if op.Fwd&1 != 0 {
 					ga = v
@@ -484,28 +377,13 @@ chain:
 					rerr = fmt.Errorf("%s: pc %d (%s): load: %w", sh.pfx, pc, sh.code[pc], mem.CheckAligned(addr))
 					break chain
 				}
-				var level energy.Level
+				level := energy.L1
 				if l1.ProbeHit(addr, false) {
 					hier.Serviced[energy.L1]++
-					level = energy.L1
 				} else {
-					res := hier.AccessMiss(addr, false)
-					for k := 0; k < res.WritebackL2; k++ {
-						energyNJ += wbL2
-						storeNJ += wbL2
-					}
-					for k := 0; k < res.WritebackMem; k++ {
-						energyNJ += wbMem
-						storeNJ += wbMem
-					}
-					level = res.Level
+					level = sh.miss(addr, false)
 				}
-				e := ct.LoadTot[level]
-				energyNJ += e
-				loadNJ += e
-				timeNS += ct.LoadLat[level]
-				instrs++
-				catCnt[isa.CatLoad]++
+				sh.loadsAt[level]++
 				var v uint64
 				if off := addr>>3 - mw.arenaBase; off < uint64(len(mw.arena)) {
 					v = mw.arena[off]
@@ -517,11 +395,6 @@ chain:
 				}
 				regs[op.Dst&31] = v // fusePair guarantees Dst != 0
 				// ALU half (second original instruction).
-				if charge {
-					energyNJ += fetchE
-					fetchNJ += fetchE
-					timeNS += fetchT
-				}
 				a, b := regs[op.BSrc1&31], regs[op.BSrc2&31]
 				if op.Fwd&1 != 0 {
 					a = v
@@ -561,12 +434,8 @@ chain:
 				if dst := op.Dst2 & 31; dst != 0 {
 					regs[dst] = r
 				}
-				e = op.ENJ2
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
-				instrs++
-				catCnt[op.Cat2&15]++
+				instrs += 2
+				byCat[op.Cat2&15]++
 			case trace.CAluStore:
 				// ALU half.
 				a, b := regs[op.Src1&31], regs[op.Src2&31]
@@ -602,18 +471,9 @@ chain:
 					v = isa.EvalComputeOp(op.AOp, op.Imm, a, b, regs[op.Dst&31])
 				}
 				regs[op.Dst&31] = v // fusePair guarantees Dst != 0
-				e := op.ENJ
-				energyNJ += e
-				nonMemNJ += e
-				timeNS += cycle
 				instrs++
-				catCnt[op.Cat&15]++
+				byCat[op.Cat&15]++
 				// Store half (second original instruction).
-				if charge {
-					energyNJ += fetchE
-					fetchNJ += fetchE
-					timeNS += fetchT
-				}
 				base := regs[op.BSrc1&31]
 				if op.Fwd&1 != 0 {
 					base = v
@@ -628,28 +488,14 @@ chain:
 					rerr = fmt.Errorf("%s: pc %d (%s): store: %w", sh.pfx, pc, sh.code[pc], mem.CheckAligned(addr))
 					break chain
 				}
-				var level energy.Level
+				level := energy.L1
 				if l1.ProbeHit(addr, true) {
 					hier.Serviced[energy.L1]++
-					level = energy.L1
 				} else {
-					res := hier.AccessMiss(addr, true)
-					for k := 0; k < res.WritebackL2; k++ {
-						energyNJ += wbL2
-						storeNJ += wbL2
-					}
-					for k := 0; k < res.WritebackMem; k++ {
-						energyNJ += wbMem
-						storeNJ += wbMem
-					}
-					level = res.Level
+					level = sh.miss(addr, true)
 				}
-				e = ct.StoreTot[level]
-				energyNJ += e
-				storeNJ += e
-				timeNS += ct.StoreLat
 				instrs++
-				catCnt[isa.CatStore]++
+				sh.storesAt[level]++
 				if off := addr>>3 - mw.arenaBase; off < mw.arenaWN {
 					mw.arena[off] = val
 				} else if off := addr>>3 - mw.w2base; off < mw.w2WN {
@@ -666,25 +512,19 @@ chain:
 				// Cold path: the live amnesic handler executes the op exactly
 				// as the interpreter would — slice traversal, policy decision,
 				// Hist/SFile/IBuff state, and accounting all take the same
-				// code path. The handler charges through the account directly,
-				// so the order-sensitive float accumulators and the
-				// budget-visible Instrs round-trip by value; the batched
-				// integer category counts stay local (they are deltas the
-				// exit below folds additively, and integer addition commutes
-				// with the handler's own increments).
+				// code path. As in Run, the op's fetch is counted here, the
+				// handler counts its own events into the account, and instrs
+				// picks up what it retired.
 				acct := sh.acct
-				acct.EnergyNJ, acct.TimeNS = energyNJ, timeNS
-				acct.LoadNJ, acct.StoreNJ, acct.NonMemNJ, acct.FetchNJ = loadNJ, storeNJ, nonMemNJ, fetchNJ
-				acct.Instrs = instrs
+				acct.Fetches++
+				before := acct.Instrs
 				var aerr error
 				if op.Code == trace.CRec {
 					sh.aux.ExecRec(int(op.PC))
 				} else {
 					aerr = sh.aux.ExecRcmp(int(op.PC))
 				}
-				energyNJ, timeNS = acct.EnergyNJ, acct.TimeNS
-				loadNJ, storeNJ, nonMemNJ, fetchNJ = acct.LoadNJ, acct.StoreNJ, acct.NonMemNJ, acct.FetchNJ
-				instrs = acct.Instrs
+				instrs += acct.Instrs - before
 				if aerr != nil {
 					// The outcome guard: an erroring RCMP side-exits with the
 					// interpreter's wrapped error at the faulting pc.
@@ -708,47 +548,5 @@ chain:
 			}
 		}
 	}
-
-	for i := range sh.byCat {
-		sh.byCat[i] += catCnt[i]
-	}
-	ac = acctState{
-		energyNJ: energyNJ, timeNS: timeNS,
-		loadNJ: loadNJ, storeNJ: storeNJ, nonMemNJ: nonMemNJ, fetchNJ: fetchNJ,
-		instrs: instrs,
-		// Every replayed load/store bumps exactly one catCnt slot, so the
-		// dedicated counters fold into the batched category counts.
-		loads:  ac.loads + catCnt[isa.CatLoad],
-		stores: ac.stores + catCnt[isa.CatStore],
-	}
-	return ac, mw, pc, rerr
-}
-
-// buildTrace compiles a recorded superblock and stamps each op with its
-// precomputed non-memory energy charges so replay skips the per-op category
-// table lookup. The values come from the same ChargeTable the interpreter
-// accumulates from, so the totals stay bit-identical.
-func buildTrace(d *isa.Decoded, path []int32, elim []bool, ct *ChargeTable, sig trace.AuxSigger) *trace.Trace {
-	nt := trace.Build(d, path, elim, sig)
-	for i := range nt.Ops {
-		op := &nt.Ops[i]
-		switch op.Code {
-		case trace.CLoad, trace.CStore:
-			// Charge depends on the serviced level at runtime.
-		case trace.CRec, trace.CRcmp:
-			// The live handler does all the charging.
-		case trace.CNop:
-			op.ENJ = ct.EPI[isa.CatNop]
-		case trace.CBrCharge, trace.CGuard:
-			op.ENJ = ct.EPI[isa.CatBranch]
-		case trace.CAluGuard:
-			op.ENJ = ct.EPI[op.Cat]
-			op.ENJ2 = ct.EPI[isa.CatBranch]
-		case trace.CLoadAlu:
-			op.ENJ2 = ct.EPI[op.Cat2]
-		default: // single ALU ops and CAluStore's ALU half
-			op.ENJ = ct.EPI[op.Cat]
-		}
-	}
-	return nt
+	return instrs, mw, pc, rerr
 }

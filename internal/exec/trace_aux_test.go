@@ -38,7 +38,7 @@ func auxLoopProgram(t *testing.T, auxOp isa.Instr, innerN, outerN int64) *isa.Pr
 }
 
 // flipAux is a test Aux handler implementing trace.AuxSigger. Every call
-// retires one instruction through the flushed Account (the aux contract).
+// retires one instruction by counting it into the Account (the aux contract).
 // After flipAt REC calls its signatures change epoch and it invalidates
 // stale traces through the live engine — the production recipe-change hook,
 // fired deterministically mid-run. failRcmpAt, when non-zero, makes that

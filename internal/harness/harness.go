@@ -31,7 +31,7 @@ var PolicyLabels = []string{"Oracle", "C-Oracle", "Compiler", "FLC", "LLC"}
 type Config struct {
 	// Model is the energy/timing model. It is shared read-only across every
 	// simulation the harness schedules (see energy.Model); per-worker
-	// mutation must go through Model.Clone, as BreakEven's sweep does.
+	// mutation must go through Model.Clone, as BreakEven's pricing does.
 	Model *energy.Model
 	// Scale multiplies workload working sets/iterations (1.0 = full).
 	Scale float64
@@ -344,97 +344,59 @@ func RunSuiteContext(ctx context.Context, cfg Config, ws []*workloads.Workload) 
 // BreakEven computes the paper's Table 6: the factor by which R (the
 // relative energy cost of non-memory instructions vs loads, §5.5) must grow
 // over Rdefault before amnesic execution under C-Oracle stops improving
-// EDP. The C-Oracle's firing decisions stay frozen at the default R
-// (decisions use the default model; accounting uses the scaled one), so the
-// EDP curves genuinely cross.
-// The prepare-stage artifacts (profile, compiled binary) come from the
-// shared ArtifactCache, so a sweep after RunSuite reuses its compiles; the
-// two bracketing gainAt probes run concurrently when cfg allows parallelism.
+// EDP. The C-Oracle's firing decisions stay frozen at the default R, so the
+// EDP curves genuinely cross. RScale only scales the compute EPIs, so
+// neither execution's event counts depend on the factor: the sweep takes
+// the classic account from the shared ArtifactCache, simulates C-Oracle
+// once under cfg.Model, and bisects by pricing copies of the two accounts
+// at each probed factor.
 func BreakEven(cfg Config, w *workloads.Workload, maxFactor float64) (float64, error) {
 	return BreakEvenContext(context.Background(), cfg, w, maxFactor)
 }
 
 // BreakEvenContext is BreakEven with cancellation: the sweep checks ctx
-// between bisection probes and stops with ctx.Err() once cancelled.
+// before its C-Oracle simulation and stops with ctx.Err() once cancelled.
 func BreakEvenContext(ctx context.Context, cfg Config, w *workloads.Workload, maxFactor float64) (float64, error) {
 	cfg = cfg.withDefaults()
-	base := cfg.Model
 	art, err := cfg.cache().get(cfg, w)
 	if err != nil {
 		return 0, err
 	}
-	prog, img, ann := art.Prog, art.Image, art.Ann
-	if len(ann.Slices) == 0 {
+	if len(art.Ann.Slices) == 0 {
 		return 0, fmt.Errorf("harness: %s: no slices to sweep", w.Name)
 	}
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("harness: break-even sweep cancelled: %w", err)
+	}
+	fm := art.Image.Fork()
+	defer fm.Release()
+	machine, err := amnesic.New(cfg.Model, art.Ann, fm, policy.New(policy.Exact), cfg.UArch)
+	if err != nil {
+		return 0, err
+	}
+	machine.MaxInstrs = cfg.MaxInstrs
+	if err := machine.Run(); err != nil {
+		return 0, err
+	}
 
-	// gainAt clones the model per probe (decisions stay frozen at base),
-	// so concurrent probes never share mutable state; both executions fork
-	// the shared prepared image instead of deep-copying it.
-	gainAt := func(factor float64) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, fmt.Errorf("harness: break-even sweep cancelled: %w", err)
-		}
-		m := base.Clone()
+	m := cfg.Model.Clone()
+	classic, amn := art.Classic.Acct, machine.Acct
+	gainAt := func(factor float64) float64 {
 		m.RScale = factor
-		cm := img.Fork()
-		classic, err := cpu.RunProgramLimit(m, prog, cm, cfg.MaxInstrs)
-		cm.Release()
-		if err != nil {
-			return 0, err
-		}
-		am := img.Fork()
-		defer am.Release()
-		machine, err := amnesic.New(m, ann, am, policy.New(policy.Exact), cfg.UArch)
-		if err != nil {
-			return 0, err
-		}
-		machine.MaxInstrs = cfg.MaxInstrs
-		machine.DecisionModel = base
-		if err := machine.Run(); err != nil {
-			return 0, err
-		}
-		return stats.Gain(classic.Acct.EDP(), machine.Acct.EDP()), nil
+		classic.Price(m)
+		amn.Price(m)
+		return stats.Gain(classic.EDP(), amn.EDP())
 	}
-
-	// Bracket the crossing: probe both ends, concurrently when allowed.
 	lo, hi := 1.0, maxFactor
-	var gLo, gHi float64
-	var errLo, errHi error
-	parallel := cfg.workerCount() > 1
-	if parallel {
-		done := make(chan struct{})
-		go func() {
-			gHi, errHi = gainAt(hi)
-			close(done)
-		}()
-		gLo, errLo = gainAt(lo)
-		<-done
-	} else {
-		gLo, errLo = gainAt(lo)
-	}
-	if errLo != nil {
-		return 0, errLo
-	}
-	if gLo <= 0 {
+	if gainAt(lo) <= 0 {
 		return 1, nil
 	}
-	if !parallel {
-		gHi, errHi = gainAt(hi)
-	}
-	if errHi != nil {
-		return 0, errHi
-	}
-	if gHi > 0 {
+	if gainAt(hi) > 0 {
 		return hi, nil // still profitable at the sweep bound
 	}
 	for i := 0; i < 18 && hi-lo > 0.01*lo; i++ {
 		mid := (lo + hi) / 2
-		g, err := gainAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if g > 0 {
+		if gainAt(mid) > 0 {
 			lo = mid
 		} else {
 			hi = mid

@@ -143,8 +143,8 @@ func TestBreakEvenUsesCache(t *testing.T) {
 	cfg.Scale = 0.2
 	cfg.Cache = harness.NewArtifactCache()
 
-	// Prime the cache through a normal run, then sweep twice: once serial,
-	// once with the concurrent bracket probes. Results must agree exactly.
+	// Prime the cache through a normal run, then sweep twice: once with one
+	// worker, once with two. Results must agree exactly.
 	if _, err := harness.Run(cfg, w); err != nil {
 		t.Fatal(err)
 	}

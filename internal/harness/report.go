@@ -196,7 +196,7 @@ func Table6(w io.Writer, cfg Config, ws []*workloads.Workload, maxFactor float64
 	return Table6Context(context.Background(), w, cfg, ws, maxFactor)
 }
 
-// Table6Context is Table6 with cancellation, at per-probe granularity (see
+// Table6Context is Table6 with cancellation, at per-sweep granularity (see
 // BreakEvenContext).
 func Table6Context(ctx context.Context, w io.Writer, cfg Config, ws []*workloads.Workload, maxFactor float64) error {
 	cfg = cfg.withDefaults()

@@ -42,14 +42,12 @@
 // with the interpreter's error, preserving bit-identical store streams and
 // energy accounts (the outcome guard).
 //
-// Replay preserves bit-identical architectural and energy behaviour: every
-// original instruction keeps its own fetch/energy/latency charge, applied
-// in exactly the interpreter's order (floating-point accumulation is not
-// associative, so FP charges are never batched or reordered), every memory
-// op still probes the cache hierarchy, and fused pairs still write the
-// first op's destination register architecturally. The one charge replay
-// does batch is the integer dynamic-instruction counter: integer addition
-// is exact, so Build pre-sums the per-op increments of every run of ops
+// Replay preserves bit-identical architectural and energy behaviour: it
+// counts the same events as interpretation (energy is priced from the
+// counts once, when the run exits), every memory op still probes the cache
+// hierarchy, and fused pairs still write the first op's destination
+// register architecturally. Counts are integers, so replay may pre-sum
+// them: Build folds the dynamic-instruction increments of every run of ops
 // that provably retires atomically — no guard, memory access, or aux call
 // between them, guards allowed only as the final op since a branch retires
 // whichever way it resolves — into Op.NBat on the run's first op
@@ -165,12 +163,6 @@ type Op struct {
 	ExitPC int32
 	// Imm / Imm2 are the two sub-instructions' immediates.
 	Imm, Imm2 int64
-	// ENJ / ENJ2 are the per-sub-instruction non-memory energy charges,
-	// precomputed by the executor from its charge table (exec.BuildCharges)
-	// so replay skips the per-op category lookup. Memory halves (CLoad,
-	// CStore, the load half of CLoadAlu, the store half of CAluStore) ignore
-	// them: their charge depends on the serviced cache level at runtime.
-	ENJ, ENJ2 float64
 	// AuxSig is the recipe signature CRec/CRcmp captured at record time
 	// (AuxSigger.AuxSig); Engine.InvalidateStale compares it against the
 	// site's live signature to drop stale traces.
@@ -181,9 +173,10 @@ type Op struct {
 	// whichever way it resolves). Replay adds NBat to the instruction
 	// counter at the run's first op and 0 at the interior ops, collapsing
 	// the per-instruction counter chain; integer addition is exact, so the
-	// totals at every observation point (side exit, aux flush, return) are
+	// totals at every observation point (side exit, aux call, return) are
 	// unchanged. Ops that can fault or call out (memory, aux) keep NBat 0
-	// and count positionally in their own replay case.
+	// and count positionally in their own replay case. Category and
+	// per-level counts stay per op.
 	NBat uint32
 }
 
@@ -450,8 +443,7 @@ func batchWeight(c Code) uint32 {
 // interior ops stay 0. A guard terminates its run inclusively: the branch
 // instruction retires whether or not it side-exits, so its count is safe
 // to front-load, while everything after a potential exit starts a new run.
-// Only the integer instruction counter is batched — FP energy accumulation
-// is order-sensitive and stays strictly per-op.
+// Only the instruction counter is batched; replay counts categories per op.
 func batchDeadCharges(ops []Op) {
 	for i := 0; i < len(ops); {
 		if batchWeight(ops[i].Code) == 0 {
