@@ -15,8 +15,8 @@
 //
 // -store-dir enables the durable result store: computed reports and
 // prepared-image metadata survive restarts. -peers forms a replica set:
-// jobs route to their key's ring owner, idle replicas steal queued work,
-// and a dead peer's key range falls back to local execution.
+// jobs route to their key's ring owner, and a dead owner's key range
+// falls back to local execution.
 //
 // SIGTERM/SIGINT drain gracefully: the daemon stops accepting jobs,
 // finishes (or, past -drain-timeout, cancels) the ones in flight, flushes
@@ -52,7 +52,6 @@ func main() {
 		storeMax     = flag.Int64("store-max-bytes", 256<<20, "durable store size bound in bytes")
 		advertise    = flag.String("advertise", "", "this replica's base URL as peers see it (required with -peers)")
 		peersCSV     = flag.String("peers", "", "comma-separated peer replica base URLs")
-		stealEvery   = flag.Duration("steal-interval", 2*time.Second, "how often an idle replica sweeps peers for queued work")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs at shutdown")
 		version      = flag.Bool("version", false, "print build identity and exit")
 	)
@@ -90,7 +89,6 @@ func main() {
 		StoreMaxBytes: *storeMax,
 		Self:          *advertise,
 		Peers:         peers,
-		StealInterval: *stealEvery,
 		Log:           logger,
 	})
 	if err != nil {

@@ -10,8 +10,8 @@
 // cache are warm for that key. Virtual nodes smooth the key distribution.
 //
 // Health is tracked lazily: a peer is assumed healthy until a request to it
-// fails, then it is held in backoff (doubling from BackoffMin to
-// BackoffMax) before the next attempt. Ownership does NOT move when a peer
+// fails, then it is held in backoff (doubling from backoffMin to
+// backoffMax) before the next attempt. Ownership does NOT move when a peer
 // is unhealthy — the serving layer degrades by executing the key locally —
 // so a flapping peer never causes two replicas to fight over a key range,
 // and a recovered peer resumes exactly its old range.
@@ -37,16 +37,17 @@ type Config struct {
 	Self string
 	// Peers are the other replicas' base URLs (Self excluded).
 	Peers []string
-	// VNodes is the number of ring points per replica (default 64).
-	VNodes int
-	// ProbeTimeout bounds control-plane requests — steals, result
-	// callbacks, proxied non-waiting submissions (default 5s).
-	ProbeTimeout time.Duration
-	// BackoffMin/BackoffMax bound the unhealthy-peer retry backoff
-	// (defaults 1s and 30s).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 }
+
+// ProbeTimeout bounds a control-plane request to a peer: a proxied
+// submission that does not wait for its job, or a proxied report fetch.
+const ProbeTimeout = 5 * time.Second
+
+const (
+	vnodes     = 64               // ring points per replica
+	backoffMin = time.Second      // unhealthy-peer backoff after one failure
+	backoffMax = 30 * time.Second // cap on the doubling backoff
+)
 
 // Stats is a snapshot for /metrics.
 type Stats struct {
@@ -62,16 +63,14 @@ type peerState struct {
 
 // Cluster is one replica's membership state. Safe for concurrent use.
 type Cluster struct {
-	cfg    Config
 	self   string
 	peers  []string // normalized, stable order
 	client *http.Client
 
-	ring     []ringPoint
-	mu       sync.Mutex
-	health   map[string]*peerState
-	now      func() time.Time // injectable for tests
-	rotation int              // round-robin start for PeersForSteal
+	ring   []ringPoint
+	mu     sync.Mutex
+	health map[string]*peerState
+	now    func() time.Time // injectable for tests
 }
 
 type ringPoint struct {
@@ -83,20 +82,7 @@ type ringPoint struct {
 // yields a single-node cluster: Enabled() is false and Owner always answers
 // self, so the serving layer's cluster paths become no-ops.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 5 * time.Second
-	}
-	if cfg.BackoffMin <= 0 {
-		cfg.BackoffMin = time.Second
-	}
-	if cfg.BackoffMax < cfg.BackoffMin {
-		cfg.BackoffMax = 30 * time.Second
-	}
 	c := &Cluster{
-		cfg:    cfg,
 		client: &http.Client{},
 		health: make(map[string]*peerState),
 		now:    time.Now,
@@ -123,7 +109,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.health[u] = &peerState{}
 	}
 	nodes := append([]string{self}, c.peers...)
-	c.ring = buildRing(nodes, cfg.VNodes)
+	c.ring = buildRing(nodes)
 	return c, nil
 }
 
@@ -148,7 +134,7 @@ func NormalizeURL(raw string) (string, error) {
 	return u.String(), nil
 }
 
-func buildRing(nodes []string, vnodes int) []ringPoint {
+func buildRing(nodes []string) []ringPoint {
 	ring := make([]ringPoint, 0, len(nodes)*vnodes)
 	for _, node := range nodes {
 		for i := 0; i < vnodes; i++ {
@@ -193,9 +179,6 @@ func (c *Cluster) Peers() []string {
 // global timeout so proxied ?wait=1 submissions can outlive ProbeTimeout.
 func (c *Cluster) Client() *http.Client { return c.client }
 
-// ProbeTimeout is the control-plane request bound.
-func (c *Cluster) ProbeTimeout() time.Duration { return c.cfg.ProbeTimeout }
-
 // Owner returns the replica owning key and whether that is this replica.
 // With no peers every key is owned locally.
 func (c *Cluster) Owner(key string) (node string, self bool) {
@@ -238,7 +221,7 @@ func (c *Cluster) ReportSuccess(peer string) {
 }
 
 // ReportFailure records a failed request to peer and extends its backoff
-// exponentially: BackoffMin after the first failure, doubling to BackoffMax.
+// exponentially: backoffMin after the first failure, doubling to backoffMax.
 func (c *Cluster) ReportFailure(peer string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -247,33 +230,11 @@ func (c *Cluster) ReportFailure(peer string) {
 		return
 	}
 	st.failures++
-	backoff := c.cfg.BackoffMin << (st.failures - 1)
-	if st.failures > 30 || backoff > c.cfg.BackoffMax || backoff <= 0 {
-		backoff = c.cfg.BackoffMax
+	backoff := backoffMin << (st.failures - 1)
+	if st.failures > 30 || backoff > backoffMax || backoff <= 0 {
+		backoff = backoffMax
 	}
 	st.downUntil = c.now().Add(backoff)
-}
-
-// PeersForSteal returns the usable peers starting at a rotating offset, so
-// repeated steal sweeps spread load instead of always hammering the first
-// peer in the configuration.
-func (c *Cluster) PeersForSteal() []string {
-	if !c.Enabled() {
-		return nil
-	}
-	c.mu.Lock()
-	start := c.rotation % len(c.peers)
-	c.rotation++
-	now := c.now()
-	var out []string
-	for i := 0; i < len(c.peers); i++ {
-		p := c.peers[(start+i)%len(c.peers)]
-		if st := c.health[p]; st != nil && !now.Before(st.downUntil) {
-			out = append(out, p)
-		}
-	}
-	c.mu.Unlock()
-	return out
 }
 
 // Stats snapshots membership health.

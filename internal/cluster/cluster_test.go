@@ -89,9 +89,6 @@ func TestSingleNode(t *testing.T) {
 	if !self || owner != "" {
 		t.Fatalf("Owner = %q, self=%v; want local ownership", owner, self)
 	}
-	if got := c.PeersForSteal(); len(got) != 0 {
-		t.Fatalf("PeersForSteal on single node = %v", got)
-	}
 }
 
 func TestNormalizeURL(t *testing.T) {
@@ -149,7 +146,7 @@ func TestHealthBackoff(t *testing.T) {
 	if st := c.Stats(); st.Unhealthy != 1 {
 		t.Fatalf("Stats.Unhealthy = %d, want 1", st.Unhealthy)
 	}
-	now = now.Add(time.Second) // BackoffMin default 1s
+	now = now.Add(time.Second) // backoffMin is 1s
 	if !c.Usable(peer) {
 		t.Fatal("peer not usable after first backoff elapsed")
 	}
@@ -169,13 +166,13 @@ func TestHealthBackoff(t *testing.T) {
 	if !c.Usable(peer) {
 		t.Fatal("success did not reset the failure streak")
 	}
-	// Backoff saturates at BackoffMax instead of overflowing.
+	// Backoff saturates at backoffMax (30s) instead of overflowing.
 	for i := 0; i < 64; i++ {
 		c.ReportFailure(peer)
 	}
 	now = now.Add(30 * time.Second)
 	if !c.Usable(peer) {
-		t.Fatal("backoff exceeded BackoffMax")
+		t.Fatal("backoff exceeded backoffMax")
 	}
 
 	// Unknown peers are never usable and never tracked.
@@ -184,24 +181,4 @@ func TestHealthBackoff(t *testing.T) {
 	}
 	c.ReportFailure("http://stranger:1")
 	c.ReportSuccess("http://stranger:1")
-}
-
-// TestPeersForSteal rotates its starting peer and filters unusable ones.
-func TestPeersForSteal(t *testing.T) {
-	c := clusterAt(t, 0)
-	first := c.PeersForSteal()
-	second := c.PeersForSteal()
-	if len(first) != 2 || len(second) != 2 {
-		t.Fatalf("PeersForSteal sizes = %d, %d; want 2, 2", len(first), len(second))
-	}
-	if first[0] == second[0] {
-		t.Fatalf("steal sweep start did not rotate: %v then %v", first, second)
-	}
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	c.ReportFailure(first[0])
-	got := c.PeersForSteal()
-	if len(got) != 1 || got[0] == first[0] {
-		t.Fatalf("PeersForSteal with one peer down = %v", got)
-	}
 }

@@ -9,6 +9,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -137,22 +138,29 @@ func RunCheckpoint(cfg Config, w *workloads.Workload, interval uint64) ([]*Check
 	return out, nil
 }
 
-// RunCheckpointSuite runs the checkpoint family over a workload list.
-func RunCheckpointSuite(cfg Config, ws []*workloads.Workload, interval uint64) ([]*CheckpointResult, error) {
+// RunCheckpointSuite runs the checkpoint family over a workload list,
+// cfg.Workers workloads at a time, and returns the rows in workload order.
+// On failure it returns the lowest-index workload's error, or ctx's error
+// once ctx is cancelled.
+func RunCheckpointSuite(ctx context.Context, cfg Config, ws []*workloads.Workload, interval uint64) ([]*CheckpointResult, error) {
+	rows := make([][]*CheckpointResult, len(ws))
+	err := eachWorkload(ctx, cfg, ws, "checkpoint", func(i int, w *workloads.Workload) (err error) {
+		rows[i], err = RunCheckpoint(cfg, w, interval)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	var out []*CheckpointResult
-	for _, w := range ws {
-		rows, err := RunCheckpoint(cfg, w, interval)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
+	for _, r := range rows {
+		out = append(out, r...)
 	}
 	return out, nil
 }
 
 // CheckpointTable renders the checkpoint size/energy/restart-latency table.
 func CheckpointTable(wr io.Writer, cfg Config, ws []*workloads.Workload, interval uint64) error {
-	results, err := RunCheckpointSuite(cfg, ws, interval)
+	results, err := RunCheckpointSuite(context.Background(), cfg, ws, interval)
 	if err != nil {
 		return err
 	}

@@ -56,10 +56,11 @@ type Config struct {
 	// compiled binaries, classic baselines) across harness entry points, so
 	// e.g. a Table 6 sweep after RunSuite reuses its compiles.
 	Cache *ArtifactCache
-	// Progress, when non-nil, is invoked once per completed suite stage
-	// (one prepare, or one policy simulation). It may be called
-	// concurrently from worker goroutines; callers must synchronize.
-	// Progress observers must not mutate cfg or the results.
+	// Progress, when non-nil, is invoked once per completed stage: one
+	// prepare or one policy simulation of a suite, one workload of a
+	// break-even or checkpoint suite. It may be called concurrently from
+	// worker goroutines; callers must synchronize. Progress observers must
+	// not mutate cfg or the results.
 	Progress func(Progress)
 	// TraceObs, when non-nil, accumulates trace-engine statistics (traces
 	// built/blacklisted, replays, replay coverage) from every amnesic policy
@@ -68,13 +69,15 @@ type Config struct {
 	TraceObs *trace.Agg
 }
 
-// Progress reports one completed unit of RunSuite work. A suite over N
+// Progress reports one completed unit of work. A RunSuite over N
 // workloads has N*(1+P) units, where P is the number of selected policies
-// (len(cfg.Policies), or len(PolicyLabels) when unset): one prepare stage
-// plus one simulation per selected policy, per workload.
+// (len(cfg.Policies), or len(PolicyLabels) when unset): one "prepare"
+// stage plus one stage per selected policy, named by its label, per
+// workload. A BreakEvenSuiteContext over N workloads has N "breakeven"
+// units and a RunCheckpointSuite N "checkpoint" units, one per workload.
 type Progress struct {
 	Workload string // benchmark name
-	Stage    string // "prepare" or a policy label
+	Stage    string // "prepare", a policy label, "breakeven" or "checkpoint"
 	Done     int    // units completed so far, including this one
 	Total    int    // total units in the suite
 	Failed   bool   // this stage returned an error
@@ -352,6 +355,22 @@ func RunSuiteContext(ctx context.Context, cfg Config, ws []*workloads.Workload) 
 // at each probed factor.
 func BreakEven(cfg Config, w *workloads.Workload, maxFactor float64) (float64, error) {
 	return BreakEvenContext(context.Background(), cfg, w, maxFactor)
+}
+
+// BreakEvenSuiteContext computes BreakEvenContext for every workload,
+// sweeping cfg.Workers workloads at a time, and returns the factors in
+// workload order. On failure it returns the lowest-index workload's error,
+// or ctx's error once ctx is cancelled.
+func BreakEvenSuiteContext(ctx context.Context, cfg Config, ws []*workloads.Workload, maxFactor float64) ([]float64, error) {
+	factors := make([]float64, len(ws))
+	err := eachWorkload(ctx, cfg, ws, "breakeven", func(i int, w *workloads.Workload) (err error) {
+		factors[i], err = BreakEvenContext(ctx, cfg, w, maxFactor)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return factors, nil
 }
 
 // BreakEvenContext is BreakEven with cancellation: the sweep checks ctx

@@ -199,29 +199,8 @@ func Table6(w io.Writer, cfg Config, ws []*workloads.Workload, maxFactor float64
 // Table6Context is Table6 with cancellation, at per-sweep granularity (see
 // BreakEvenContext).
 func Table6Context(ctx context.Context, w io.Writer, cfg Config, ws []*workloads.Workload, maxFactor float64) error {
-	cfg = cfg.withDefaults()
-	if cfg.Cache == nil {
-		cfg.Cache = NewArtifactCache()
-	}
-	factors := make([]float64, len(ws))
-	var errs errSet
-	p := newPool(ctx, cfg.workerCount(), len(ws))
-	for i, wl := range ws {
-		i, wl := i, wl
-		p.submit(func() {
-			f, err := BreakEvenContext(ctx, cfg, wl, maxFactor)
-			if err != nil {
-				errs.record(i, err)
-				return
-			}
-			factors[i] = f
-		})
-	}
-	p.wait()
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("harness: break-even table cancelled: %w", err)
-	}
-	if err := errs.first(); err != nil {
+	factors, err := BreakEvenSuiteContext(ctx, cfg, ws, maxFactor)
+	if err != nil {
 		return err
 	}
 

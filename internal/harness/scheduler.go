@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/amnesiac-sim/amnesiac/internal/compiler"
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
@@ -99,6 +100,34 @@ func (e *errSet) first() error {
 	return e.err
 }
 
+// eachWorkload calls fn for every workload over a pool of
+// cfg.workerCount() workers. It returns the error a serial loop would
+// have hit first — the lowest-index failure — or, once ctx is cancelled,
+// ctx's error. cfg.Progress sees one unit named stage per workload that
+// ran.
+func eachWorkload(ctx context.Context, cfg Config, ws []*workloads.Workload, stage string, fn func(i int, w *workloads.Workload) error) error {
+	var errs errSet
+	var done atomic.Int64
+	p := newPool(ctx, cfg.workerCount(), len(ws))
+	for i, w := range ws {
+		p.submit(func() {
+			err := fn(i, w)
+			if err != nil {
+				errs.record(i, err)
+			}
+			n := int(done.Add(1))
+			if cfg.Progress != nil {
+				cfg.Progress(Progress{Workload: w.Name, Stage: stage, Done: n, Total: len(ws), Failed: err != nil})
+			}
+		})
+	}
+	p.wait()
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("harness: %s cancelled: %w", stage, err)
+	}
+	return errs.first()
+}
+
 // Artifacts bundles the per-workload products of the prepare stage. All
 // fields are read-only once built: policy runs, break-even sweeps, and
 // reports share one Artifacts value across goroutines. Initial is sealed
@@ -135,19 +164,24 @@ type artifactKey struct {
 }
 
 type cacheEntry struct {
-	once sync.Once
-	art  *Artifacts
-	err  error
+	once     sync.Once
+	art      *Artifacts
+	err      error
+	resident atomic.Bool // the build finished without error
 }
 
 // ArtifactCache memoizes prepare-stage artifacts (profile, compiled
 // binaries, classic baseline) across harness entry points, keyed by program
 // name, scale, model identity, and compiler options. It is safe for
 // concurrent use and deduplicates in-flight builds, so BreakEven's bisection
-// and a prior RunSuite share one compile instead of redoing it.
+// and a prior RunSuite share one compile instead of redoing it. It also
+// counts its lookups and knows which entries are resident, which is all the
+// daemon reports about its prepared images.
 type ArtifactCache struct {
-	mu sync.Mutex
-	m  map[artifactKey]*cacheEntry
+	mu     sync.Mutex
+	m      map[artifactKey]*cacheEntry
+	hits   uint64 // lookups that found their entry already created
+	misses uint64 // lookups that created their entry
 }
 
 // NewArtifactCache returns an empty cache.
@@ -164,26 +198,67 @@ func (c *ArtifactCache) get(cfg Config, w *workloads.Workload) (*Artifacts, erro
 	if e == nil {
 		e = &cacheEntry{}
 		c.m[key] = e
+		c.misses++
+	} else {
+		c.hits++
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.art, e.err = buildArtifacts(cfg, w) })
+	e.once.Do(func() {
+		e.art, e.err = buildArtifacts(cfg, w)
+		e.resident.Store(e.err == nil)
+	})
 	return e.art, e.err
 }
 
 // Get returns the (possibly cached) prepared artifacts for (cfg, w) —
-// including the sealed memory image runs fork from. The daemon uses it to
-// prewarm its prepared-image layer; harness entry points call it
-// implicitly through Config.Cache.
+// including the sealed memory image runs fork from — and counts the lookup
+// as a hit or a miss like the harness entry points' own lookups, which go
+// through Config.Cache. The daemon calls it to re-warm its prepared images
+// after a restart.
 func (c *ArtifactCache) Get(cfg Config, w *workloads.Workload) (*Artifacts, error) {
 	return c.get(cfg.withDefaults(), w)
 }
 
-// Len reports how many prepared entries (by key) the cache holds,
-// successes and failures alike.
-func (c *ArtifactCache) Len() int {
+// CacheStats is a snapshot of an ArtifactCache.
+type CacheStats struct {
+	Hits     uint64 // lookups that found their entry already created
+	Misses   uint64 // lookups that created their entry, and so built it
+	Resident int    // entries whose build finished without error
+}
+
+// Stats snapshots the lookup counters and the resident entry count.
+func (c *ArtifactCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	st := CacheStats{Hits: c.hits, Misses: c.misses}
+	for _, e := range c.m {
+		if e.resident.Load() {
+			st.Resident++
+		}
+	}
+	return st
+}
+
+// ResidentKey names one resident entry by the workload and the Config
+// fields that select its prepare stage.
+type ResidentKey struct {
+	Workload  string
+	Scale     float64
+	MaxInstrs uint64
+}
+
+// Resident lists the entries whose build finished without error, in no
+// particular order.
+func (c *ArtifactCache) Resident() []ResidentKey {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []ResidentKey
+	for k, e := range c.m {
+		if e.resident.Load() {
+			out = append(out, ResidentKey{Workload: k.name, Scale: k.scale, MaxInstrs: k.maxInstrs})
+		}
+	}
+	return out
 }
 
 // buildArtifacts runs the prepare stage for one workload in two classic

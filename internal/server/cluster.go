@@ -1,5 +1,4 @@
-// Multi-replica serving: key-owner routing, work stealing, and batch
-// submission.
+// Multi-replica serving (key-owner routing) and batch submission.
 //
 // Routing: every job key has one ring owner (internal/cluster). A replica
 // receiving a submission for a key it does not own proxies the request to
@@ -9,14 +8,6 @@
 // always handled locally), and any proxy failure falls back to local
 // execution — a dead owner degrades throughput for its key range, never
 // availability.
-//
-// Stealing: an idle replica sweeps its peers with POST /v1/steal. The
-// victim hands out jobs from the back of its queue — the ones that would
-// otherwise wait longest — under a lease; if the stolen result does not
-// come back via POST /v1/steal/complete before the lease expires, the
-// victim requeues the job locally, so a stealer crash loses no work.
-// The stealer executes through its own submit path, so it benefits from
-// its own cache and coalescing.
 package server
 
 import (
@@ -27,7 +18,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
+
+	"github.com/amnesiac-sim/amnesiac/internal/cluster"
 )
 
 // forwardedHeader marks a replica-to-replica request; its value is the
@@ -36,9 +28,6 @@ const forwardedHeader = "X-Amnesiac-Forwarded"
 
 // maxBatchBodyBytes bounds a batch submission body.
 const maxBatchBodyBytes = 8 << 20
-
-// maxStealBatch bounds how many jobs one steal request can take.
-const maxStealBatch = 8
 
 // --- owner routing ---
 
@@ -70,7 +59,7 @@ func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, spec JobSp
 	wait := r.URL.Query().Get("wait")
 	if wait != "1" && wait != "true" {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cluster.ProbeTimeout())
+		ctx, cancel = context.WithTimeout(ctx, cluster.ProbeTimeout)
 		defer cancel()
 	}
 	url := owner + "/v1/jobs"
@@ -106,7 +95,7 @@ func (s *Server) proxyReport(w http.ResponseWriter, r *http.Request, key string)
 	if self || !s.cluster.Usable(owner) {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cluster.ProbeTimeout())
+	ctx, cancel := context.WithTimeout(r.Context(), cluster.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/reports/"+key, nil)
 	if err != nil {
@@ -152,197 +141,6 @@ func (s *Server) peerPost(ctx context.Context, peer, url string, body []byte) (*
 	return resp, nil
 }
 
-// --- work stealing ---
-
-type stealRequest struct {
-	Max     int    `json:"max"`
-	Stealer string `json:"stealer"`
-}
-
-type stolenJob struct {
-	ID   string  `json:"id"`
-	Spec JobSpec `json:"spec"`
-}
-
-type stealResponse struct {
-	Jobs []stolenJob `json:"jobs"`
-}
-
-type stealComplete struct {
-	ID     string          `json:"id"`
-	State  string          `json:"state"`
-	Error  string          `json:"error,omitempty"`
-	Report json.RawMessage `json:"report,omitempty"`
-}
-
-// handleSteal hands queued jobs to an idle peer. Jobs leave from the back
-// of the queue under a lease; lease expiry requeues them locally.
-func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
-	var req stealRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid steal request: "+err.Error())
-		return
-	}
-	if req.Max <= 0 || req.Max > maxStealBatch {
-		req.Max = maxStealBatch
-	}
-	var resp stealResponse
-	if s.cluster.Enabled() && req.Stealer != "" && !s.draining.Load() {
-		for _, j := range s.queue.steal(req.Max) {
-			j.mu.Lock()
-			if isTerminal(j.state) { // canceled while queued; nothing to hand out
-				j.mu.Unlock()
-				continue
-			}
-			j.remote = req.Stealer
-			j.mu.Unlock()
-			s.met.stealHanded.Add(1)
-			resp.Jobs = append(resp.Jobs, stolenJob{ID: j.id, Spec: j.spec})
-			lease := j
-			stealer := req.Stealer
-			time.AfterFunc(s.cfg.StealLease, func() { s.reclaimStolen(lease, stealer) })
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// reclaimStolen requeues a stolen job whose lease expired without a
-// result. A drained queue fails the job instead — shutdown must not
-// leave it queued forever.
-func (s *Server) reclaimStolen(j *job, stealer string) {
-	j.mu.Lock()
-	if isTerminal(j.state) || j.remote != stealer {
-		j.mu.Unlock()
-		return
-	}
-	j.remote = ""
-	j.mu.Unlock()
-	s.log.Printf("amnesiacd: steal lease for job %s (peer %s) expired; requeueing", j.id, stealer)
-	if !s.queue.requeue(j) {
-		s.finalize(j, StateFailed, "steal lease expired during drain", nil)
-	}
-}
-
-// handleStealComplete accepts a stolen job's result from the peer that
-// executed it. Racing a lease expiry is safe: finish settles exactly one
-// outcome, so a job already requeued and re-executed locally ignores the
-// late result.
-func (s *Server) handleStealComplete(w http.ResponseWriter, r *http.Request) {
-	var req stealComplete
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBatchBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid completion: "+err.Error())
-		return
-	}
-	j := s.lookup(req.ID)
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	if !isTerminal(req.State) {
-		writeError(w, http.StatusBadRequest, "state must be terminal, got "+req.State)
-		return
-	}
-	if req.State == StateDone {
-		if len(req.Report) == 0 {
-			writeError(w, http.StatusBadRequest, "done completion missing report")
-			return
-		}
-		if err := s.cache.put(j.key, req.Report); err != nil {
-			s.log.Printf("amnesiacd: persist stolen report %s: %v", j.key, err)
-		}
-		s.finalize(j, StateDone, "", req.Report)
-	} else {
-		s.finalize(j, req.State, req.Error, nil)
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-// stealLoop periodically sweeps peers for queued work while this replica
-// has idle capacity. Runs until shutdown.
-func (s *Server) stealLoop() {
-	t := time.NewTicker(s.cfg.StealInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-t.C:
-		}
-		if s.draining.Load() || s.queue.len() > 0 {
-			continue
-		}
-		idle := int(int64(s.cfg.JobWorkers) - s.met.running.Load())
-		if idle <= 0 {
-			continue
-		}
-		for _, peer := range s.cluster.PeersForSteal() {
-			n := s.stealFrom(peer, idle)
-			idle -= n
-			if idle <= 0 {
-				break
-			}
-		}
-	}
-}
-
-// stealFrom takes up to max jobs from peer and executes them locally,
-// returning how many were claimed.
-func (s *Server) stealFrom(peer string, max int) int {
-	body, _ := json.Marshal(stealRequest{Max: max, Stealer: s.cluster.Self()})
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.cluster.ProbeTimeout())
-	defer cancel()
-	resp, err := s.peerPost(ctx, peer, peer+"/v1/steal", body)
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	var sr stealResponse
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(io.LimitReader(resp.Body, maxBatchBodyBytes)).Decode(&sr) != nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
-		return 0
-	}
-	for _, sj := range sr.Jobs {
-		s.met.stolen.Add(1)
-		go s.runStolen(peer, sj)
-	}
-	return len(sr.Jobs)
-}
-
-// runStolen executes one stolen job through the local submit path (so it
-// coalesces with identical local work and hits the local cache) and posts
-// the outcome back to the victim. On any local failure to even start, the
-// job is simply dropped — the victim's lease requeues it.
-func (s *Server) runStolen(victim string, sj stolenJob) {
-	res, err := s.submit(sj.Spec)
-	if err != nil {
-		s.log.Printf("amnesiacd: stolen job %s not runnable locally (%v); lease will return it", sj.ID, err)
-		return
-	}
-	select {
-	case <-res.job.done:
-	case <-s.baseCtx.Done():
-		return
-	}
-	st := res.job.status()
-	comp := stealComplete{ID: sj.ID, State: st.State, Error: st.Error}
-	if st.State == StateDone {
-		comp.Report = res.job.resultBytes()
-	}
-	body, err := json.Marshal(comp)
-	if err != nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cluster.ProbeTimeout())
-	defer cancel()
-	resp, err := s.peerPost(ctx, victim, victim+"/v1/steal/complete", body)
-	if err != nil {
-		s.log.Printf("amnesiacd: returning stolen job %s to %s failed: %v", sj.ID, victim, err)
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
-	resp.Body.Close()
-}
-
 // --- batch submission ---
 
 // BatchRequest is the body of POST /v1/jobs/batch.
@@ -363,11 +161,10 @@ type BatchResponse struct {
 }
 
 // handleBatch submits many specs at once. All specs are normalized up
-// front; the distinct (scale, budget) prepare configurations across the
-// batch are prewarmed once in the background, so the individual jobs —
-// which would each warm their own workloads serially — find the prepared
-// images already resident or already building. Per-spec failures
-// (backpressure, draining) are reported per entry, not for the batch.
+// front, so one bad spec rejects the whole batch. Jobs over a shared
+// workload still prepare it once, through the artifact cache's
+// singleflight. Per-spec failures (backpressure, draining) are reported
+// per entry, not for the batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBatchBodyBytes))
@@ -390,8 +187,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		specs[i] = spec
 	}
 
-	s.prewarmBatch(specs)
-
 	resp := BatchResponse{Jobs: make([]BatchEntry, len(specs))}
 	for i, spec := range specs {
 		res, err := s.submit(spec)
@@ -408,40 +203,4 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// prewarmBatch kicks off one background prewarm per distinct prepare
-// configuration in the batch, covering the union of its workloads. The
-// artifact cache's singleflight means job workers racing these builds
-// block on the same build instead of duplicating it.
-func (s *Server) prewarmBatch(specs []JobSpec) {
-	type prepCfg struct {
-		scale     float64
-		maxInstrs uint64
-	}
-	groups := make(map[prepCfg]map[string]struct{})
-	for _, spec := range specs {
-		pc := prepCfg{scale: spec.Scale, maxInstrs: spec.MaxInstrs}
-		if groups[pc] == nil {
-			groups[pc] = make(map[string]struct{})
-		}
-		for _, name := range spec.Workloads {
-			groups[pc][name] = struct{}{}
-		}
-	}
-	for pc, set := range groups {
-		if len(set) == 0 {
-			continue
-		}
-		names := make([]string, 0, len(set))
-		for name := range set {
-			names = append(names, name)
-		}
-		cfg := s.runner.config(JobSpec{Scale: pc.scale, MaxInstrs: pc.maxInstrs})
-		go func() {
-			if err := s.runner.prewarm(cfg, names); err != nil {
-				s.log.Printf("amnesiacd: batch prewarm: %v", err)
-			}
-		}()
-	}
 }

@@ -10,22 +10,21 @@ import (
 
 	"github.com/amnesiac-sim/amnesiac/internal/buildinfo"
 	"github.com/amnesiac-sim/amnesiac/internal/cluster"
+	"github.com/amnesiac-sim/amnesiac/internal/harness"
 	"github.com/amnesiac-sim/amnesiac/internal/store"
 	"github.com/amnesiac-sim/amnesiac/internal/trace"
 )
 
 type metrics struct {
-	submitted   atomic.Uint64 // accepted submissions (incl. cache hits + coalesced)
-	rejected    atomic.Uint64 // 429 backpressure rejections
-	coalesced   atomic.Uint64 // submissions attached to an in-flight identical job
-	completed   atomic.Uint64 // jobs finishing in state done
-	failed      atomic.Uint64
-	timeouts    atomic.Uint64
-	canceled    atomic.Uint64
-	proxied     atomic.Uint64 // submissions forwarded to their key's ring owner
-	stolen      atomic.Uint64 // jobs this replica stole from peers
-	stealHanded atomic.Uint64 // queued jobs handed out to stealing peers
-	running     atomic.Int64  // gauge
+	submitted atomic.Uint64 // accepted submissions (incl. cache hits + coalesced)
+	rejected  atomic.Uint64 // 429 backpressure rejections
+	coalesced atomic.Uint64 // submissions attached to an in-flight identical job
+	completed atomic.Uint64 // jobs finishing in state done
+	failed    atomic.Uint64
+	timeouts  atomic.Uint64
+	canceled  atomic.Uint64
+	proxied   atomic.Uint64 // submissions forwarded to their key's ring owner
+	running   atomic.Int64  // gauge
 
 	// Trace-engine activity aggregated over every amnesic simulation the
 	// suite jobs on this replica executed (see trace.Stats).
@@ -49,7 +48,7 @@ func (m *metrics) observeTrace(s trace.Stats) {
 }
 
 // write renders the counters plus cache, store, cluster, and queue gauges.
-func (m *metrics) write(w io.Writer, cs CacheStats, ps PreparedStats, ss store.Stats, cls cluster.Stats, queueDepth, queueCap int, draining bool) {
+func (m *metrics) write(w io.Writer, cs CacheStats, ps harness.CacheStats, ss store.Stats, cls cluster.Stats, queueDepth, queueCap int, draining bool) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP amnesiacd_%s %s\n# TYPE amnesiacd_%s counter\namnesiacd_%s %d\n", name, help, name, name, v)
 	}
@@ -73,9 +72,9 @@ func (m *metrics) write(w io.Writer, cs CacheStats, ps PreparedStats, ss store.S
 	counter("store_quarantined_total", "corrupt store entries renamed aside", ss.Quarantined)
 	gauge("store_bytes", "bytes currently held by the durable store", ss.Bytes)
 	gauge("store_entries", "reports currently in the durable store", int64(ss.Entries))
-	counter("prepared_image_hits_total", "job prewarms served by a resident prepared image", ps.Hits)
-	counter("prepared_image_misses_total", "job prewarms that built the prepared image", ps.Misses)
-	gauge("prepared_images", "sealed prepared images currently resident", int64(ps.Entries))
+	counter("prepared_image_hits_total", "workload lookups that found the prepared image resident or building", ps.Hits)
+	counter("prepared_image_misses_total", "workload lookups that built the prepared image", ps.Misses)
+	gauge("prepared_images", "sealed prepared images currently resident", int64(ps.Resident))
 	counter("traces_built_total", "superblock traces recorded by amnesic simulations", m.tracesBuilt.Load())
 	counter("traces_blacklisted_total", "trace heads tombstoned as unrecordable", m.tracesBlacklisted.Load())
 	counter("trace_invalidations_total", "traces invalidated (tombstone drops + stale recipe sets)", m.traceInvalidations.Load())
@@ -85,8 +84,6 @@ func (m *metrics) write(w io.Writer, cs CacheStats, ps PreparedStats, ss store.S
 	cov := trace.Stats{ReplayedInstrs: m.traceReplayedInstrs.Load(), TotalInstrs: m.traceTotalInstrs.Load()}.Coverage()
 	fmt.Fprintf(w, "# HELP amnesiacd_trace_replay_coverage_pct replayed instructions as %% of all amnesic-simulation instructions\n# TYPE amnesiacd_trace_replay_coverage_pct gauge\namnesiacd_trace_replay_coverage_pct %g\n", cov)
 	counter("peer_proxied_jobs_total", "submissions proxied to their key's ring owner", m.proxied.Load())
-	counter("peer_stolen_jobs_total", "jobs stolen from peers and executed here", m.stolen.Load())
-	counter("peer_steal_handed_total", "queued jobs handed out to stealing peers", m.stealHanded.Load())
 	gauge("peer_unhealthy", "peer replicas currently in failure backoff", int64(cls.Unhealthy))
 	gauge("cluster_peers", "configured peer replicas", int64(cls.Peers))
 	gauge("jobs_running", "jobs currently executing", m.running.Load())

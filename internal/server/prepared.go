@@ -1,125 +1,66 @@
-// Prepared-image tracking for the daemon. The harness keeps the expensive
-// prepare-stage products — including the sealed copy-on-write memory image
-// every simulation forks from — in a shared harness.ArtifactCache. The
-// serving layer content-addresses that warm state with the same sha256
-// idiom as report keys: before a job's simulations start, the runner warms
-// the image for each workload the spec names and records, per key, whether
-// the image was already resident. A second job over the same workloads at
-// the same scale and budget therefore skips the prepare stage entirely and
-// goes straight to forking, which /metrics makes observable.
+// Prepared-image persistence. The daemon's one record of which prepared
+// images are resident — the sealed copy-on-write memory image and the
+// other prepare-stage products that every job over a workload forks from
+// — is the runner's harness.ArtifactCache: /metrics reports its lookups
+// as amnesiacd_prepared_image_{hits,misses}_total and its resident count
+// as amnesiacd_prepared_images. With a durable store, the daemon writes
+// the resident set to a manifest whenever it grew, and a restarted daemon
+// re-warms those images in the background.
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"github.com/amnesiac-sim/amnesiac/internal/harness"
 	"github.com/amnesiac-sim/amnesiac/internal/workloads"
 )
 
-// prepareKey content-addresses one prepared image: the spec fields that
-// determine the prepare stage (workload, scale, instruction budget) under
-// the daemon's fixed energy model and compiler options.
-func prepareKey(workload string, scale float64, maxInstrs uint64) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("prepare\x00%s\x00%g\x00%d", workload, scale, maxInstrs)))
-	return hex.EncodeToString(sum[:])
-}
-
-// PreparedStats is a snapshot of the prepared-image layer for /metrics.
-type PreparedStats struct {
-	Entries int    // prepared images currently resident
-	Hits    uint64 // prewarm requests served by a resident image
-	Misses  uint64 // prewarm requests that built the image
-}
-
-// preparedMeta describes one prepared image well enough to rebuild it
-// after a restart. It is what the durable store persists for the
-// prepared-image layer (the sealed images themselves are memory-only).
+// preparedMeta is one manifest entry: enough to rebuild a prepared image
+// after a restart (the sealed images themselves are memory-only).
 type preparedMeta struct {
 	Workload  string  `json:"workload"`
 	Scale     float64 `json:"scale"`
 	MaxInstrs uint64  `json:"max_instrs"`
 }
 
-// preparedImages records which prepare keys have been warmed into the
-// artifact cache, and the metadata to re-warm them after a restart.
-// Counters are atomics; the key set takes a short lock off the submission
-// path (prewarm runs on job workers).
-type preparedImages struct {
-	mu     sync.Mutex
-	keys   map[string]preparedMeta
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-func newPreparedImages() *preparedImages {
-	return &preparedImages{keys: make(map[string]preparedMeta)}
-}
-
-func (p *preparedImages) resident(key string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.keys[key]
-	return ok
-}
-
-func (p *preparedImages) markResident(key string, m preparedMeta) {
-	p.mu.Lock()
-	p.keys[key] = m
-	p.mu.Unlock()
-}
-
-// manifest snapshots the resident images' metadata in stable (arbitrary
-// map) order for persistence.
-func (p *preparedImages) manifest() []preparedMeta {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]preparedMeta, 0, len(p.keys))
-	for _, m := range p.keys {
-		out = append(out, m)
-	}
-	return out
-}
-
-func (p *preparedImages) stats() PreparedStats {
-	p.mu.Lock()
-	n := len(p.keys)
-	p.mu.Unlock()
-	return PreparedStats{Entries: n, Hits: p.hits.Load(), Misses: p.misses.Load()}
-}
-
 // preparedManifestName is the aux file in the durable store holding the
-// prepared-image metadata.
+// prepared-image manifest.
 const preparedManifestName = "prepared.json"
 
-// persistPrepared writes the prepared-image manifest to the durable
-// store. Called after each completed job — the set only grows, and a lost
-// write merely costs a rebuild on the next restart.
+// persistPrepared writes the prepared-image manifest to the durable store
+// when the resident set grew since the last write. Called after each
+// completed job; the set only grows, and a lost write merely costs a
+// rebuild after the next restart.
 func (s *Server) persistPrepared() {
 	if s.store == nil {
 		return
 	}
-	man := s.runner.prepared.manifest()
-	if len(man) == 0 {
+	s.prepMu.Lock()
+	defer s.prepMu.Unlock()
+	resident := s.runner.artifacts.Resident()
+	if len(resident) <= s.persisted {
 		return
+	}
+	man := make([]preparedMeta, len(resident))
+	for i, k := range resident {
+		man[i] = preparedMeta(k)
 	}
 	data, err := json.Marshal(man)
+	if err == nil {
+		err = s.store.PutAux(preparedManifestName, data)
+	}
 	if err != nil {
+		s.log.Printf("amnesiacd: persist prepared manifest: %v", err)
 		return
 	}
-	if err := s.store.PutAux(preparedManifestName, data); err != nil {
-		s.log.Printf("amnesiacd: persist prepared manifest: %v", err)
-	}
+	s.persisted = len(resident)
 }
 
 // restorePrepared re-warms the prepared images recorded by a previous
-// process, in the background: serving starts immediately and the first
-// jobs either find their images resident or coalesce onto the builds in
-// flight through the artifact cache's singleflight.
+// process, one after another in a background goroutine: serving starts
+// immediately, and the first jobs either find their images resident or
+// wait on the build in flight through the artifact cache's singleflight.
+// Shutdown stops the re-warm after the build in flight, and Drain waits
+// for it.
 func (s *Server) restorePrepared() {
 	data, ok := s.store.GetAux(preparedManifestName)
 	if !ok {
@@ -130,84 +71,21 @@ func (s *Server) restorePrepared() {
 		s.log.Printf("amnesiacd: prepared manifest unreadable, skipping re-warm: %v", err)
 		return
 	}
-	// Group by prepare configuration so each group is one prewarm call.
-	type prepCfg struct {
-		scale     float64
-		maxInstrs uint64
-	}
-	groups := make(map[prepCfg][]string)
-	for _, m := range man {
-		pc := prepCfg{scale: m.Scale, maxInstrs: m.MaxInstrs}
-		groups[pc] = append(groups[pc], m.Workload)
-	}
+	s.rewarmWG.Add(1)
 	go func() {
-		n := 0
-		for pc, names := range groups {
-			cfg := s.runner.config(JobSpec{Scale: pc.scale, MaxInstrs: pc.maxInstrs})
-			if err := s.runner.prewarm(cfg, names); err != nil {
-				s.log.Printf("amnesiacd: re-warm prepared images: %v", err)
+		defer s.rewarmWG.Done()
+		for _, m := range man {
+			if s.baseCtx.Err() != nil {
 				return
 			}
-			n += len(names)
-		}
-		s.log.Printf("amnesiacd: re-warmed %d prepared image(s) from the durable store", n)
-	}()
-}
-
-// prewarm ensures the sealed prepared image for every named workload is
-// resident before the job's simulations start, counting a hit or miss per
-// (workload, scale, budget) key. Cold keys build concurrently (bounded by
-// cfg.Workers) through the shared artifact cache, so concurrent jobs
-// racing on the same key still build at most once; the loser of the race
-// merely counts a miss that resolved instantly.
-func (r *runner) prewarm(cfg harness.Config, names []string) error {
-	var cold []string
-	for _, name := range names {
-		if r.prepared.resident(prepareKey(name, cfg.Scale, cfg.MaxInstrs)) {
-			r.prepared.hits.Add(1)
-		} else {
-			cold = append(cold, name)
-		}
-	}
-	if len(cold) == 0 {
-		return nil
-	}
-	workers := cfg.Workers
-	if workers < 1 || workers > len(cold) {
-		workers = len(cold)
-	}
-	var (
-		wg       sync.WaitGroup
-		firstErr atomic.Pointer[error]
-		next     atomic.Int64
-	)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(cold) || firstErr.Load() != nil {
-					return
-				}
-				name := cold[n]
-				w, err := workloads.Get(name)
-				if err == nil {
-					_, err = r.artifacts.Get(cfg, w)
-				}
-				if err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-				r.prepared.misses.Add(1)
-				r.prepared.markResident(prepareKey(name, cfg.Scale, cfg.MaxInstrs),
-					preparedMeta{Workload: name, Scale: cfg.Scale, MaxInstrs: cfg.MaxInstrs})
+			w, err := workloads.Get(m.Workload)
+			if err == nil {
+				_, err = s.runner.artifacts.Get(s.runner.config(JobSpec{Scale: m.Scale, MaxInstrs: m.MaxInstrs}), w)
 			}
-		}()
-	}
-	wg.Wait()
-	if ep := firstErr.Load(); ep != nil {
-		return *ep
-	}
-	return nil
+			if err != nil {
+				s.log.Printf("amnesiacd: re-warm prepared image %s: %v", m.Workload, err)
+			}
+		}
+		s.log.Printf("amnesiacd: re-warmed %d prepared image(s) from the durable store", len(man))
+	}()
 }

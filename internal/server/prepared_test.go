@@ -19,13 +19,13 @@ func TestPreparedImageReuse(t *testing.T) {
 	if _, err := r.run(context.Background(), suite, emit, nil); err != nil {
 		t.Fatal(err)
 	}
-	ps := r.prepared.stats()
-	if ps.Misses != 1 || ps.Hits != 0 || ps.Entries != 1 {
+	ps := r.artifacts.Stats()
+	if ps.Misses != 1 || ps.Hits != 0 || ps.Resident != 1 {
 		t.Fatalf("after first job: %+v, want 1 miss, 0 hits, 1 entry", ps)
 	}
 
 	// Same workload and scale, different kind: still one prepared image.
-	before := r.artifacts.Len()
+	before := r.artifacts.Stats().Resident
 	ckpt, err := JobSpec{Kind: KindCheckpoint, Workloads: []string{"is"}, Scale: 0.2}.Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +33,11 @@ func TestPreparedImageReuse(t *testing.T) {
 	if _, err := r.run(context.Background(), ckpt, emit, nil); err != nil {
 		t.Fatal(err)
 	}
-	ps = r.prepared.stats()
-	if ps.Misses != 1 || ps.Hits != 1 || ps.Entries != 1 {
+	ps = r.artifacts.Stats()
+	if ps.Misses != 1 || ps.Hits != 1 || ps.Resident != 1 {
 		t.Fatalf("after second job: %+v, want 1 miss, 1 hit, 1 entry", ps)
 	}
-	if after := r.artifacts.Len(); after != before {
+	if after := r.artifacts.Stats().Resident; after != before {
 		t.Fatalf("second job grew the artifact cache %d -> %d: prepare ran again", before, after)
 	}
 
@@ -49,20 +49,8 @@ func TestPreparedImageReuse(t *testing.T) {
 	if _, err := r.run(context.Background(), other, emit, nil); err != nil {
 		t.Fatal(err)
 	}
-	ps = r.prepared.stats()
-	if ps.Misses != 2 || ps.Entries != 2 {
+	ps = r.artifacts.Stats()
+	if ps.Misses != 2 || ps.Resident != 2 {
 		t.Fatalf("after rescaled job: %+v, want 2 misses, 2 entries", ps)
-	}
-}
-
-func TestPrepareKeyDistinct(t *testing.T) {
-	a := prepareKey("is", 1.0, 0)
-	for _, k := range []string{prepareKey("bfs", 1.0, 0), prepareKey("is", 0.5, 0), prepareKey("is", 1.0, 7)} {
-		if k == a {
-			t.Fatalf("prepare keys collide: %s", k)
-		}
-	}
-	if prepareKey("is", 1.0, 0) != a {
-		t.Fatal("prepare key is not deterministic")
 	}
 }

@@ -1,11 +1,9 @@
-// Job lifecycle and the bounded execution queue.
-//
-// A job moves queued → running → {done, failed, timeout, canceled}. The
-// queue is a fixed-capacity deque: submission never blocks — a full
-// queue rejects with 429 + Retry-After (backpressure), so heavy traffic
-// degrades by shedding load instead of by unbounded memory growth. Local
-// workers pop from the front (FIFO); idle peers steal from the back — the
-// jobs that would otherwise wait longest (see cluster.go).
+// Job lifecycle. A job moves queued → running → {done, failed, timeout,
+// canceled}. Queued jobs wait in the server's execution queue, a channel
+// of Config.QueueCap jobs: submission never blocks — a full queue rejects
+// with 429 + Retry-After (backpressure), so heavy traffic degrades by
+// shedding load instead of by unbounded memory growth — and workers take
+// jobs in FIFO order.
 package server
 
 import (
@@ -64,9 +62,8 @@ type job struct {
 	state     string
 	err       string
 	cacheHit  bool
-	storeHit  bool   // cache hit served from the durable disk store
-	remote    string // peer URL executing this stolen job ("" = local)
-	coalesced int    // extra submissions that attached to this execution
+	storeHit  bool // cache hit served from the durable disk store
+	coalesced int  // extra submissions that attached to this execution
 	trace     *TraceStatus
 	result    []byte
 	events    []Event // replay buffer for late SSE subscribers
@@ -174,13 +171,6 @@ func (j *job) terminalEvent() (Event, bool) {
 	return Event{Type: "state", JobID: j.id, State: j.state, Error: j.err, CacheHit: j.cacheHit, StoreHit: j.storeHit}, true
 }
 
-// resultBytes returns the terminal report bytes, or nil.
-func (j *job) resultBytes() []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
-
 func isTerminal(state string) bool {
 	switch state {
 	case StateDone, StateFailed, StateTimeout, StateCanceled:
@@ -198,10 +188,7 @@ type JobStatus struct {
 	State    string `json:"state"`
 	CacheHit bool   `json:"cache_hit"`
 	// StoreHit marks a cache hit served from the durable disk store.
-	StoreHit bool `json:"store_hit,omitempty"`
-	// StolenBy names the peer replica executing this job, when it was
-	// claimed through /v1/steal.
-	StolenBy  string `json:"stolen_by,omitempty"`
+	StoreHit  bool   `json:"store_hit,omitempty"`
 	Coalesced int    `json:"coalesced,omitempty"`
 	Error     string `json:"error,omitempty"`
 	Created   string `json:"created"`
@@ -243,107 +230,12 @@ func (j *job) setTrace(s trace.Stats) {
 	}
 }
 
-// jobQueue is the bounded execution deque. tryPush appends to the back
-// and never blocks (callers translate a full queue into 429). Workers pop
-// from the front, blocking while the queue is empty; steal takes from the
-// back — the jobs that would otherwise wait longest locally. requeue
-// prepends, used when a steal lease expires so the job does not lose its
-// place. After close, pop drains the remaining items and then reports
-// false, matching the close-then-drain semantics of a closed channel.
-type jobQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []*job
-	cap    int
-	closed bool
-}
-
-func newJobQueue(capacity int) *jobQueue {
-	q := &jobQueue{cap: capacity}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// tryPush appends j, reporting false when the queue is full or closed.
-func (q *jobQueue) tryPush(j *job) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || len(q.items) >= q.cap {
-		return false
-	}
-	q.items = append(q.items, j)
-	q.cond.Signal()
-	return true
-}
-
-// requeue prepends j, exceeding cap if it must: a job re-owned after a
-// lost steal lease was already admitted once and must not be dropped.
-func (q *jobQueue) requeue(j *job) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.items = append([]*job{j}, q.items...)
-	q.cond.Signal()
-	return true
-}
-
-// pop blocks until a job is available or the queue is closed and drained.
-func (q *jobQueue) pop() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 {
-		if q.closed {
-			return nil, false
-		}
-		q.cond.Wait()
-	}
-	j := q.items[0]
-	q.items = q.items[1:]
-	return j, true
-}
-
-// steal removes up to max jobs from the back of the queue. Jobs with a
-// deadline stay local: shipping them to a peer risks expiring in transit.
-func (q *jobQueue) steal(max int) []*job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || max <= 0 {
-		return nil
-	}
-	var out []*job
-	for i := len(q.items) - 1; i >= 0 && len(out) < max; i-- {
-		if !q.items[i].deadline.IsZero() {
-			continue
-		}
-		out = append(out, q.items[i])
-		q.items = append(q.items[:i], q.items[i+1:]...)
-	}
-	return out
-}
-
-func (q *jobQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-// close stops admission; workers drain what remains, then pop reports false.
-func (q *jobQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.id, Key: j.key, Kind: j.spec.Kind,
-		State: j.state, CacheHit: j.cacheHit, StoreHit: j.storeHit,
-		StolenBy: j.remote, Coalesced: j.coalesced,
+		State: j.state, CacheHit: j.cacheHit, StoreHit: j.storeHit, Coalesced: j.coalesced,
 		Error:     j.err,
 		Created:   j.created.UTC().Format(time.RFC3339Nano),
 		EventsURL: "/v1/jobs/" + j.id + "/events",

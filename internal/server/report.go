@@ -103,12 +103,14 @@ const maxDifftestFailures = 5
 // runner executes normalized specs. One runner is shared by all job
 // workers: the energy model is read-only during runs and the shared
 // harness.ArtifactCache deduplicates prepare-stage work (profiles,
-// compiles, classic baselines) across jobs — the artifact layer under the
-// report cache, so even a report-cache miss reuses compatible artifacts.
+// compiles, classic baselines, sealed images) across jobs — the artifact
+// layer under the report cache, so even a report-cache miss reuses
+// compatible artifacts. A suite, break-even or checkpoint job looks each
+// of its workloads up there exactly once, so the cache's counters read
+// one hit or miss per (job, workload).
 type runner struct {
 	model      *energy.Model
 	artifacts  *harness.ArtifactCache
-	prepared   *preparedImages
 	simWorkers int
 	// hook, when non-nil, observes every actual execution (not cache hits,
 	// not coalesced duplicates). Tests use it to count executions.
@@ -119,7 +121,6 @@ func newRunner(simWorkers int) *runner {
 	return &runner{
 		model:      energy.Default(),
 		artifacts:  harness.NewArtifactCache(),
-		prepared:   newPreparedImages(),
 		simWorkers: simWorkers,
 	}
 }
@@ -136,16 +137,29 @@ func (r *runner) run(ctx context.Context, spec JobSpec, emit func(Event), obs *t
 	rep := Report{Spec: spec}
 	rep.Spec.TimeoutMS = 0
 
+	ws := make([]*workloads.Workload, len(spec.Workloads))
+	for i, name := range spec.Workloads {
+		w, err := workloads.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		ws[i] = w
+	}
+	cfg := r.config(spec)
+	cfg.Progress = func(p harness.Progress) {
+		emit(Event{Type: "progress", Workload: p.Workload, Stage: p.Stage, Done: p.Done, Total: p.Total})
+	}
+
 	var err error
 	switch spec.Kind {
 	case KindSuite:
-		rep.Suite, err = r.runSuite(ctx, spec, emit, obs)
+		rep.Suite, err = runSuite(ctx, cfg, spec, ws, obs)
 	case KindBreakEven:
-		rep.BreakEven, err = r.runBreakEven(ctx, spec, emit)
+		rep.BreakEven, err = runBreakEven(ctx, cfg, spec, ws)
 	case KindDifftest:
 		rep.Difftest, err = r.runDifftest(ctx, spec, emit)
 	case KindCheckpoint:
-		rep.Checkpoint, err = r.runCheckpoint(ctx, spec, emit)
+		rep.Checkpoint, err = runCheckpoint(ctx, cfg, spec, ws)
 	default:
 		err = fmt.Errorf("server: unknown kind %q", spec.Kind)
 	}
@@ -169,26 +183,11 @@ func (r *runner) config(spec JobSpec) harness.Config {
 	return cfg
 }
 
-func (r *runner) runSuite(ctx context.Context, spec JobSpec, emit func(Event), obs *trace.Agg) ([]WorkloadReport, error) {
-	ws := make([]*workloads.Workload, len(spec.Workloads))
-	for i, name := range spec.Workloads {
-		w, err := workloads.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = w
-	}
-	cfg := r.config(spec)
-	if err := r.prewarm(cfg, spec.Workloads); err != nil {
-		return nil, err
-	}
+func runSuite(ctx context.Context, cfg harness.Config, spec JobSpec, ws []*workloads.Workload, obs *trace.Agg) ([]WorkloadReport, error) {
 	// Execute only the requested policies: a subset spec pays for exactly
 	// the simulations it asked for, and SSE Total counts only those stages.
 	cfg.Policies = spec.Policies
 	cfg.TraceObs = obs
-	cfg.Progress = func(p harness.Progress) {
-		emit(Event{Type: "progress", Workload: p.Workload, Stage: p.Stage, Done: p.Done, Total: p.Total})
-	}
 	results, err := harness.RunSuiteContext(ctx, cfg, ws)
 	if err != nil {
 		return nil, err
@@ -229,63 +228,40 @@ func (r *runner) runSuite(ctx context.Context, spec JobSpec, emit func(Event), o
 	return out, nil
 }
 
-func (r *runner) runBreakEven(ctx context.Context, spec JobSpec, emit func(Event)) ([]BreakEvenRow, error) {
-	out := make([]BreakEvenRow, 0, len(spec.Workloads))
-	cfg := r.config(spec)
-	if err := r.prewarm(cfg, spec.Workloads); err != nil {
+func runBreakEven(ctx context.Context, cfg harness.Config, spec JobSpec, ws []*workloads.Workload) ([]BreakEvenRow, error) {
+	factors, err := harness.BreakEvenSuiteContext(ctx, cfg, ws, spec.MaxR)
+	if err != nil {
 		return nil, err
 	}
-	for i, name := range spec.Workloads {
-		w, err := workloads.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		factor, err := harness.BreakEvenContext(ctx, cfg, w, spec.MaxR)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, BreakEvenRow{Name: name, Factor: factor, AtBound: factor >= spec.MaxR})
-		emit(Event{Type: "progress", Workload: name, Stage: "breakeven", Done: i + 1, Total: len(spec.Workloads)})
+	out := make([]BreakEvenRow, len(factors))
+	for i, factor := range factors {
+		out[i] = BreakEvenRow{Name: spec.Workloads[i], Factor: factor, AtBound: factor >= spec.MaxR}
 	}
 	return out, nil
 }
 
-func (r *runner) runCheckpoint(ctx context.Context, spec JobSpec, emit func(Event)) ([]CheckpointRow, error) {
-	cfg := r.config(spec)
-	if err := r.prewarm(cfg, spec.Workloads); err != nil {
+func runCheckpoint(ctx context.Context, cfg harness.Config, spec JobSpec, ws []*workloads.Workload) ([]CheckpointRow, error) {
+	rows, err := harness.RunCheckpointSuite(ctx, cfg, ws, spec.CkptInterval)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]CheckpointRow, 0, 2*len(spec.Workloads))
-	for i, name := range spec.Workloads {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("server: checkpoint cancelled: %w", err)
+	out := make([]CheckpointRow, len(rows))
+	for i, cr := range rows {
+		out[i] = CheckpointRow{
+			Name:              cr.Workload,
+			Policy:            cr.Policy.String(),
+			Interval:          cr.Interval,
+			Checkpoints:       cr.Checkpoints,
+			AvgPayloadWords:   cr.AvgPayloadWords,
+			FootprintWords:    cr.FootprintWords,
+			SavingsPct:        cr.SavingsPct,
+			CkptEnergyNJ:      cr.CkptEnergyNJ,
+			RestartWords:      cr.RestartWords,
+			RestartRecomputed: cr.RestartRecomputed,
+			RestartEnergyNJ:   cr.RestartEnergyNJ,
+			RestartTimeNS:     cr.RestartTimeNS,
+			Verified:          cr.Verified,
 		}
-		w, err := workloads.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := harness.RunCheckpoint(cfg, w, spec.CkptInterval)
-		if err != nil {
-			return nil, err
-		}
-		for _, cr := range rows {
-			out = append(out, CheckpointRow{
-				Name:              cr.Workload,
-				Policy:            cr.Policy.String(),
-				Interval:          cr.Interval,
-				Checkpoints:       cr.Checkpoints,
-				AvgPayloadWords:   cr.AvgPayloadWords,
-				FootprintWords:    cr.FootprintWords,
-				SavingsPct:        cr.SavingsPct,
-				CkptEnergyNJ:      cr.CkptEnergyNJ,
-				RestartWords:      cr.RestartWords,
-				RestartRecomputed: cr.RestartRecomputed,
-				RestartEnergyNJ:   cr.RestartEnergyNJ,
-				RestartTimeNS:     cr.RestartTimeNS,
-				Verified:          cr.Verified,
-			})
-		}
-		emit(Event{Type: "progress", Workload: name, Stage: "checkpoint", Done: i + 1, Total: len(spec.Workloads)})
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/amnesiac-sim/amnesiac/internal/harness"
 )
 
 // TestRestartServesFromStore is the durability acceptance scenario: a
@@ -84,6 +87,139 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 }
 
+// TestReportOnlyFromOwnRun: a job's report is the bytes its own execution
+// produced. A completion posted for a queued job's ID to the retired
+// work-stealing route — which once settled any job with whatever report
+// the body carried — changes neither the job nor the durable store.
+func TestReportOnlyFromOwnRun(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{JobWorkers: 1, SimWorkers: 1, StoreDir: dir}
+	specJSON := `{"kind":"suite","workloads":["is"],"scale":0.05,"policies":["Compiler"]}`
+	var spec JobSpec
+	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
+		t.Fatal(err)
+	}
+	want, err := newRunner(1).run(context.Background(), mustNormalize(t, spec), func(Event) {}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h := newE2E(t, cfg)
+	block := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(block) }) }
+	defer release()
+	h.srv.runner.hook = func(JobSpec) { <-block }
+
+	// Wedge the only worker, so the suite job stays queued.
+	if _, code := h.post(t, `{"kind":"difftest","seeds":1,"scale":0.05}`); code != http.StatusAccepted {
+		t.Fatalf("wedge submission: HTTP %d, want 202", code)
+	}
+	for deadline := time.Now().Add(5 * time.Second); h.srv.met.running.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("wedge job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	st, code := h.post(t, specJSON)
+	if code != http.StatusAccepted || st.State != StateQueued {
+		t.Fatalf("suite submission = %+v (HTTP %d), want queued", st, code)
+	}
+
+	forged := fmt.Sprintf(`{"id":%q,"state":"done","report":{"forged":true}}`, st.ID)
+	resp, err := http.Post(h.ts.URL+"/v1/steal/complete", "application/json", strings.NewReader(forged))
+	if err != nil {
+		t.Fatalf("POST completion: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode < 400 {
+		t.Fatalf("forged completion accepted: HTTP %d", resp.StatusCode)
+	}
+	var after JobStatus
+	h.getJSON(t, "/v1/jobs/"+st.ID, &after)
+	if after.State != StateQueued {
+		t.Fatalf("forged completion moved the job to %s", after.State)
+	}
+
+	release()
+	if done := h.waitTerminal(t, st.ID); done.State != StateDone {
+		t.Fatalf("suite job = %+v, want done", done)
+	}
+	if got := h.reportBytes(t, st.Key); !bytes.Equal(got, want) {
+		t.Fatalf("served report is not the job's own run:\n%s", got)
+	}
+	h.srv.Close()
+	h.ts.Close()
+
+	// The durable store holds the same bytes.
+	h2 := newE2E(t, cfg)
+	st2, code2 := h2.post(t, specJSON)
+	if code2 != http.StatusOK || !st2.StoreHit {
+		t.Fatalf("post-restart submission = %+v (HTTP %d), want a store hit", st2, code2)
+	}
+	if got := h2.reportBytes(t, st2.Key); !bytes.Equal(got, want) {
+		t.Fatalf("restarted daemon served a report that is not the job's own run:\n%s", got)
+	}
+}
+
+// TestRestartRewarmsPreparedImages: a daemon restarted over the same store
+// re-warms the prepared images its predecessor built before any job
+// arrives, so a later job over the same workload counts a hit, not a miss.
+func TestRestartRewarmsPreparedImages(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{JobWorkers: 1, SimWorkers: 1, StoreDir: dir}
+
+	h1 := newE2E(t, cfg)
+	st, code := h1.post(t, `{"kind":"suite","workloads":["is"],"scale":0.05,"policies":["Compiler"]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("suite submission: HTTP %d, want 202", code)
+	}
+	if done := h1.waitTerminal(t, st.ID); done.State != StateDone {
+		t.Fatalf("suite job = %+v, want done", done)
+	}
+	h1.srv.Close()
+	h1.ts.Close()
+
+	h2 := newE2E(t, cfg)
+	artifacts := h2.srv.runner.artifacts
+	for deadline := time.Now().Add(60 * time.Second); artifacts.Stats().Resident == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("restarted daemon never re-warmed its prepared image")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if ps := artifacts.Stats(); ps != (harness.CacheStats{Misses: 1, Resident: 1}) {
+		t.Fatalf("after re-warm: %+v, want 1 miss and 1 resident image", ps)
+	}
+
+	st, code = h2.post(t, `{"kind":"checkpoint","workloads":["is"],"scale":0.05}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("checkpoint submission: HTTP %d, want 202", code)
+	}
+	if done := h2.waitTerminal(t, st.ID); done.State != StateDone {
+		t.Fatalf("checkpoint job = %+v, want done", done)
+	}
+	if ps := artifacts.Stats(); ps != (harness.CacheStats{Hits: 1, Misses: 1, Resident: 1}) {
+		t.Fatalf("after checkpoint job: %+v, want 1 hit, 1 miss, 1 resident image", ps)
+	}
+	resp, err := http.Get(h2.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{
+		"amnesiacd_prepared_images 1\n",
+		"amnesiacd_prepared_image_hits_total 1\n",
+		"amnesiacd_prepared_image_misses_total 1\n",
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 // replicaSet boots n servers whose advertised URLs are real httptest
 // listeners, wired as each other's peers. The handler indirection breaks
 // the chicken-and-egg between knowing the listen URL and building the
@@ -122,7 +258,6 @@ func newReplicaSet(t *testing.T, n int, tweak func(i int, cfg *Config)) *replica
 		cfg := Config{
 			JobWorkers: 1, SimWorkers: 1, QueueCap: 16,
 			Self: rs.urls[i], Peers: peers,
-			StealInterval: 24 * time.Hour, // stealing off unless a test turns it on
 		}
 		if tweak != nil {
 			tweak(i, &cfg)
@@ -253,69 +388,6 @@ func TestClusterOwnerDownFallsBackLocally(t *testing.T) {
 	}
 }
 
-// TestClusterStealing: a replica whose only worker is wedged has its
-// queued job stolen and completed by an idle peer; the victim's job
-// reaches done with the stolen report cached locally.
-func TestClusterStealing(t *testing.T) {
-	rs := newReplicaSet(t, 2, func(i int, cfg *Config) {
-		if i == 1 {
-			cfg.StealInterval = 30 * time.Millisecond
-		}
-	})
-	victim, thief := rs.srvs[0], rs.srvs[1]
-
-	// Wedge the victim's single worker on a job the thief must not touch.
-	block := make(chan struct{})
-	var once sync.Once
-	release := func() { once.Do(func() { close(block) }) }
-	defer release()
-	victim.runner.hook = func(JobSpec) { <-block }
-	thief.runner.hook = func(JobSpec) { rs.execs[1].Add(1) }
-
-	wedge := mustNormalize(t, JobSpec{Kind: KindDifftest, Seeds: 1, Scale: 0.05})
-	if _, err := victim.submit(wedge); err != nil {
-		t.Fatalf("submit wedge: %v", err)
-	}
-	// Wait until the worker is inside the wedged job.
-	for deadline := time.Now().Add(5 * time.Second); victim.met.running.Load() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("wedge job never started")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// This one sits in the victim's queue until the thief takes it.
-	queued := mustNormalize(t, JobSpec{Kind: KindDifftest, Seeds: 3, Scale: 0.05})
-	res, err := victim.submit(queued)
-	if err != nil {
-		t.Fatalf("submit queued: %v", err)
-	}
-	select {
-	case <-res.job.done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("queued job was never stolen and completed")
-	}
-	st := res.job.status()
-	if st.State != StateDone {
-		t.Fatalf("stolen job state = %s (%s), want done", st.State, st.Error)
-	}
-	if st.StolenBy != rs.urls[1] {
-		t.Fatalf("StolenBy = %q, want the thief %s", st.StolenBy, rs.urls[1])
-	}
-	if rs.execs[1].Load() == 0 {
-		t.Fatal("thief reported no executions")
-	}
-	// The victim can serve the stolen report from its own cache.
-	if _, ok := victim.cache.peek(queued.Key()); !ok {
-		t.Fatal("stolen report not cached on the victim")
-	}
-	if victim.met.stealHanded.Load() == 0 || thief.met.stolen.Load() == 0 {
-		t.Fatalf("steal counters: handed=%d stolen=%d, want both > 0",
-			victim.met.stealHanded.Load(), thief.met.stolen.Load())
-	}
-	release()
-}
-
 // TestBatchSubmission: one batch request admits several specs, reports
 // per-spec outcomes in order, and the jobs complete. Resubmitting the
 // batch answers every entry from cache.
@@ -380,39 +452,5 @@ func TestBatchSubmission(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad batch %q: HTTP %d, want 400", bad, resp.StatusCode)
 		}
-	}
-}
-
-// TestQueueStealSkipsDeadlines: jobs with deadlines stay local — shipping
-// them to a peer risks expiry in transit.
-func TestQueueStealSkipsDeadlines(t *testing.T) {
-	q := newJobQueue(8)
-	mk := func(i int, timeoutMS int64) *job {
-		spec := JobSpec{Kind: KindDifftest, Seeds: i + 1, TimeoutMS: timeoutMS}
-		return newJob(fmt.Sprintf("j%08d", i), spec.Key(), spec, time.Now())
-	}
-	plain := mk(0, 0)
-	dead := mk(1, 60_000)
-	plain2 := mk(2, 0)
-	for _, j := range []*job{plain, dead, plain2} {
-		if !q.tryPush(j) {
-			t.Fatal("push failed")
-		}
-	}
-	got := q.steal(10)
-	if len(got) != 2 {
-		t.Fatalf("stole %d jobs, want 2 (deadline job must stay)", len(got))
-	}
-	for _, j := range got {
-		if !j.deadline.IsZero() {
-			t.Fatal("a deadline job was stolen")
-		}
-	}
-	// Steal takes from the back first.
-	if got[0] != plain2 {
-		t.Fatal("steal did not start from the back of the queue")
-	}
-	if q.len() != 1 {
-		t.Fatalf("queue length = %d, want the deadline job alone", q.len())
 	}
 }

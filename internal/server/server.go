@@ -5,8 +5,8 @@
 // cache with a memory LRU tier over an optional durable disk store, so
 // computed reports survive restarts. Identical in-flight submissions
 // coalesce onto one execution. With -peers configured, replicas route jobs
-// to the key's ring owner, steal queued work when idle, and fall back to
-// local execution when a peer is down (see cluster.go).
+// to the key's ring owner and fall back to local execution when the owner
+// is down (see cluster.go).
 //
 // API:
 //
@@ -14,14 +14,12 @@
 //	                             429 + Retry-After under backpressure;
 //	                             ?wait=1 blocks until terminal and cancels
 //	                             a sole submission on client disconnect)
-//	POST   /v1/jobs/batch        submit many specs with one shared prepare
+//	POST   /v1/jobs/batch        submit many specs in one request
 //	GET    /v1/jobs              list recent jobs
 //	GET    /v1/jobs/{id}         job status
 //	DELETE /v1/jobs/{id}         cancel (queued or running)
 //	GET    /v1/jobs/{id}/events  SSE progress stream (replays, then live)
 //	GET    /v1/reports/{key}     report bytes by content address
-//	POST   /v1/steal             hand queued jobs to an idle peer replica
-//	POST   /v1/steal/complete    peer posts a stolen job's result back
 //	GET    /healthz              liveness + build identity
 //	GET    /metrics              Prometheus text format
 package server
@@ -64,12 +62,6 @@ type Config struct {
 	Self string
 	// Peers are the other replicas' base URLs. Empty = single node.
 	Peers []string
-	// StealInterval is how often an idle replica sweeps its peers for
-	// queued work (default 2s).
-	StealInterval time.Duration
-	// StealLease bounds how long a stolen job may stay out before the
-	// owner requeues it locally (default 60s).
-	StealLease time.Duration
 	// Log receives operational messages; nil discards them.
 	Log *log.Logger
 }
@@ -86,12 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StoreMaxBytes == 0 {
 		c.StoreMaxBytes = 256 << 20
-	}
-	if c.StealInterval == 0 {
-		c.StealInterval = 2 * time.Second
-	}
-	if c.StealLease == 0 {
-		c.StealLease = 60 * time.Second
 	}
 	if c.Log == nil {
 		c.Log = log.New(io.Discard, "", 0)
@@ -120,8 +106,12 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	queue    *jobQueue
+	// queue holds admitted jobs in FIFO order. Its capacity,
+	// Config.QueueCap, is the backpressure bound: sends happen under mu
+	// and never block (a full queue is a 429), and Drain closes it under mu.
+	queue    chan *job
 	workerWG sync.WaitGroup
+	rewarmWG sync.WaitGroup // the background re-warm after a restart
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -129,6 +119,9 @@ type Server struct {
 	inflight map[string]*job // key → queued-or-running job, for coalescing
 	nextID   uint64
 	draining atomic.Bool
+
+	prepMu    sync.Mutex // serializes prepared-manifest writes
+	persisted int        // resident images in the last manifest written
 
 	started time.Time
 }
@@ -159,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 		cluster:    cl,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		queue:      newJobQueue(cfg.QueueCap),
+		queue:      make(chan *job, cfg.QueueCap),
 		jobs:       make(map[string]*job),
 		inflight:   make(map[string]*job),
 		started:    time.Now(),
@@ -170,9 +163,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if st != nil {
 		s.restorePrepared()
-	}
-	if cl.Enabled() {
-		go s.stealLoop()
 	}
 	return s, nil
 }
@@ -187,8 +177,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/reports/{key}", s.handleReport)
-	mux.HandleFunc("POST /v1/steal", s.handleSteal)
-	mux.HandleFunc("POST /v1/steal/complete", s.handleStealComplete)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -202,7 +190,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := !s.draining.CompareAndSwap(false, true)
 	if !already {
-		s.queue.close() // submit checks draining under s.mu, so no racing push
+		close(s.queue) // submit checks draining under s.mu, so no racing send
 	}
 	s.mu.Unlock()
 	if already {
@@ -222,6 +210,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-done
 	}
 	s.baseCancel()
+	s.rewarmWG.Wait()
 	cs := s.cache.stats()
 	s.log.Printf("amnesiacd: drained; result cache hits=%d misses=%d evictions=%d entries=%d",
 		cs.Hits, cs.Misses, cs.Evictions, cs.Entries)
@@ -285,7 +274,9 @@ func (s *Server) submit(spec JobSpec) (submitResult, error) {
 
 	// Recompute: enqueue, with backpressure.
 	j := newJob(s.newIDLocked(), key, spec, now)
-	if !s.queue.tryPush(j) {
+	select {
+	case s.queue <- j:
+	default:
 		s.met.rejected.Add(1)
 		return submitResult{}, errQueueFull
 	}
@@ -336,11 +327,7 @@ func (s *Server) indexLocked(j *job) {
 
 func (s *Server) worker() {
 	defer s.workerWG.Done()
-	for {
-		j, ok := s.queue.pop()
-		if !ok {
-			return
-		}
+	for j := range s.queue {
 		s.runJob(j)
 	}
 }
@@ -620,13 +607,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"build":        buildinfo.String(),
 		"uptime_s":     int64(time.Since(s.started).Seconds()),
 		"jobs_running": s.met.running.Load(),
-		"queue_depth":  s.queue.len(),
+		"queue_depth":  len(s.queue),
 		"peers":        len(s.cluster.Peers()),
 	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.write(w, s.cache.stats(), s.runner.prepared.stats(), s.cache.storeStats(),
-		s.cluster.Stats(), s.queue.len(), s.cfg.QueueCap, s.draining.Load())
+	s.met.write(w, s.cache.stats(), s.runner.artifacts.Stats(), s.cache.storeStats(),
+		s.cluster.Stats(), len(s.queue), s.cfg.QueueCap, s.draining.Load())
 }

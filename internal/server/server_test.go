@@ -171,7 +171,7 @@ func TestCancelQueued(t *testing.T) {
 	release()
 	// The worker must skip the canceled job without executing it.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.met.running.Load() != 0 || srv.queue.len() != 0 {
+	for srv.met.running.Load() != 0 || len(srv.queue) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("queue did not drain after cancel")
 		}
