@@ -3,8 +3,9 @@
 // experiment in the repro pays for:
 //
 //   - classic:  the classic core (cpu.Core.Run);
-//   - profiled: the fused profiling interpreter (profile.Collect, the
-//     prepare stage of every harness run);
+//   - profiled: the fused profiling interpreter with its hot-loop replay
+//     (profile.Collect, the prepare stage of every harness run; -notrace
+//     does not reach it);
 //   - amnesic:  the amnesic machine under the Compiler policy.
 //
 // Results are written as JSON (default BENCH_interp.json), establishing a

@@ -12,7 +12,9 @@
 // the candidate slices and their validator, which observes one classic run
 // through an exec.Watch — the harness's own classic baseline, so prepare
 // runs the program twice (profile, baseline) rather than once per mode.
-// Emit then produces the binary of each mode from the same verdicts.
+// The watched run replays its hot loops like any traced classic run; the
+// watch only adds an observer call at each watched PC. Emit then produces
+// the binary of each mode from the same verdicts.
 package compiler
 
 import (

@@ -14,7 +14,8 @@
 // and energy accounting — and can be tuned or disabled through the Trace
 // field. Per-instruction observation is the reference stepper's job
 // (internal/ref); a run observes stores through StoreHook and a sparse PC
-// set through Watch.
+// set through Watch, and a watched run replays its loops as an unwatched
+// one does.
 package cpu
 
 import (

@@ -16,12 +16,14 @@
 // fused, and replayed as dense loop bodies with one guard per recorded
 // conditional branch. Replay is bit-identical to interpretation: it counts
 // the same events, and every memory access still probes the cache
-// hierarchy so its state evolves unchanged.
+// hierarchy so its state evolves unchanged. A Watch does not stop a loop
+// from replaying: its PCs record as observer ops.
 //
 // The profiler's fused interpreter (internal/profile) and the flat reference
 // stepper (internal/ref) deliberately do NOT consume this core: the
 // profiler interleaves shadow dependence tracking that has no energy model
-// and would only slow this loop down, and the reference must stay an
+// and would only slow this loop down (it compiles its hot loops with
+// trace.Build and replays them itself), and the reference must stay an
 // independent implementation for the differential oracle to be able to
 // catch bugs here (an oracle that shares its subject's dispatch loop can
 // only agree with it). See DESIGN.md.
@@ -131,31 +133,35 @@ type Env struct {
 // never executes (budget exhaustion, StopAt, CrashAt, an earlier fault)
 // are not observed.
 //
-// A watched run dispatches over a private copy of the decoded kinds in
-// which every watched PC carries kindWatch: the dispatch switch reaches one
-// cold case there, calls Observe, and re-dispatches on the instruction's
-// real kind. kindWatch is unrecordable, so loops through a watched PC
-// interpret while every other loop still records and replays; the run's
-// architectural state and energy account are bit-identical to an
-// unwatched run's, since replay and interpretation are.
+// Watched PCs are recordable: a trace through one carries an observer op
+// (trace.CWatch) just before the watched instruction, and replay calls
+// Observe there with the live state, so watched loops replay like any
+// other. The interpreted part of the run dispatches over a private copy of
+// the decoded kinds in which every watched PC carries kindWatch: the
+// dispatch switch reaches one cold case there, calls Observe, and
+// re-dispatches on the instruction's real kind. The run's architectural
+// state and energy account are bit-identical to an unwatched run's, since
+// replay and interpretation are.
 type Watch struct {
 	PCs     []int
 	Observe func(pc int, regs *[isa.NumRegs]uint64, m *mem.Memory)
 }
 
-// kindWatch marks a watched PC in a watched run's private kinds copy. It
-// lies past every decoded kind, so trace recording treats it as
-// unrecordable.
+// kindWatch marks a watched PC in a watched run's private kinds copy, for
+// the interpreter only; the recorder looks through it to the real kind.
 const kindWatch = isa.KindBad + 1
 
-// watchKinds returns kinds with every watched PC replaced by kindWatch.
-func watchKinds(kinds []isa.Kind, pcs []int) []isa.Kind {
+// watchKinds returns kinds with every watched PC replaced by kindWatch,
+// and the per-PC watch marks trace.Build takes.
+func watchKinds(kinds []isa.Kind, pcs []int) ([]isa.Kind, []bool) {
 	wk := make([]isa.Kind, len(kinds))
 	copy(wk, kinds)
+	marks := make([]bool, len(kinds))
 	for _, pc := range pcs {
 		wk[pc] = kindWatch
+		marks[pc] = true
 	}
-	return wk
+	return wk, marks
 }
 
 // prefix returns the error-text prefix for this environment.
@@ -192,8 +198,9 @@ func Run(env *Env, p *isa.Program) error {
 	}
 	env.Stopped = false
 	kinds, ops, cats := d.Kind[:n], d.Op[:n], d.Cat[:n]
+	var watched []bool
 	if env.Watch != nil && len(env.Watch.PCs) > 0 {
-		kinds = watchKinds(kinds, env.Watch.PCs)
+		kinds, watched = watchKinds(kinds, env.Watch.PCs)
 	}
 	dsts, src1s, src2s, imms, targets := d.Dst[:n], d.Src1[:n], d.Src2[:n], d.Imm[:n], d.Target[:n]
 	hier, l1, memory := env.Hier, env.Hier.L1, env.Mem
@@ -254,6 +261,7 @@ func Run(env *Env, p *isa.Program) error {
 		code: code, pfx: env.prefix(), max: lim,
 		eng: eng, recHead: -1,
 		aux: env.Aux, acct: acct, sigger: sigger,
+		watch: env.Watch, watched: watched,
 	}
 	if eng != nil {
 		rsh.counts, rsh.traces = eng.Counts, eng.Traces
@@ -338,7 +346,7 @@ loop:
 			// over-long paths (e.g. a nested loop spinning inside the
 			// recording) blacklist the head instead.
 			if pc == rsh.recHead && len(rsh.recPath) > 0 {
-				nt := trace.Build(d, rsh.recPath, env.ElimNOP, rsh.sigger)
+				nt := trace.Build(d, rsh.recPath, env.ElimNOP, rsh.watched, rsh.sigger)
 				rsh.traces[pc] = nt
 				eng.RegisterAuxSites(nt)
 				eng.Built++
@@ -349,7 +357,7 @@ loop:
 				slow = slowReplay
 				continue loop
 			}
-			if k := kinds[pc]; !(trace.Recordable(k) || (rsh.sigger != nil && trace.RecordableAux(k))) ||
+			if k := d.Kind[pc]; !(trace.Recordable(k) || (rsh.sigger != nil && trace.RecordableAux(k))) ||
 				len(rsh.recPath) >= rsh.maxOps {
 				eng.Blacklist(rsh.recHead)
 				rsh.recHead = -1

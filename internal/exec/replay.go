@@ -48,6 +48,11 @@ type replayShared struct {
 	acct   *energy.Account
 	sigger trace.AuxSigger
 
+	// Watch state (watched runs): the watch CWatch ops call, and the
+	// per-PC marks the recorder hands trace.Build. Cold-path only.
+	watch   *Watch
+	watched []bool
+
 	// Mutable engine state the interpreter loop deliberately keeps OUT of
 	// its locals (each extra value live across the dispatch switch costs
 	// spills in the hot cases — see Run): curTr is the trace pending replay
@@ -508,6 +513,10 @@ chain:
 				if storeHook != nil {
 					storeHook(addr, val)
 				}
+			case trace.CWatch:
+				// Cold path: observe the state the next op is about to
+				// read, as the interpreter's kindWatch case does.
+				sh.watch.Observe(int(op.PC), regs, memory)
 			case trace.CRec, trace.CRcmp:
 				// Cold path: the live amnesic handler executes the op exactly
 				// as the interpreter would — slice traversal, policy decision,

@@ -7,6 +7,7 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
+	"github.com/amnesiac-sim/amnesiac/internal/trace"
 )
 
 // The fused collector is a dedicated profiling interpreter: instead of
@@ -30,6 +31,12 @@ import (
 // spill to a map, exactly as the data itself does; when a later store
 // anchors or grows a flat window over spilled words, their shadow records
 // migrate into the dense form.
+//
+// Hot loops replay (hot.go): a loop head crossing the trace engine's
+// default threshold is recorded for one iteration and replayed with one
+// guard per conditional branch. Replay does the per-access load and store
+// work through the same helpers as the interpreter (load, store) and adds
+// the iteration's register edges and instruction counts once per replay.
 
 // Shadow slot sentinels. Store-PC slots use slotEmpty for "never stored";
 // touch slots use slotEmpty for "no touch recorded" and slotSpilled (in t0)
@@ -55,13 +62,33 @@ type spillEnt struct {
 	touch  []int32
 }
 
-// fusedCollector holds the slow-path state of one Collect run.
+// fusedCollector holds the state of one Collect run that the interpreter
+// and hot-loop replay share: the profile being built, the machine, the
+// data and shadow micro-TLBs, and the slow-path shadow state.
 type fusedCollector struct {
-	mem        *mem.Memory
+	prof *Profile
+	code []isa.Instr // error texts
+	hier *mem.Hierarchy
+	l1   *mem.Cache
+	mem  *mem.Memory
+
+	// Data micro-TLB (as in exec.Run): the primary arena plus the
+	// last-missed region, re-fetched after any store that misses both.
+	arenaBase, w2base uint64
+	arena, w2         []uint64
+	// Shadow micro-TLB: primary-arena shadow plus the last-resolved window.
+	sh1, sh2 *shadowWin
+
 	wins       []*shadowWin
 	spill      map[uint64]*spillEnt
 	touchSpill map[uint64][]int32 // word -> touch set, when >2 distinct PCs
 	roFalse    []bool             // per load PC: touched a written address
+	// consCache short-circuits the consumed-by set insert: per load PC, the
+	// last two store PCs already recorded (loads overwhelmingly re-consume
+	// the same static stores).
+	consCache [][2]int32
+
+	hot hotLoops
 }
 
 func newShadowWords(n int) []int32 {
@@ -250,6 +277,131 @@ func buildRecMasks(d *isa.Decoded) []uint8 {
 	return masks
 }
 
+// shadowAt resolves the shadow window and offset of addr's word through
+// the shadow micro-TLB, or (nil, 0) when addr lives in no flat region.
+func (c *fusedCollector) shadowAt(addr uint64) (*shadowWin, uint64) {
+	w := addr >> 3
+	if off := w - c.sh1.base; off < uint64(len(c.sh1.st)) {
+		return c.sh1, off
+	}
+	if off := w - c.sh2.base; off < uint64(len(c.sh2.st)) {
+		return c.sh2, off
+	}
+	sw, off := c.winSlow(addr)
+	if sw != nil {
+		c.sh2 = sw
+	}
+	return sw, off
+}
+
+// load executes the profiled load at pc from addr: the hierarchy access,
+// the data read, the LoadInfo update, and the shadow lookup that names
+// the loaded value's producer and store. The interpreter and hot-loop
+// replay both call it. The load's register edges are the caller's.
+func (c *fusedCollector) load(pc int, addr uint64) (uint64, error) {
+	if addr&7 != 0 {
+		return 0, fmt.Errorf("profile: cpu: pc %d (%s): load: %w", pc, c.code[pc], mem.CheckAligned(addr))
+	}
+	level := energy.L1
+	if !c.l1.ProbeHit(addr, false) {
+		level = c.hier.AccessMiss(addr, false).Level
+	}
+	w := addr >> 3
+	var v uint64
+	if off := w - c.arenaBase; off < uint64(len(c.arena)) {
+		v = c.arena[off]
+	} else if off := w - c.w2base; off < uint64(len(c.w2)) {
+		v = c.w2[off]
+	} else {
+		v = c.mem.Load(addr)
+		c.w2base, c.w2, _ = c.mem.WindowFor(addr)
+	}
+
+	prof := c.prof
+	li := prof.Loads[pc]
+	if li == nil {
+		li = &LoadInfo{PC: pc}
+		prof.Loads[pc] = li
+	}
+	li.Count++
+	li.ByLevel[level]++
+	if li.lastValueSet && li.lastValue == v {
+		li.SameValue++
+	}
+	li.lastValue, li.lastValueSet = v, true
+
+	// Dependence shadow: who stored the loaded value?
+	var stPC int32 = slotEmpty
+	var vp int32 = NoProducer
+	if sw, soff := c.shadowAt(addr); sw != nil {
+		stPC = sw.st[soff]
+		if stPC >= 0 {
+			vp = sw.vp[soff]
+		} else if !c.roFalse[pc] {
+			c.touchWin(sw, soff, w, int32(pc))
+		}
+	} else if ent := c.spill[w]; ent != nil && ent.st >= 0 {
+		stPC, vp = ent.st, ent.vp
+	} else if !c.roFalse[pc] {
+		c.touchSpillEnt(w, int32(pc))
+	}
+	li.ValueProducer.Add(vp)
+	if stPC >= 0 {
+		c.roFalse[pc] = true
+		cc := &c.consCache[pc]
+		if cc[0] != stPC && cc[1] != stPC {
+			set := prof.StoresConsumedBy[stPC]
+			if set == nil {
+				set = make(map[int]bool)
+				prof.StoresConsumedBy[stPC] = set
+			}
+			set[pc] = true
+			cc[1], cc[0] = cc[0], stPC
+		}
+	}
+	return v, nil
+}
+
+// store executes the profiled store at pc of val to addr, where vp
+// produced the value register: the hierarchy access, the data write, the
+// store count, and the shadow update (the word's store PC and value
+// producer, invalidating read-only touches). The interpreter and hot-loop
+// replay both call it. The store's register edges are the caller's.
+func (c *fusedCollector) store(pc int, addr, val uint64, vp int32) error {
+	if addr&7 != 0 {
+		return fmt.Errorf("profile: cpu: pc %d (%s): store: %w", pc, c.code[pc], mem.CheckAligned(addr))
+	}
+	if !c.l1.ProbeHit(addr, true) {
+		c.hier.AccessMiss(addr, true)
+	}
+	w := addr >> 3
+	if off := w - c.arenaBase; off < uint64(len(c.arena)) {
+		c.arena[off] = val
+	} else if off := w - c.w2base; off < uint64(len(c.w2)) {
+		c.w2[off] = val
+	} else {
+		c.mem.Store(addr, val)
+		c.arenaBase, c.arena = c.mem.ArenaView()
+		c.w2base, c.w2, _ = c.mem.WindowFor(addr)
+	}
+	c.prof.StoreCount[pc]++
+
+	if sw, soff := c.shadowAt(addr); sw != nil {
+		if sw.t0[soff] != slotEmpty {
+			c.invalidate(sw, soff, w)
+		}
+		sw.vp[soff], sw.st[soff] = vp, int32(pc)
+	} else {
+		ent := c.ensureSpill(w)
+		for _, p := range ent.touch {
+			c.roFalse[p] = true
+		}
+		ent.touch = ent.touch[:0]
+		ent.vp, ent.st = vp, int32(pc)
+	}
+	return nil
+}
+
 // Collect profiles program p over a fresh default hierarchy and a *clone* of
 // the provided initial memory (the caller's memory is left untouched), using
 // the fused profiling interpreter. Its Profile is bit-identical to
@@ -262,11 +414,18 @@ func Collect(model *energy.Model, p *isa.Program, initial *mem.Memory) (*Profile
 // CollectLimit is Collect with a dynamic-instruction budget (0 means
 // cpu.DefaultMaxInstrs): a run past it fails with cpu.ErrInstrBudget.
 func CollectLimit(model *energy.Model, p *isa.Program, initial *mem.Memory, maxInstrs uint64) (*Profile, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("profile: cpu: %w", err)
-	}
 	_ = model // the profiling run observes levels, not energy
+	prof, _, err := collect(p, initial, maxInstrs, trace.DefaultConfig().Threshold)
+	return prof, err
+}
 
+// collect is CollectLimit with the hot-loop threshold as a parameter (the
+// tests force replay with 1). It also returns the number of instructions
+// retired under replay.
+func collect(p *isa.Program, initial *mem.Memory, maxInstrs uint64, threshold uint32) (*Profile, uint64, error) {
+	if err := p.Validate(); err != nil {
+		return nil, 0, fmt.Errorf("profile: cpu: %w", err)
+	}
 	prof := newProfile(p)
 	d := p.Decoded()
 	n := d.Len()
@@ -275,52 +434,46 @@ func CollectLimit(model *energy.Model, p *isa.Program, initial *mem.Memory, maxI
 	recMask := buildRecMasks(d)
 
 	hier := mem.NewDefaultHierarchy()
-	l1 := hier.L1
 	memory := initial.Clone()
+	c := &fusedCollector{
+		prof: prof, code: p.Code,
+		hier: hier, l1: hier.L1, mem: memory,
+		sh1: &shadowWin{}, sh2: &shadowWin{},
+		spill:      make(map[uint64]*spillEnt),
+		touchSpill: make(map[uint64][]int32),
+		roFalse:    make([]bool, n),
+		consCache:  make([][2]int32, n),
+	}
+	for i := range c.consCache {
+		c.consCache[i] = [2]int32{slotEmpty, slotEmpty}
+	}
+	c.arenaBase, c.arena = memory.ArenaView()
+	if len(c.arena) > 0 {
+		c.sh1 = c.winFor(c.arenaBase, len(c.arena))
+	}
+	h := &c.hot
+	h.init(prof, d, recMask, threshold)
 
 	var regs [isa.NumRegs]uint64
 	// regProd tracks the static PC that last wrote each register
-	// (NoProducer = initial state).
+	// (NoProducer = initial state). Writes to R0 are discarded, so they
+	// leave it alone: regProd[R0] stays NoProducer.
 	var regProd [isa.NumRegs]int32
 	for i := range regProd {
 		regProd[i] = NoProducer
 	}
 
-	c := &fusedCollector{
-		mem:        memory,
-		spill:      make(map[uint64]*spillEnt),
-		touchSpill: make(map[uint64][]int32),
-		roFalse:    make([]bool, n),
-	}
-	roFalse := c.roFalse
-	// consCache short-circuits the consumed-by set insert: per load PC, the
-	// last two store PCs already recorded (loads overwhelmingly re-consume
-	// the same static stores).
-	consCache := make([][2]int32, n)
-	for i := range consCache {
-		consCache[i] = [2]int32{slotEmpty, slotEmpty}
-	}
-
-	// Data micro-TLB (as in exec.Run): the primary arena plus
-	// the last-missed region, re-fetched after any store that misses both.
-	arenaBase, arena := memory.ArenaView()
-	var w2base uint64
-	var w2 []uint64
-	// Shadow micro-TLB: primary-arena shadow plus the last-resolved window.
-	sh1, sh2 := &shadowWin{}, &shadowWin{}
-	if len(arena) > 0 {
-		sh1 = c.winFor(arenaBase, len(arena))
-	}
-
 	producers := prof.Producers
-	loads := prof.Loads
 	instrCount := prof.InstrCount
-	var total, instrs uint64
+	var instrs uint64
 	max := maxInstrs
 	if max == 0 {
 		max = cpu.DefaultMaxInstrs
 	}
 
+	// slow selects the loop-top slow path, as in exec.Run: 0 interprets,
+	// slowReplay replays h.cur from pc, slowRecord records from h.head.
+	slow := 0
 	var rerr error
 	pc := 0
 loop:
@@ -332,6 +485,18 @@ loop:
 		if instrs >= max {
 			rerr = fmt.Errorf("profile: %w (%d)", cpu.ErrInstrBudget, max)
 			break loop
+		}
+		if slow != 0 {
+			if slow == slowReplay {
+				slow = 0
+				if pc, instrs, rerr = c.replay(h.cur, &regs, &regProd, instrs, max); rerr != nil {
+					break loop
+				}
+				continue loop
+			}
+			if slow = h.record(pc); slow == slowReplay {
+				continue loop
+			}
 		}
 		switch kinds[pc] {
 		case isa.KindCompute:
@@ -347,139 +512,31 @@ loop:
 					pp[2].Add(regProd[dsts[pc]&31])
 				}
 			}
-			op := ops[pc]
-			a, b := regs[src1s[pc]&31], regs[src2s[pc]&31]
-			var v uint64
-			switch op {
-			case isa.ADD:
-				v = a + b
-			case isa.ADDI:
-				v = a + uint64(imms[pc])
-			case isa.LI:
-				v = uint64(imms[pc])
-			case isa.MOV:
-				v = a
-			case isa.SUB:
-				v = a - b
-			case isa.MUL:
-				v = a * b
-			case isa.AND:
-				v = a & b
-			case isa.OR:
-				v = a | b
-			case isa.XOR:
-				v = a ^ b
-			case isa.SHL:
-				v = a << (b & 63)
-			case isa.SHR:
-				v = a >> (b & 63)
-			case isa.SLT:
-				if int64(a) < int64(b) {
-					v = 1
-				}
-			case isa.SEQ:
-				if a == b {
-					v = 1
-				}
-			default:
-				v = isa.EvalComputeOp(op, imms[pc], a, b, regs[dsts[pc]&31])
-			}
-			dst := dsts[pc] & 31
-			if dst != 0 {
+			// Hot loops replay, so the interpreter evaluates through
+			// isa.EvalComputeOp rather than an inline fast set.
+			v := isa.EvalComputeOp(ops[pc], imms[pc], regs[src1s[pc]&31], regs[src2s[pc]&31], regs[dsts[pc]&31])
+			if dst := dsts[pc] & 31; dst != 0 {
 				regs[dst] = v
+				regProd[dst] = int32(pc)
 			}
-			regProd[dst] = int32(pc)
 			instrCount[pc]++
-			total++
 			instrs++
 			pc++
 		case isa.KindLoad:
 			if recMask[pc]&1 != 0 {
 				producers[pc][0].Add(regProd[src1s[pc]&31]) // address operand
 			}
-			addr := regs[src1s[pc]&31] + uint64(imms[pc])
-			if addr&7 != 0 {
-				rerr = fmt.Errorf("profile: cpu: pc %d (%s): load: %w", pc, p.Code[pc], mem.CheckAligned(addr))
+			v, err := c.load(pc, regs[src1s[pc]&31]+uint64(imms[pc]))
+			if err != nil {
+				rerr = err
 				break loop
 			}
-			var level energy.Level
-			if l1.ProbeHit(addr, false) {
-				level = energy.L1
-			} else {
-				level = hier.AccessMiss(addr, false).Level
-			}
-			w := addr >> 3
-			var v uint64
-			if off := w - arenaBase; off < uint64(len(arena)) {
-				v = arena[off]
-			} else if off := w - w2base; off < uint64(len(w2)) {
-				v = w2[off]
-			} else {
-				v = memory.Load(addr)
-				w2base, w2, _ = memory.WindowFor(addr)
-			}
-
-			li := loads[pc]
-			if li == nil {
-				li = &LoadInfo{PC: pc}
-				loads[pc] = li
-			}
-			li.Count++
-			li.ByLevel[level]++
-			if li.lastValueSet && li.lastValue == v {
-				li.SameValue++
-			}
-			li.lastValue, li.lastValueSet = v, true
-
-			// Dependence shadow: who stored the loaded value?
-			var sw *shadowWin
-			var soff uint64
-			if off := w - sh1.base; off < uint64(len(sh1.st)) {
-				sw, soff = sh1, off
-			} else if off := w - sh2.base; off < uint64(len(sh2.st)) {
-				sw, soff = sh2, off
-			} else if sw, soff = c.winSlow(addr); sw != nil {
-				sh2 = sw
-			}
-			var stPC int32 = slotEmpty
-			var vp int32 = NoProducer
-			if sw != nil {
-				stPC = sw.st[soff]
-				if stPC >= 0 {
-					vp = sw.vp[soff]
-				} else if !roFalse[pc] {
-					c.touchWin(sw, soff, w, int32(pc))
-				}
-			} else if ent := c.spill[w]; ent != nil && ent.st >= 0 {
-				stPC, vp = ent.st, ent.vp
-			} else if !roFalse[pc] {
-				c.touchSpillEnt(w, int32(pc))
-			}
-			if stPC >= 0 {
-				roFalse[pc] = true
-				li.ValueProducer.Add(vp)
-				cc := &consCache[pc]
-				if cc[0] != stPC && cc[1] != stPC {
-					set := prof.StoresConsumedBy[stPC]
-					if set == nil {
-						set = make(map[int]bool)
-						prof.StoresConsumedBy[stPC] = set
-					}
-					set[pc] = true
-					cc[1], cc[0] = cc[0], stPC
-				}
-			} else {
-				li.ValueProducer.Add(NoProducer)
-			}
-
-			dst := dsts[pc] & 31
-			if dst != 0 {
-				regs[dst] = v
-			}
 			// A load is a register def for dependence purposes.
-			regProd[dst] = int32(pc)
+			if dst := dsts[pc] & 31; dst != 0 {
+				regs[dst] = v
+				regProd[dst] = int32(pc)
+			}
 			instrCount[pc]++
-			total++
 			instrs++
 			pc++
 		case isa.KindStore:
@@ -493,56 +550,13 @@ loop:
 					pp[1].Add(regProd[vpReg]) // value operand
 				}
 			}
-			addr := regs[src1s[pc]&31] + uint64(imms[pc])
-			if addr&7 != 0 {
-				rerr = fmt.Errorf("profile: cpu: pc %d (%s): store: %w", pc, p.Code[pc], mem.CheckAligned(addr))
+			vp := regProd[vpReg]
+			if err := c.store(pc, regs[src1s[pc]&31]+uint64(imms[pc]), regs[vpReg], vp); err != nil {
+				rerr = err
 				break loop
 			}
-			if !l1.ProbeHit(addr, true) {
-				hier.AccessMiss(addr, true)
-			}
-			val := regs[vpReg]
-			w := addr >> 3
-			if off := w - arenaBase; off < uint64(len(arena)) {
-				arena[off] = val
-			} else if off := w - w2base; off < uint64(len(w2)) {
-				w2[off] = val
-			} else {
-				memory.Store(addr, val)
-				arenaBase, arena = memory.ArenaView()
-				w2base, w2, _ = memory.WindowFor(addr)
-			}
-
-			vp := regProd[vpReg]
-			prof.StoreCount[pc]++
 			prof.StoreValueProducer[pc].Add(vp)
-
-			var sw *shadowWin
-			var soff uint64
-			if off := w - sh1.base; off < uint64(len(sh1.st)) {
-				sw, soff = sh1, off
-			} else if off := w - sh2.base; off < uint64(len(sh2.st)) {
-				sw, soff = sh2, off
-			} else if sw, soff = c.winSlow(addr); sw != nil {
-				sh2 = sw
-			}
-			if sw != nil {
-				if sw.t0[soff] != slotEmpty {
-					c.invalidate(sw, soff, w)
-				}
-				sw.vp[soff], sw.st[soff] = vp, int32(pc)
-			} else {
-				ent := c.ensureSpill(w)
-				if len(ent.touch) > 0 {
-					for _, p := range ent.touch {
-						roFalse[p] = true
-					}
-					ent.touch = ent.touch[:0]
-				}
-				ent.vp, ent.st = vp, int32(pc)
-			}
 			instrCount[pc]++
-			total++
 			instrs++
 			pc++
 		case isa.KindCondBr:
@@ -556,33 +570,26 @@ loop:
 				}
 			}
 			instrCount[pc]++
-			total++
 			instrs++
-			a, b := regs[src1s[pc]&31], regs[src2s[pc]&31]
-			var taken bool
-			switch ops[pc] {
-			case isa.BEQ:
-				taken = a == b
-			case isa.BNE:
-				taken = a != b
-			case isa.BLT:
-				taken = int64(a) < int64(b)
-			default: // BGE: KindCondBr decodes exactly four opcodes
-				taken = int64(a) >= int64(b)
-			}
-			if taken {
-				pc = int(targets[pc])
+			if isa.BranchTaken(ops[pc], regs[src1s[pc]&31], regs[src2s[pc]&31]) {
+				t := int(targets[pc])
+				if t <= pc && slow == 0 {
+					slow = h.backEdge(t)
+				}
+				pc = t
 			} else {
 				pc++
 			}
 		case isa.KindJmp:
 			instrCount[pc]++
-			total++
 			instrs++
-			pc = int(targets[pc])
+			t := int(targets[pc])
+			if t <= pc && slow == 0 {
+				slow = h.backEdge(t)
+			}
+			pc = t
 		case isa.KindNop:
 			instrCount[pc]++
-			total++
 			instrs++
 			pc++
 		case isa.KindHalt:
@@ -598,17 +605,17 @@ loop:
 		}
 	}
 	if rerr != nil {
-		return nil, rerr
+		return nil, 0, rerr
 	}
-	prof.TotalDynamic = total
+	prof.TotalDynamic = instrs
 
 	// Finalize per-load read-only classification: a load PC is read-only
 	// unless some address it touched was stored to (before or after the
 	// touch — store-time invalidation plus the written-at-touch check cover
 	// both orders, matching the reference's end-of-run sweep).
-	for pc, li := range loads {
+	for pc, li := range prof.Loads {
 		if li != nil {
-			prof.LoadAllReadOnly[pc] = !roFalse[pc]
+			prof.LoadAllReadOnly[pc] = !c.roFalse[pc]
 		}
 	}
 	// Hand the shadow store-PC windows to the Profile as its written-set:
@@ -623,5 +630,5 @@ loop:
 			prof.written.spill[w] = true
 		}
 	}
-	return prof, nil
+	return prof, h.eng.ReplayedInstrs, nil
 }

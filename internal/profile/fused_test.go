@@ -1,6 +1,8 @@
 package profile_test
 
 import (
+	"flag"
+	"fmt"
 	"testing"
 
 	"github.com/amnesiac-sim/amnesiac/internal/asm"
@@ -9,6 +11,7 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
 	"github.com/amnesiac-sim/amnesiac/internal/profile"
+	"github.com/amnesiac-sim/amnesiac/internal/trace"
 	"github.com/amnesiac-sim/amnesiac/internal/workloads"
 )
 
@@ -85,50 +88,81 @@ func profilesEqual(t *testing.T, ref, fus *profile.Profile) {
 	}
 }
 
-func collectBoth(t *testing.T, p *isa.Program, m *mem.Memory) (ref, fus *profile.Profile) {
+// profileN is the number of generated programs TestFusedMatchesReferenceGen
+// checks at each hot-loop threshold.
+var profileN = flag.Int("profile.n", 120, "generated programs the fused-profiler oracle checks")
+
+// hotThresholds are the hot-loop thresholds the oracle runs the fused
+// collector at: the production default (profile.Collect), and 1, which
+// records every loop on its second iteration and replays it from the
+// third, so short loops and rarely taken paths replay too.
+var hotThresholds = []uint32{trace.DefaultConfig().Threshold, 1}
+
+// collectFused runs the fused collector at the given hot-loop threshold.
+func collectFused(t *testing.T, p *isa.Program, m *mem.Memory, threshold uint32) *profile.Profile {
 	t.Helper()
-	model := energy.Default()
-	ref, err := profile.CollectReference(model, p, m)
+	var fus *profile.Profile
+	var err error
+	if threshold == trace.DefaultConfig().Threshold {
+		fus, err = profile.Collect(energy.Default(), p, m)
+	} else {
+		fus, _, err = profile.CollectHot(p, m, 0, threshold)
+	}
+	if err != nil {
+		t.Fatalf("fused collector (hot threshold %d): %v", threshold, err)
+	}
+	return fus
+}
+
+func collectRef(t *testing.T, p *isa.Program, m *mem.Memory) *profile.Profile {
+	t.Helper()
+	ref, err := profile.CollectReference(energy.Default(), p, m)
 	if err != nil {
 		t.Fatalf("reference collector: %v", err)
 	}
-	fus, err = profile.Collect(model, p, m)
-	if err != nil {
-		t.Fatalf("fused collector: %v", err)
-	}
-	return ref, fus
+	return ref
+}
+
+func collectBoth(t *testing.T, p *isa.Program, m *mem.Memory) (ref, fus *profile.Profile) {
+	t.Helper()
+	return collectRef(t, p, m), collectFused(t, p, m, trace.DefaultConfig().Threshold)
 }
 
 // TestFusedMatchesReferenceWorkloads proves the fused profiler bit-identical
-// to the reference collector across the full workload suite.
+// to the reference collector across the full workload suite, at every hot
+// threshold.
 func TestFusedMatchesReferenceWorkloads(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			p, m := w.Build(0.05)
-			ref, fus := collectBoth(t, p, m)
-			profilesEqual(t, ref, fus)
+			ref := collectRef(t, p, m)
+			for _, th := range hotThresholds {
+				t.Run(fmt.Sprintf("hot%d", th), func(t *testing.T) {
+					profilesEqual(t, ref, collectFused(t, p, m, th))
+				})
+			}
 		})
 	}
 }
 
-// TestFusedMatchesReferenceGen proves bit-identity across 120 seeded random
-// programs from the differential-fuzzing generator.
+// TestFusedMatchesReferenceGen proves bit-identity across -profile.n seeded
+// random programs from the differential-fuzzing generator, at every hot
+// threshold.
 func TestFusedMatchesReferenceGen(t *testing.T) {
 	cfg := gen.DefaultConfig()
-	for seed := int64(0); seed < 120; seed++ {
+	for seed := int64(0); seed < int64(*profileN); seed++ {
 		p, m, err := gen.Generate(seed, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ref, fus := collectBoth(t, p, m)
-		if t.Failed() {
-			t.Fatalf("seed %d: collector mismatch", seed)
-		}
-		profilesEqual(t, ref, fus)
-		if t.Failed() {
-			t.Fatalf("seed %d: profile mismatch", seed)
+		ref := collectRef(t, p, m)
+		for _, th := range hotThresholds {
+			profilesEqual(t, ref, collectFused(t, p, m, th))
+			if t.Failed() {
+				t.Fatalf("seed %d, hot threshold %d: profile mismatch", seed, th)
+			}
 		}
 	}
 }

@@ -16,10 +16,16 @@
 // Collect is a fused specialized interpreter: a dedicated run loop
 // interleaves execution with dependence tracking, with all address-keyed
 // state held in dense per-word shadow arrays aligned to mem.Memory's flat
-// arena windows (see fused.go). CollectReference is the slow reference
-// implementation: an observer on the flat reference stepper (internal/ref)
-// recording through per-address maps; the differential tests assert both
-// produce identical profiles.
+// arena windows (see fused.go). Hot loops are recorded once and replayed
+// (see hot.go): loads and stores keep their per-access work, while the
+// register edges and instruction counts of the replayed iterations, fixed
+// by the recorded path and the producer table at entry, are added once
+// per replay. A write to R0 is discarded and defines nothing in either
+// collector, so a value read from R0 — a stored R0, say — has no
+// producer. CollectReference is the slow
+// reference implementation: an observer on the flat reference stepper
+// (internal/ref) recording through per-address maps; the differential
+// tests assert both produce identical profiles.
 package profile
 
 import (
@@ -256,7 +262,9 @@ func CollectReference(model *energy.Model, p *isa.Program, initial *mem.Memory) 
 					record(pc, 2, in.Dst)
 				}
 			}
-			regProducer[in.Dst] = pc
+			if in.Dst != isa.R0 { // R0 writes are discarded: no definition
+				regProducer[in.Dst] = pc
+			}
 		case isa.KindLoad:
 			record(pc, 0, in.Src1) // address operand
 			li := prof.Loads[pc]
@@ -289,7 +297,9 @@ func CollectReference(model *energy.Model, p *isa.Program, initial *mem.Memory) 
 			}
 			t[s.Addr] = true
 			// A load is a register def for dependence purposes.
-			regProducer[in.Dst] = pc
+			if in.Dst != isa.R0 {
+				regProducer[in.Dst] = pc
+			}
 		case isa.KindStore:
 			record(pc, 0, in.Src1) // address operand
 			record(pc, 1, in.Src2) // value operand

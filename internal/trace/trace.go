@@ -42,6 +42,11 @@
 // with the interpreter's error, preserving bit-identical store streams and
 // energy accounts (the outcome guard).
 //
+// A run's watched PCs (exec.Watch) are recordable too: Build puts a CWatch
+// observer op before each, and replay calls the watch's observer there with
+// the live registers and memory, so a watched loop replays instead of
+// interpreting.
+//
 // Replay preserves bit-identical architectural and energy behaviour: it
 // counts the same events as interpretation (energy is priced from the
 // counts once, when the run exits), every memory op still probes the cache
@@ -125,10 +130,26 @@ const (
 	// the amnesic machine's checkpoint/recompute logic runs unchanged.
 	CRec
 	CRcmp
+	// CWatch is an observer op: replay calls the run's watch observer
+	// (exec.Watch) with the live state the next op is about to read. It
+	// retires no instruction.
+	CWatch
 )
 
 // nCodes is the number of replay codes (for tests).
-const nCodes = int(CRcmp) + 1
+const nCodes = int(CWatch) + 1
+
+// Width returns the number of original instructions an op of code c
+// retires: two for the fused pairs, none for an observer op, one otherwise.
+func (c Code) Width() int {
+	switch c {
+	case CAluGuard, CLoadAlu, CAluStore:
+		return 2
+	case CWatch:
+		return 0
+	}
+	return 1
+}
 
 // Op is one replay operation. Register fields are pre-masked (&31). For
 // fused codes the A-fields (AOp/Dst/Src1/Src2/Imm/Cat/PC) describe the
@@ -356,18 +377,26 @@ func isALU(c Code) bool { return c <= CAluGen }
 // the sequence of retired PCs for one complete loop iteration: it starts at
 // the head and ends with the loop-closing branch whose execution returned
 // to the head. elim (may be nil) marks eliminated-store NOPs for amnesic
-// statistics. sig captures aux signatures for REC/RCMP sites; it must be
-// non-nil when the path contains them (the recorder only admits aux kinds
-// when the executor provides an AuxSigger). Build panics on kinds the
-// recorder must have filtered (see Recordable/RecordableAux); that is an
-// internal invariant, not an input error.
-func Build(d *isa.Decoded, path []int32, elim []bool, sig AuxSigger) *Trace {
+// statistics. watch (may be nil) marks the run's watched PCs: each gets a
+// CWatch op just before its own, so replay observes it as interpretation
+// does. The watch set is fixed for a run, so observer ops carry no
+// signature and never go stale. sig captures aux signatures for REC/RCMP
+// sites; it must be non-nil when the path contains them (the recorder only
+// admits aux kinds when the executor provides an AuxSigger). Build panics
+// on kinds the recorder must have filtered (see Recordable/RecordableAux);
+// that is an internal invariant, not an input error.
+func Build(d *isa.Decoded, path []int32, elim, watch []bool, sig AuxSigger) *Trace {
 	head := path[0]
 	raw := make([]Op, 0, len(path))
 	for j, pc := range path {
 		next := head
 		if j+1 < len(path) {
 			next = path[j+1]
+		}
+		if watch != nil && watch[pc] {
+			// An observer op sits between its instruction and whatever
+			// precedes it, so fusion never pairs across it.
+			raw = append(raw, Op{Code: CWatch, PC: pc})
 		}
 		op := Op{PC: pc, Imm: d.Imm[pc], Cat: d.Cat[pc]}
 		switch k := d.Kind[pc]; k {
@@ -426,10 +455,11 @@ func Build(d *isa.Decoded, path []int32, elim []bool, sig AuxSigger) *Trace {
 // batchWeight is an op's dead-charge batch contribution: the number of
 // original instructions it retires, or 0 for ops that may fault, side-exit
 // before fully retiring, or call out to a handler that counts for itself —
-// those count positionally in their own replay case.
+// those count positionally in their own replay case — and for observer
+// ops, which retire nothing and end the run before them.
 func batchWeight(c Code) uint32 {
 	switch c {
-	case CLoad, CStore, CLoadAlu, CAluStore, CRec, CRcmp:
+	case CLoad, CStore, CLoadAlu, CAluStore, CRec, CRcmp, CWatch:
 		return 0
 	case CAluGuard:
 		return 2

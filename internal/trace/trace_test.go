@@ -32,7 +32,7 @@ loop:
     halt
 `)
 	path := []int32{0, 1, 2, 3, 4, 5}
-	tr := trace.Build(d, path, nil, nil)
+	tr := trace.Build(d, path, nil, nil, nil)
 	if tr.Head != 0 || tr.NInstr != 6 {
 		t.Fatalf("head=%d ninstr=%d, want 0/6", tr.Head, tr.NInstr)
 	}
@@ -67,7 +67,7 @@ out:
     halt
 `)
 	path := []int32{0, 1, 2, 3}
-	tr := trace.Build(d, path, nil, nil)
+	tr := trace.Build(d, path, nil, nil, nil)
 	if len(tr.Ops) != 3 {
 		t.Fatalf("got %d ops, want 3: %+v", len(tr.Ops), tr.Ops)
 	}
@@ -91,7 +91,7 @@ func TestBuildNoFuseThroughR0(t *testing.T) {
     st  r0, 0(r1)
     halt
 `)
-	tr := trace.Build(d, []int32{0, 1}, nil, nil)
+	tr := trace.Build(d, []int32{0, 1}, nil, nil, nil)
 	if len(tr.Ops) != 2 || tr.Ops[0].Code != trace.CAdd || tr.Ops[1].Code != trace.CStore {
 		t.Fatalf("ops = %+v, want unfused CAdd, CStore", tr.Ops)
 	}
@@ -136,7 +136,7 @@ loop:
 	for i := uint32(0); i < 4; i++ {
 		eng.Counts[0]++
 	}
-	tr := trace.Build(d, []int32{0, 1}, nil, nil)
+	tr := trace.Build(d, []int32{0, 1}, nil, nil, nil)
 	eng.Traces[0] = tr
 	eng.Built++
 	if got := eng.Traces[0]; got == nil || got.Ops == nil {
@@ -174,7 +174,7 @@ func (s sigmap) AuxSig(pc int) uint64 { return s[pc] }
 func TestBuildCapturesAuxSigs(t *testing.T) {
 	d := auxProgram(t)
 	sig := sigmap{1: 0xAB, 2: 0xCD}
-	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, sig)
+	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, sig)
 	if len(tr.Ops) != 4 {
 		t.Fatalf("got %d ops, want 4 (aux ops are fusion barriers): %+v", len(tr.Ops), tr.Ops)
 	}
@@ -218,7 +218,7 @@ func TestInvalidateStale(t *testing.T) {
 	sig := sigmap{1: 0xAB, 2: 0xCD}
 	eng := trace.NewEngine(trace.Config{Enable: true}, 8)
 
-	aux := trace.Build(d, []int32{0, 1, 2, 3}, nil, sig)
+	aux := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, sig)
 	eng.Traces[0] = aux
 	eng.RegisterAuxSites(aux)
 
@@ -230,7 +230,7 @@ loop:
     blt  r5, r6, loop
     halt
 `)
-	plain := trace.Build(dp, []int32{0, 1}, nil, nil)
+	plain := trace.Build(dp, []int32{0, 1}, nil, nil, nil)
 	eng.Traces[2] = plain
 	eng.RegisterAuxSites(plain)
 
@@ -262,7 +262,7 @@ loop:
 
 	// Rebuild against the live signatures: the head is valid again and a
 	// further unchanged re-sign keeps it.
-	aux2 := trace.Build(d, []int32{0, 1, 2, 3}, nil, sig)
+	aux2 := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, sig)
 	eng.Traces[0] = aux2
 	eng.RegisterAuxSites(aux2)
 	eng.InvalidateStale(sig)
@@ -286,7 +286,7 @@ loop:
     blt  r5, r6, loop
     halt
 `)
-	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil)
+	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, nil)
 	if len(tr.Ops) != 3 {
 		t.Fatalf("got %d ops, want 3: %+v", len(tr.Ops), tr.Ops)
 	}
@@ -305,7 +305,7 @@ loop:
 out:
     halt
 `)
-	tr2 := trace.Build(d2, []int32{0, 1, 2, 3}, nil, nil)
+	tr2 := trace.Build(d2, []int32{0, 1, 2, 3}, nil, nil, nil)
 	if len(tr2.Ops) != 3 {
 		t.Fatalf("got %d ops, want 3: %+v", len(tr2.Ops), tr2.Ops)
 	}
@@ -315,17 +315,24 @@ out:
 
 	// Memory and aux ops break runs and contribute nothing.
 	d3 := auxProgram(t)
-	tr3 := trace.Build(d3, []int32{0, 1, 2, 3}, nil, sigmap{})
+	tr3 := trace.Build(d3, []int32{0, 1, 2, 3}, nil, nil, sigmap{})
 	if got := []uint32{tr3.Ops[0].NBat, tr3.Ops[1].NBat, tr3.Ops[2].NBat, tr3.Ops[3].NBat}; got[0] != 1 || got[1] != 0 || got[2] != 0 || got[3] != 1 {
 		t.Errorf("NBat = %v, want [1 0 0 1] (aux ops are weight-0 breakers)", got)
 	}
 
+	// Observer ops retire nothing and end the run before them.
+	tr4 := trace.Build(d, []int32{0, 1, 2, 3}, nil, []bool{false, false, true, false, false}, nil)
+	if got := []uint32{tr4.Ops[0].NBat, tr4.Ops[1].NBat, tr4.Ops[2].NBat, tr4.Ops[3].NBat}; got[0] != 2 || got[1] != 0 || got[2] != 0 || got[3] != 2 {
+		t.Errorf("NBat = %v, want [2 0 0 2] (CWatch splits the run)", got)
+	}
+
 	// Invariant on every built trace: batched weights + positional breakers
 	// retire exactly NInstr original instructions.
-	for _, c := range []*trace.Trace{tr, tr2, tr3} {
-		var sum uint64
+	for _, c := range []*trace.Trace{tr, tr2, tr3, tr4} {
+		var sum, width uint64
 		for _, op := range c.Ops {
 			sum += uint64(op.NBat)
+			width += uint64(op.Code.Width())
 			switch op.Code {
 			case trace.CLoad, trace.CStore, trace.CRec, trace.CRcmp:
 				sum++
@@ -333,8 +340,39 @@ out:
 				sum += 2
 			}
 		}
-		if sum != c.NInstr {
-			t.Errorf("trace head %d: batched+positional = %d, want NInstr %d", c.Head, sum, c.NInstr)
+		if sum != c.NInstr || width != c.NInstr {
+			t.Errorf("trace head %d: batched+positional = %d, widths = %d, want NInstr %d", c.Head, sum, width, c.NInstr)
 		}
+	}
+}
+
+// TestBuildObserverOps: a watched PC gets a CWatch op just before its own
+// op, carrying the watched pc. The observer op keeps its neighbours from
+// fusing across it, so the observer sees the state before its instruction.
+func TestBuildObserverOps(t *testing.T) {
+	d := mustParse(t, `
+loop:
+    ld   r2, 0(r1)
+    add  r3, r2, r2
+    addi r5, r5, 1
+    blt  r5, r6, loop
+    halt
+`)
+	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, []bool{false, true, false, true, false}, nil)
+	want := []trace.Code{trace.CLoad, trace.CWatch, trace.CAdd, trace.CAddi, trace.CWatch, trace.CGuard}
+	if len(tr.Ops) != len(want) || tr.NInstr != 4 {
+		t.Fatalf("got %d ops, NInstr %d: %+v", len(tr.Ops), tr.NInstr, tr.Ops)
+	}
+	for i, c := range want {
+		if tr.Ops[i].Code != c {
+			t.Errorf("op%d = %+v, want code %d", i, tr.Ops[i], c)
+		}
+	}
+	if tr.Ops[1].PC != 1 || tr.Ops[4].PC != 3 {
+		t.Errorf("observer pcs %d/%d, want 1/3", tr.Ops[1].PC, tr.Ops[4].PC)
+	}
+	// Unwatched, the same path fuses into two pairs.
+	if plain := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, nil); len(plain.Ops) != 2 {
+		t.Errorf("unwatched build: %d ops, want 2 fused", len(plain.Ops))
 	}
 }
