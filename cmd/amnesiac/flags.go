@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"strings"
 
 	"github.com/amnesiac-sim/amnesiac/internal/cliutil"
 )
@@ -19,4 +20,14 @@ func validateFlags(scale float64, workers int, maxInstrs int64, ckpt bool, ckptI
 		cliutil.MaxInstrs("amnesiac", maxInstrs),
 		ckptErr,
 	)
+}
+
+// policyList splits the -policies flag into its trimmed labels, the
+// policies both local and remote runs simulate and print.
+func policyList(s string) []string {
+	var labels []string
+	for _, p := range strings.Split(s, ",") {
+		labels = append(labels, strings.TrimSpace(p))
+	}
+	return labels
 }

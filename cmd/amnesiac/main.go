@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -75,11 +76,8 @@ func main() {
 		os.Exit(1)
 	}
 
+	pols := policyList(*policies)
 	if *serveAddr != "" {
-		var pols []string
-		for _, p := range strings.Split(*policies, ",") {
-			pols = append(pols, strings.TrimSpace(p))
-		}
 		if err := runRemote(*serveAddr, w.Name, *scale, uint64(*maxInstr), pols, *jobTimeout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -93,39 +91,10 @@ func main() {
 	cfg.MaxInstrs = uint64(*maxInstr)
 	// One cache so the checkpoint experiment reuses the suite's artifacts.
 	cfg.Cache = harness.NewArtifactCache()
-	res, err := harness.Run(cfg, w)
-	if err != nil {
+	if err := runLocal(os.Stdout, cfg, w, pols, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	fmt.Printf("benchmark %s (%s, input %s), scale %.2f\n", w.Name, w.Suite, w.Input, *scale)
-	fmt.Printf("classic: %.0f nJ, %.0f ns, EDP %.3e nJ*ns, %d instrs (%d loads, %d stores)\n",
-		res.Classic.Acct.EnergyNJ, res.Classic.Acct.TimeNS, res.Classic.Acct.EDP(),
-		res.Classic.Acct.Instrs, res.Classic.Acct.Loads, res.Classic.Acct.Stores)
-	fmt.Printf("compiled slices: %d selected (of %d loads seen); stats %+v\n",
-		len(res.Ann.Slices), res.Ann.Stats.LoadsSeen, res.Ann.Stats)
-	if *verbose {
-		for _, si := range res.Ann.Slices {
-			fmt.Printf("  slice %d: load @%d, len %d, Eld %.2f nJ, Erc %.2f nJ, hist entries %d\n",
-				si.ID, si.LoadPC, si.Slice.Len(), si.ExpectedEld, si.ExpectedErc, si.HistEntries)
-			fmt.Print(si.Slice.String())
-		}
-	}
-
-	t := stats.NewTable("Policy", "Energy (nJ)", "Time (ns)", "EDP gain", "Energy gain", "Time gain", "RCMP fired/total", "Verified")
-	for _, label := range strings.Split(*policies, ",") {
-		run, ok := res.Runs[strings.TrimSpace(label)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "amnesiac: unknown policy %q\n", label)
-			os.Exit(1)
-		}
-		t.Row(run.Label,
-			fmt.Sprintf("%.0f", run.Acct.EnergyNJ), fmt.Sprintf("%.0f", run.Acct.TimeNS),
-			fmt.Sprintf("%+.2f%%", run.EDPGain), fmt.Sprintf("%+.2f%%", run.EnergyGain), fmt.Sprintf("%+.2f%%", run.TimeGain),
-			fmt.Sprintf("%d/%d", run.Stat.RcmpRecomputed, run.Stat.RcmpTotal), run.Verified)
-	}
-	t.Render(os.Stdout)
 
 	if *ckptTable {
 		fmt.Println()
@@ -134,4 +103,40 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// runLocal evaluates w in process under cfg, simulating only the given
+// policies, so an unknown label fails before any prepare work. It prints
+// the classic baseline and one table row per policy, in the given order.
+func runLocal(out io.Writer, cfg harness.Config, w *workloads.Workload, policies []string, verbose bool) error {
+	cfg.Policies = policies
+	res, err := harness.Run(cfg, w)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(out, "benchmark %s (%s, input %s), scale %.2f\n", w.Name, w.Suite, w.Input, cfg.Scale)
+	fmt.Fprintf(out, "classic: %.0f nJ, %.0f ns, EDP %.3e nJ*ns, %d instrs (%d loads, %d stores)\n",
+		res.Classic.Acct.EnergyNJ, res.Classic.Acct.TimeNS, res.Classic.Acct.EDP(),
+		res.Classic.Acct.Instrs, res.Classic.Acct.Loads, res.Classic.Acct.Stores)
+	fmt.Fprintf(out, "compiled slices: %d selected (of %d loads seen); stats %+v\n",
+		len(res.Ann.Slices), res.Ann.Stats.LoadsSeen, res.Ann.Stats)
+	if verbose {
+		for _, si := range res.Ann.Slices {
+			fmt.Fprintf(out, "  slice %d: load @%d, len %d, Eld %.2f nJ, Erc %.2f nJ, hist entries %d\n",
+				si.ID, si.LoadPC, si.Slice.Len(), si.ExpectedEld, si.ExpectedErc, si.HistEntries)
+			fmt.Fprint(out, si.Slice.String())
+		}
+	}
+
+	t := stats.NewTable("Policy", "Energy (nJ)", "Time (ns)", "EDP gain", "Energy gain", "Time gain", "RCMP fired/total", "Verified")
+	for _, label := range policies {
+		run := res.Runs[label]
+		t.Row(run.Label,
+			fmt.Sprintf("%.0f", run.Acct.EnergyNJ), fmt.Sprintf("%.0f", run.Acct.TimeNS),
+			fmt.Sprintf("%+.2f%%", run.EDPGain), fmt.Sprintf("%+.2f%%", run.EnergyGain), fmt.Sprintf("%+.2f%%", run.TimeGain),
+			fmt.Sprintf("%d/%d", run.Stat.RcmpRecomputed, run.Stat.RcmpTotal), run.Verified)
+	}
+	t.Render(out)
+	return nil
 }

@@ -14,7 +14,8 @@
 // runs the program twice (profile, baseline) rather than once per mode.
 // The watched run replays its hot loops like any traced classic run; the
 // watch only adds an observer call at each watched PC. Emit then produces
-// the binary of each mode from the same verdicts.
+// the binary of each mode from the same verdicts, and one binary for both
+// when they select the same slices.
 package compiler
 
 import (

@@ -1,6 +1,7 @@
 package compiler_test
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,7 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/policy"
 	"github.com/amnesiac-sim/amnesiac/internal/profile"
 	"github.com/amnesiac-sim/amnesiac/internal/uarch"
+	"github.com/amnesiac-sim/amnesiac/internal/workloads"
 )
 
 // buildParamKernel emits a derive-then-strided-reload program parameterized
@@ -126,6 +128,56 @@ func TestOracleModeKeepsMoreSlices(t *testing.T) {
 	_, oracleAnn := compileKernel(t, prog, opts)
 	if len(oracleAnn.Slices) < len(probAnn.Slices) {
 		t.Errorf("oracle mode kept %d slices, probabilistic %d", len(oracleAnn.Slices), len(probAnn.Slices))
+	}
+}
+
+// TestEmitSharesBinaryEitherOrder: a plan emits one binary for both modes
+// exactly when the probabilistic selection cost-rejects no valid slice,
+// whichever mode is emitted first, and the binaries do not depend on that
+// order. At scale 0.05 is keeps every valid slice and lbm cost-rejects its
+// only one.
+func TestEmitSharesBinaryEitherOrder(t *testing.T) {
+	model := energy.Default()
+	modes := [2]compiler.Mode{compiler.ModeProbabilistic, compiler.ModeOracleAll}
+	for _, c := range []struct {
+		name   string
+		shared bool
+	}{{"is", true}, {"lbm", false}} {
+		w, err := workloads.Get(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, initial := w.Build(0.05)
+		prof, err := profile.Collect(model, prog, initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var byOrder [2][2]*compiler.Annotated // [order][mode]
+		for order := range byOrder {
+			plan, err := compiler.NewPlan(model, prog, prof, compiler.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			core := cpu.New(model, mem.NewDefaultHierarchy(), initial.Clone())
+			core.Watch = plan.Watch()
+			if err := core.Run(prog); err != nil {
+				t.Fatal(err)
+			}
+			for k := range modes {
+				mode := modes[k^order] // order 1 emits the oracle mode first
+				if byOrder[order][mode], err = plan.Emit(mode); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prob, oracle := byOrder[order][compiler.ModeProbabilistic], byOrder[order][compiler.ModeOracleAll]
+			if shared := prob == oracle; shared != c.shared || shared != (prob.Stats.RejectedCost == 0) {
+				t.Errorf("%s, order %d: modes share a binary = %v with %d cost-rejected slices, want %v",
+					c.name, order, shared, prob.Stats.RejectedCost, c.shared)
+			}
+		}
+		if !reflect.DeepEqual(byOrder[0], byOrder[1]) {
+			t.Errorf("%s: emitted binaries depend on the order the modes are emitted in", c.name)
+		}
 	}
 }
 

@@ -23,6 +23,9 @@ type Plan struct {
 	v     *validator // nil without candidates
 	valid []*rslice.Slice
 	done  bool
+	// shared is the one binary every mode emits once no valid slice is
+	// cost-rejected: then both modes select every valid slice.
+	shared *Annotated
 }
 
 // NewPlan builds the candidate slice of every profiled load. opts.Mode is
@@ -72,8 +75,12 @@ func (p *Plan) Watch() *exec.Watch {
 
 // Emit selects the validated slices for mode and emits the annotated
 // binary. Each call works on its own copy of the slices, so one plan
-// serves every mode. Emitting from a plan whose watch never observed a
-// run rejects every candidate as never executed.
+// serves every mode. When the probabilistic selection rejects no valid
+// slice on cost, the two modes select the same slices: Emit then returns
+// one shared binary for both, whichever mode is emitted first, so callers
+// can tell that the modes coincide by pointer equality. Emitting from a
+// plan whose watch never observed a run rejects every candidate as never
+// executed.
 func (p *Plan) Emit(mode Mode) (*Annotated, error) {
 	if !p.done {
 		p.done = true
@@ -84,6 +91,9 @@ func (p *Plan) Emit(mode Mode) (*Annotated, error) {
 		}
 		p.stats.SlicesBuilt = len(p.valid)
 	}
+	if p.shared != nil {
+		return p.shared, nil
+	}
 	stats := p.stats
 	stats.RejectedDetail = maps.Clone(p.stats.RejectedDetail)
 
@@ -91,14 +101,19 @@ func (p *Plan) Emit(mode Mode) (*Annotated, error) {
 	// no longer pay Hist reads).
 	b := p.b
 	var selected []*rslice.Slice
+	costRejected := 0
 	for _, sl := range p.valid {
 		eld := b.prof.Loads[sl.LoadPC].ExpectedLoadEnergy(b.model)
-		erc := b.sliceCost(sl)
-		if mode == ModeOracleAll || erc < eld {
-			selected = append(selected, sl.Clone())
-		} else {
-			stats.RejectedCost++
+		profitable := b.sliceCost(sl) < eld
+		if !profitable {
+			costRejected++
 		}
+		if mode == ModeOracleAll || profitable {
+			selected = append(selected, sl.Clone())
+		}
+	}
+	if mode != ModeOracleAll {
+		stats.RejectedCost = costRejected
 	}
 
 	ann := emit(b.model, b.prog, b.prof, selected, b.opts, b)
@@ -110,6 +125,9 @@ func (p *Plan) Emit(mode Mode) (*Annotated, error) {
 	}
 	if err := ann.Prog.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: emitted invalid program: %w", err)
+	}
+	if costRejected == 0 {
+		p.shared = ann
 	}
 	return ann, nil
 }

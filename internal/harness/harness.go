@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"github.com/amnesiac-sim/amnesiac/internal/amnesic"
@@ -48,19 +49,22 @@ type Config struct {
 	// execution (classic baseline and amnesic runs); 0 means
 	// cpu.DefaultMaxInstrs.
 	MaxInstrs uint64
-	// Policies selects which policy simulations RunSuite executes per
+	// Policies selects which policy labels RunSuite evaluates per
 	// workload; nil or empty means all of PolicyLabels. Entries must come
-	// from PolicyLabels. BenchResult.Runs holds exactly these labels.
+	// from PolicyLabels. BenchResult.Runs holds exactly these labels, and
+	// labels that execute the same binary under the same policy kind share
+	// one simulation.
 	Policies []string
 	// Cache, when non-nil, shares prepare-stage artifacts (profiles,
 	// compiled binaries, classic baselines) across harness entry points, so
 	// e.g. a Table 6 sweep after RunSuite reuses its compiles.
 	Cache *ArtifactCache
 	// Progress, when non-nil, is invoked once per completed stage: one
-	// prepare or one policy simulation of a suite, one workload of a
-	// break-even or checkpoint suite. It may be called concurrently from
-	// worker goroutines; callers must synchronize. Progress observers must
-	// not mutate cfg or the results.
+	// prepare or one policy label of a suite (a shared simulation reports
+	// one unit per label it serves), one workload of a break-even or
+	// checkpoint suite. It may be called concurrently from worker
+	// goroutines; callers must synchronize. Progress observers must not
+	// mutate cfg or the results.
 	Progress func(Progress)
 	// TraceObs, when non-nil, accumulates trace-engine statistics (traces
 	// built/blacklisted, replays, replay coverage) from every amnesic policy
@@ -168,7 +172,8 @@ type BenchResult struct {
 	Profile *profile.Profile
 
 	// Ann is the probabilistic binary (slice set S); OracleAnn the
-	// oracle-mode binary (every valid slice).
+	// oracle-mode binary (every valid slice). They are one binary when the
+	// compiler cost-rejected no valid slice.
 	Ann       *compiler.Annotated
 	OracleAnn *compiler.Annotated
 
@@ -263,10 +268,14 @@ func RunSuite(cfg Config, ws []*workloads.Workload) ([]*BenchResult, error) {
 // RunSuiteContext evaluates the given workloads, returning results in
 // workload order. The (workload × policy) grid — cfg.Policies, or all of
 // PolicyLabels when unset — runs as a job DAG over a bounded worker pool
-// of cfg.Workers goroutines (see scheduler.go); result
+// of cfg.Workers goroutines (see scheduler.go). Labels that execute the
+// same binary under the same policy kind share one simulation: Oracle and
+// C-Oracle do whenever the compiler kept every valid slice (see
+// compiler.Plan.Emit), and each label gets its own copy of the run. Result
 // assembly is order-preserving, so the output is deep-equal — and renders
 // byte-identical reports — regardless of worker count. On failure the error
-// reported is the one a serial run would have hit first.
+// reported is the one a serial run would have hit first; a failed shared
+// simulation fails every label it serves.
 //
 // Cancelling ctx stops the run at job granularity: in-flight simulations
 // finish, queued ones are dropped, the pool drains (no goroutine leak), and
@@ -297,7 +306,6 @@ func RunSuiteContext(ctx context.Context, cfg Config, ws []*workloads.Workload) 
 
 	p := newPool(ctx, cfg.workerCount(), total)
 	for i, w := range ws {
-		i, w := i, w
 		runs[i] = make([]*PolicyRun, len(labels))
 		p.submit(func() {
 			art, err := cache.get(cfg, w)
@@ -312,18 +320,22 @@ func RunSuiteContext(ctx context.Context, cfg Config, ws []*workloads.Workload) 
 				Ann: art.Ann, OracleAnn: art.OracleAnn,
 			}
 			report(w.Name, "prepare", false)
-			for j, label := range labels {
-				j, label := j, label
+			for _, sim := range simulations(art, labels) {
 				p.submit(func() {
-					binary, k := policyBinary(art, label)
-					run, err := RunPolicy(cfg, binary, art.Image, art.Classic, art.Profile, k, label)
-					if err != nil {
-						errs.record(rank(i, j), fmt.Errorf("harness: %s/%s: %w", w.Name, label, err))
-						report(w.Name, label, true)
-						return
+					run, err := sim.run(cfg, art, labels[sim.labels[0]])
+					for n, j := range sim.labels {
+						label := labels[j]
+						if err != nil {
+							errs.record(rank(i, j), fmt.Errorf("harness: %s/%s: %w", w.Name, label, err))
+							report(w.Name, label, true)
+							continue
+						}
+						if n > 0 {
+							run = run.relabel(label)
+						}
+						runs[i][j] = run
+						report(w.Name, label, false)
 					}
-					runs[i][j] = run
-					report(w.Name, label, false)
 				})
 			}
 		})
@@ -342,6 +354,16 @@ func RunSuiteContext(ctx context.Context, cfg Config, ws []*workloads.Workload) 
 		}
 	}
 	return results, nil
+}
+
+// relabel returns a copy of run under label, with its own
+// Stat.SliceRecomputes backing array, so labels that share one simulation
+// share no mutable state.
+func (run *PolicyRun) relabel(label string) *PolicyRun {
+	cp := *run
+	cp.Label = label
+	cp.Stat.SliceRecomputes = slices.Clone(run.Stat.SliceRecomputes)
+	return &cp
 }
 
 // BreakEven computes the paper's Table 6: the factor by which R (the

@@ -3,26 +3,32 @@
 // independent simulation — so the harness fans the (workload × policy) grid
 // out as a job DAG over a bounded worker pool:
 //
-//	prepare(w) ─┬─ policy(w, Oracle)
-//	            ├─ policy(w, C-Oracle)
+//	prepare(w) ─┬─ policy(w, Oracle + C-Oracle)   one run when Ann == OracleAnn
 //	            ├─ policy(w, Compiler)
 //	            ├─ policy(w, FLC)
 //	            └─ policy(w, LLC)
 //
 // prepare builds the workload, profiles it, runs the classic baseline —
 // validating the compiler's slices on the way — and emits both annotated
-// binaries; the five policy runs then only read those artifacts. Results
-// are written into pre-indexed slots and assembled in workload/policy
-// order after the pool drains, so parallel output is byte-identical to
-// serial output. All shared inputs (the
-// energy.Model, compiler.Annotated binaries, profiles, and the initial
-// memory image) are read-only during runs; every simulation clones the
-// memory image and builds private caches and machine state.
+// binaries; the policy runs then only read those artifacts. There is one
+// policy job per distinct (binary, policy kind) among the selected labels:
+// Oracle and C-Oracle both run the Exact policy, so they share a job
+// whenever the compiler emitted one binary for both modes, and a workload
+// that cost-rejects a slice keeps five. Results are written into
+// pre-indexed slots and assembled in workload/policy order after the pool
+// drains, so parallel output is byte-identical to serial output. All
+// shared inputs (the energy.Model, compiler.Annotated binaries, profiles,
+// and the sealed initial memory image) are read-only during runs; every
+// simulation forks the sealed image copy-on-write and builds private
+// caches and machine state. A panic inside a prepare, policy or
+// per-workload job becomes that stage's error (see contain), so one
+// faulting job cannot take the process down.
 package harness
 
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -100,18 +106,64 @@ func (e *errSet) first() error {
 	return e.err
 }
 
+// contain, deferred by a stage, turns a panic inside it into the stage's
+// error: prefix, the panic value and the stack of the faulting goroutine.
+// The job then fails like any other failing stage instead of killing the
+// process with every other job in it.
+func contain(err *error, prefix string) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%s: panic: %v\n%s", prefix, r, debug.Stack())
+	}
+}
+
+// simulation is one distinct amnesic run of a workload: a binary, a
+// runtime policy kind, and the indices of the selected labels it serves.
+type simulation struct {
+	binary *compiler.Annotated
+	kind   policy.Kind
+	labels []int
+}
+
+// simulations groups labels by the (binary, policy kind) they execute, in
+// label order. Runs are deterministic functions of that pair, so labels in
+// one group get identical results from one simulation.
+func simulations(art *Artifacts, labels []string) []*simulation {
+	var sims []*simulation
+next:
+	for j, label := range labels {
+		binary, k := policyBinary(art, label)
+		for _, s := range sims {
+			if s.binary == binary && s.kind == k {
+				s.labels = append(s.labels, j)
+				continue next
+			}
+		}
+		sims = append(sims, &simulation{binary: binary, kind: k, labels: []int{j}})
+	}
+	return sims
+}
+
+// run executes the simulation once, labelled label.
+func (s *simulation) run(cfg Config, art *Artifacts, label string) (run *PolicyRun, err error) {
+	defer contain(&err, "policy run")
+	return RunPolicy(cfg, s.binary, art.Image, art.Classic, art.Profile, s.kind, label)
+}
+
 // eachWorkload calls fn for every workload over a pool of
 // cfg.workerCount() workers. It returns the error a serial loop would
 // have hit first — the lowest-index failure — or, once ctx is cancelled,
-// ctx's error. cfg.Progress sees one unit named stage per workload that
-// ran.
+// ctx's error. A panic in fn is that workload's error. cfg.Progress sees
+// one unit named stage per workload that ran.
 func eachWorkload(ctx context.Context, cfg Config, ws []*workloads.Workload, stage string, fn func(i int, w *workloads.Workload) error) error {
 	var errs errSet
 	var done atomic.Int64
 	p := newPool(ctx, cfg.workerCount(), len(ws))
 	for i, w := range ws {
 		p.submit(func() {
-			err := fn(i, w)
+			err := func() (err error) {
+				defer contain(&err, "harness: "+w.Name+" "+stage)
+				return fn(i, w)
+			}()
 			if err != nil {
 				errs.record(i, err)
 			}
@@ -143,7 +195,8 @@ type Artifacts struct {
 	Image   *mem.Image
 	Profile *profile.Profile
 	// Ann is the probabilistic binary (slice set S); OracleAnn the
-	// oracle-mode binary (every valid slice).
+	// oracle-mode binary (every valid slice). They are one binary when the
+	// compiler cost-rejected no valid slice.
 	Ann       *compiler.Annotated
 	OracleAnn *compiler.Annotated
 	Classic   *cpu.Result
@@ -190,7 +243,8 @@ func NewArtifactCache() *ArtifactCache {
 }
 
 // get returns the artifacts for (cfg, w), building them at most once per
-// key even under concurrent callers.
+// key even under concurrent callers. A build that fails or panics stays
+// cached as the entry's error.
 func (c *ArtifactCache) get(cfg Config, w *workloads.Workload) (*Artifacts, error) {
 	key := artifactKey{name: w.Name, scale: cfg.Scale, model: cfg.Model, opts: cfg.Opts, maxInstrs: cfg.MaxInstrs}
 	c.mu.Lock()
@@ -265,8 +319,10 @@ func (c *ArtifactCache) Resident() []ResidentKey {
 // passes: build, the fused profile, then the classic baseline — which also
 // validates the compiler's candidate slices through the plan's watch — and
 // finally the probabilistic and oracle binaries emitted from that one
-// validation. Both passes run under cfg.MaxInstrs.
-func buildArtifacts(cfg Config, w *workloads.Workload) (*Artifacts, error) {
+// validation. Both passes run under cfg.MaxInstrs. A panic anywhere in the
+// stage is returned as its error.
+func buildArtifacts(cfg Config, w *workloads.Workload) (_ *Artifacts, err error) {
+	defer contain(&err, "harness: "+w.Name+": prepare")
 	prog, initial := w.Build(cfg.Scale)
 	prof, err := profile.CollectLimit(cfg.Model, prog, initial, cfg.MaxInstrs)
 	if err != nil {

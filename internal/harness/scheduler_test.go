@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,5 +44,40 @@ func TestEachWorkloadBoundsConcurrency(t *testing.T) {
 		if peak > tc.bound {
 			t.Errorf("Workers=%d: %d workloads ran at once, want at most %d", tc.workers, peak, tc.bound)
 		}
+	}
+}
+
+// TestJobsContainPanics: a panic inside a per-workload job or a policy
+// simulation becomes that job's error, with the panic value and stack,
+// and the pool still runs every other job.
+func TestJobsContainPanics(t *testing.T) {
+	ws := make([]*workloads.Workload, 4)
+	for i := range ws {
+		ws[i] = &workloads.Workload{Name: fmt.Sprintf("w%d", i)}
+	}
+	var ran sync.Map
+	err := eachWorkload(context.Background(), Config{Workers: 2}, ws, "probe", func(i int, w *workloads.Workload) error {
+		ran.Store(i, true)
+		if i%2 == 1 {
+			panic("probe " + w.Name)
+		}
+		return nil
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "harness: w1 probe: panic: probe w1\n") {
+		t.Fatalf("eachWorkload error = %v, want w1's panic", err)
+	}
+	if !strings.Contains(err.Error(), "TestJobsContainPanics") {
+		t.Errorf("panic error carries no stack:\n%v", err)
+	}
+	for i := range ws {
+		if _, ok := ran.Load(i); !ok {
+			t.Errorf("workload %d never ran", i)
+		}
+	}
+
+	// A simulation over artifacts with no image panics inside RunPolicy.
+	run, err := (&simulation{}).run(DefaultConfig(), &Artifacts{}, "Oracle")
+	if run != nil || err == nil || !strings.HasPrefix(err.Error(), "policy run: panic: ") {
+		t.Fatalf("simulation.run = (%v, %v), want a contained panic", run, err)
 	}
 }

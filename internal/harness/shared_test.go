@@ -1,0 +1,177 @@
+package harness_test
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"sync"
+	"testing"
+
+	"github.com/amnesiac-sim/amnesiac/internal/amnesic"
+	"github.com/amnesiac-sim/amnesiac/internal/harness"
+	"github.com/amnesiac-sim/amnesiac/internal/trace"
+	"github.com/amnesiac-sim/amnesiac/internal/workloads"
+)
+
+// progressLog records a suite's progress units.
+type progressLog struct {
+	mu    sync.Mutex
+	units []harness.Progress
+}
+
+func (l *progressLog) add(p harness.Progress) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.units = append(l.units, p)
+}
+
+// check asserts the log holds exactly one unit per (workload, stage) of a
+// suite over ws with the given labels, that Done counts 1..Total, and that
+// the units of failed stages are the ones marked failed.
+func (l *progressLog) check(t *testing.T, ws []*workloads.Workload, labels []string, failed map[string]bool) {
+	t.Helper()
+	total := len(ws) * (1 + len(labels))
+	if len(l.units) != total {
+		t.Fatalf("%d progress units, want %d", len(l.units), total)
+	}
+	seen := map[[2]string]int{}
+	dones := map[int]bool{}
+	for _, p := range l.units {
+		if p.Total != total {
+			t.Errorf("unit %+v: Total = %d, want %d", p, p.Total, total)
+		}
+		if p.Failed != failed[p.Stage] {
+			t.Errorf("unit %+v: Failed = %v, want %v", p, p.Failed, failed[p.Stage])
+		}
+		seen[[2]string{p.Workload, p.Stage}]++
+		dones[p.Done] = true
+	}
+	for _, w := range ws {
+		for _, stage := range append([]string{"prepare"}, labels...) {
+			if n := seen[[2]string{w.Name, stage}]; n != 1 {
+				t.Errorf("%s/%s: %d progress units, want 1", w.Name, stage, n)
+			}
+		}
+	}
+	for n := 1; n <= total; n++ {
+		if !dones[n] {
+			t.Errorf("no unit reported Done = %d of %d", n, total)
+		}
+	}
+}
+
+// costRejecting are the workloads whose only valid slice the compiler
+// cost-rejects at scale 0.05, so their Oracle binary differs from Ann.
+var costRejecting = []string{"GemsFDTD", "lbm", "fluidanimate", "particlefilter"}
+
+// TestSharedRunSimulatesOnce: a five-policy suite makes one simulation per
+// distinct (binary, policy kind). The Oracle binary is the probabilistic
+// one exactly when the compiler cost-rejected no valid slice: on each
+// responsive kernel Oracle and C-Oracle share a run, so the suite makes
+// four simulations, and a workload that cost-rejects its slice makes five.
+// The trace aggregate counts exactly those runs' instructions. Every label
+// still gets its own run and progress unit, and on is and lbm each
+// label's run deep-equals the run of a single-label suite.
+func TestSharedRunSimulatesOnce(t *testing.T) {
+	ws := workloads.Responsive()
+	for _, name := range costRejecting {
+		w, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	cfg := harness.DefaultConfig()
+	cfg.Scale = 0.05
+	cfg.Workers = 2
+	cfg.Cache = harness.NewArtifactCache()
+	for _, w := range ws {
+		t.Run(w.Name, func(t *testing.T) {
+			ws := []*workloads.Workload{w}
+			suiteCfg := cfg
+			suiteCfg.TraceObs = new(trace.Agg)
+			var log progressLog
+			suiteCfg.Progress = log.add
+			res, err := harness.RunSuiteContext(context.Background(), suiteCfg, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log.check(t, ws, harness.PolicyLabels, nil)
+
+			r := res[0]
+			distinct := harness.PolicyLabels // the slice was cost-rejected
+			if w.Responsive {
+				distinct = distinct[1:] // Oracle is C-Oracle's simulation
+			}
+			var instrs uint64
+			for _, label := range distinct {
+				instrs += r.Runs[label].Acct.Instrs
+			}
+			if got := suiteCfg.TraceObs.Load().TotalInstrs; got != instrs {
+				t.Errorf("trace aggregate counted %d instructions, want %d from %d simulations", got, instrs, len(distinct))
+			}
+			shared := r.OracleAnn == r.Ann
+			if rejected := r.Ann.Stats.RejectedCost; shared != (rejected == 0) || shared != w.Responsive {
+				t.Errorf("OracleAnn == Ann is %v with %d cost-rejected slices", shared, rejected)
+			}
+
+			oracle, coracle := r.Runs["Oracle"], r.Runs["C-Oracle"]
+			if oracle == coracle {
+				t.Fatal("Oracle and C-Oracle share one *PolicyRun")
+			}
+			if a, b := oracle.Stat.SliceRecomputes, coracle.Stat.SliceRecomputes; len(a) > 0 && len(b) > 0 && &a[0] == &b[0] {
+				t.Error("Oracle and C-Oracle share a SliceRecomputes backing array")
+			}
+			if w.Name != "is" && w.Name != "lbm" {
+				return
+			}
+			for _, label := range harness.PolicyLabels {
+				one := cfg
+				one.Policies = []string{label}
+				single, err := harness.RunSuite(one, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := r.Runs[label], single[0].Runs[label]; !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: five-policy run differs from a single-label suite:\n%+v\n%+v", label, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSharedRunFailureKeepsLabels: a shared simulation that fails records
+// its error at every label it serves, so the suite reports the error a
+// serial per-label run hits first. Under dead-store elimination only the
+// Compiler policy may run; the first failing label is Oracle.
+func TestSharedRunFailureKeepsLabels(t *testing.T) {
+	w, err := workloads.Get("is")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := []*workloads.Workload{w}
+	for _, workers := range []int{1, 4} {
+		cfg := harness.DefaultConfig()
+		cfg.Scale = 0.05
+		cfg.Workers = workers
+		cfg.Opts.EliminateDeadStores = true
+		cfg.Cache = harness.NewArtifactCache()
+		art, err := cfg.Cache.Get(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if art.OracleAnn != art.Ann {
+			t.Fatal("is: Oracle and C-Oracle do not share a binary; the failure is not shared")
+		}
+		var log progressLog
+		cfg.Progress = log.add
+		_, err = harness.RunSuite(cfg, ws)
+		if !errors.Is(err, amnesic.ErrPolicyDSE) {
+			t.Fatalf("Workers=%d: error = %v, want ErrPolicyDSE", workers, err)
+		}
+		if want := "harness: is/Oracle: " + amnesic.ErrPolicyDSE.Error(); err.Error() != want {
+			t.Errorf("Workers=%d: error = %q, want %q", workers, err, want)
+		}
+		log.check(t, ws, harness.PolicyLabels, map[string]bool{"Oracle": true, "C-Oracle": true, "FLC": true, "LLC": true})
+	}
+}

@@ -42,11 +42,23 @@ func faulting(t *testing.T, name string) *workloads.Workload {
 	}}
 }
 
-// suites are the two workload-parallel suites, by their progress stage.
-var suites = []struct {
+// panicking is a workload whose Build panics, standing in for a bug
+// anywhere in a prepare stage.
+func panicking(name string) *workloads.Workload {
+	return &workloads.Workload{Name: name, Build: func(float64) (*isa.Program, *mem.Memory) {
+		panic("build of " + name + " exploded")
+	}}
+}
+
+// entryPoint runs one harness entry point over a workload list; stage
+// names its progress units.
+type entryPoint struct {
 	stage string
 	run   func(ctx context.Context, cfg harness.Config, ws []*workloads.Workload) (any, error)
-}{
+}
+
+// suites are the two workload-parallel suites, by their progress stage.
+var suites = []entryPoint{
 	{"breakeven", func(ctx context.Context, cfg harness.Config, ws []*workloads.Workload) (any, error) {
 		return harness.BreakEvenSuiteContext(ctx, cfg, ws, 50)
 	}},
@@ -132,6 +144,54 @@ func TestSuitesCancelled(t *testing.T) {
 			cfg.Progress = func(p harness.Progress) { t.Errorf("cancelled suite ran %+v", p) }
 			if _, err := run(ctx, cfg, suiteWorkloads(t)); !errors.Is(err, context.Canceled) {
 				t.Fatalf("error = %v, want context.Canceled", err)
+			}
+		})
+	}
+}
+
+// TestSuitesContainPanics: a panic in a workload's prepare stage becomes
+// that workload's error at every entry point instead of killing the
+// process. The cache keeps the error, so a second lookup returns it again,
+// and a suite mixing the workload with a healthy one still runs the
+// healthy one to completion and drains its pool.
+func TestSuitesContainPanics(t *testing.T) {
+	is, err := workloads.Get("is")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := append([]entryPoint{{"suite", func(ctx context.Context, cfg harness.Config, ws []*workloads.Workload) (any, error) {
+		return harness.RunSuiteContext(ctx, cfg, ws)
+	}}}, suites...)
+	for _, entry := range entries {
+		stage, run := entry.stage, entry.run
+		t.Run(stage, func(t *testing.T) {
+			bad := panicking("boom-" + stage)
+			cfg := harness.DefaultConfig()
+			cfg.Scale = 0.05
+			cfg.Workers = 2
+			cfg.Cache = harness.NewArtifactCache()
+			var mu sync.Mutex
+			healthy := 0
+			cfg.Progress = func(p harness.Progress) {
+				mu.Lock()
+				defer mu.Unlock()
+				if p.Workload == is.Name && !p.Failed {
+					healthy++
+				}
+			}
+			_, err := run(context.Background(), cfg, []*workloads.Workload{is, bad})
+			if err == nil || !strings.Contains(err.Error(), bad.Name) || !strings.Contains(err.Error(), "exploded") {
+				t.Fatalf("error = %v, want the panic of %s", err, bad.Name)
+			}
+			want := 1 // one breakeven or checkpoint unit
+			if stage == "suite" {
+				want += len(harness.PolicyLabels)
+			}
+			if healthy != want {
+				t.Errorf("is completed %d stages, want %d", healthy, want)
+			}
+			if art, again := cfg.Cache.Get(cfg, bad); art != nil || again != err {
+				t.Errorf("second lookup = (%v, %v), want the cached prepare error", art, again)
 			}
 		})
 	}

@@ -184,7 +184,7 @@ func (r *runner) config(spec JobSpec) harness.Config {
 }
 
 func runSuite(ctx context.Context, cfg harness.Config, spec JobSpec, ws []*workloads.Workload, obs *trace.Agg) ([]WorkloadReport, error) {
-	// Execute only the requested policies: a subset spec pays for exactly
+	// Execute only the requested policies: a subset spec pays for at most
 	// the simulations it asked for, and SSE Total counts only those stages.
 	cfg.Policies = spec.Policies
 	cfg.TraceObs = obs
