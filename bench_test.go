@@ -472,6 +472,40 @@ func BenchmarkBreakEvenCached(b *testing.B) {
 	b.ReportMetric(be, "breakeven_R_factor")
 }
 
+// BenchmarkCheckpointJobs runs the checkpoint jobs of jobbench's serve-mix
+// workload in process: cg, rt, bp, bfs and sr at scale 0.1, each at the
+// first of its intervals (two instructions past an eighth of the run), on
+// an artifact cache warmed before the timer starts. One op is all five
+// jobs; B/op is what they allocate.
+func BenchmarkCheckpointJobs(b *testing.B) {
+	cfg := harness.DefaultConfig()
+	cfg.Scale = 0.1
+	cfg.Cache = harness.NewArtifactCache()
+	var ws []*workloads.Workload
+	var intervals []uint64
+	for _, name := range []string{"cg", "rt", "bp", "bfs", "sr"} {
+		w, err := workloads.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		art, err := cfg.Cache.Get(cfg, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws = append(ws, w)
+		intervals = append(intervals, art.Classic.Acct.Instrs/8+2)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, w := range ws {
+			if _, err := harness.RunCheckpoint(cfg, w, intervals[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkSimulatorThroughput measures raw simulation speed (instructions
 // per second) of the classic core on a compute kernel.
 func BenchmarkSimulatorThroughput(b *testing.B) {

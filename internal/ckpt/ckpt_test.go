@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/amnesiac-sim/amnesiac/internal/asm"
@@ -219,6 +221,65 @@ func TestCrashRestart(t *testing.T) {
 					t.Fatalf("seed %d crash %d %v: restore stats %+v", seed, crash, pol, res2.Restore)
 				}
 				checkAgainstReference(t, pol.String(), ref, res2, e2.Mem(), suffix, prefix)
+			}
+		}
+	}
+}
+
+// TestRestartContinuesCheckpoints: the crashed run's checkpoints up to the
+// surviving one, followed by the restarted run's, are exactly the
+// checkpoints of the run that never crashed — same numbering, instants,
+// payloads and running totals — and the restarted engine ends with the
+// uninterrupted engine's Stats. A crash on a checkpoint boundary fires
+// before that checkpoint is taken, so the restart retakes it.
+func TestRestartContinuesCheckpoints(t *testing.T) {
+	model := energy.Default()
+	for seed := int64(1); seed <= 3; seed++ {
+		prog, initial, err := gen.Generate(seed, gen.DefaultConfig())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ref := runReference(t, model, prog, initial)
+		prof, ann := prepare(t, model, prog, initial)
+		interval := ref.acct.Instrs/6 + 1
+		for _, pol := range []Policy{PolicyFull, PolicyRecomp} {
+			engine := func(crash uint64) *Engine {
+				e, err := NewEngine(model, prog, initial, ann, prof, Config{Policy: pol, Interval: interval, CrashAt: crash, KeepAll: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			steady := engine(0)
+			if _, err := steady.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, crash := range []uint64{1, ref.acct.Instrs / 2, 3 * interval} {
+				label := fmt.Sprintf("seed %d %v crash %d", seed, pol, crash)
+				crashed := engine(crash)
+				if res, err := crashed.Run(); err != nil || !res.Crashed {
+					t.Fatalf("%s: %+v, %v", label, res, err)
+				}
+				last := crashed.Checkpoints[len(crashed.Checkpoints)-1]
+				resumed := engine(0)
+				if _, err := resumed.Restart(last); err != nil {
+					t.Fatalf("%s: restart: %v", label, err)
+				}
+				if resumed.Stats != steady.Stats {
+					t.Errorf("%s: restarted stats %+v, uninterrupted %+v", label, resumed.Stats, steady.Stats)
+				}
+				all := append(append([]*Checkpoint{}, crashed.Checkpoints...), resumed.Checkpoints...)
+				if len(all) != len(steady.Checkpoints) {
+					t.Fatalf("%s: %d checkpoints, uninterrupted %d", label, len(all), len(steady.Checkpoints))
+				}
+				for k, ck := range all {
+					want := steady.Checkpoints[k]
+					if ck.Seq != k || ck.Instrs != want.Instrs || ck.Stats != want.Stats ||
+						!slices.Equal(ck.Saved, want.Saved) || !slices.Equal(ck.Omitted, want.Omitted) {
+						t.Errorf("%s: checkpoint %d (seq %d at %d) differs from the uninterrupted run's (seq %d at %d)",
+							label, k, ck.Seq, ck.Instrs, want.Seq, want.Instrs)
+					}
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/amnesiac-sim/amnesiac/internal/compiler"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
@@ -46,9 +47,9 @@ type Engine struct {
 	cfg      Config
 	model    *energy.Model
 	prog     *isa.Program
-	base     *mem.Memory // pristine initial image (read-only)
-	written  []uint64    // sorted word indices of the program's store footprint
-	inFoot   map[uint64]bool
+	base     *mem.Memory           // pristine initial image (read-only)
+	prof     *profile.Profile      // answers footprint membership (ReadOnlyAddr)
+	written  []uint64              // ascending word indices of the program's store footprint
 	slices   []*compiler.SliceInfo // hist-free recomputation recipes
 	byID     map[int]*compiler.SliceInfo
 	interval uint64
@@ -63,7 +64,8 @@ type Engine struct {
 	stores uint64
 	ran    bool
 
-	scratch []uint64 // slice-body value buffer, reused across recipes
+	scratch []uint64  // slice-body value buffer, reused across recipes
+	saved   []WordVal // payload buffer sized to the footprint; each checkpoint keeps an exact-size copy
 
 	// Checkpoints taken so far (latest last; length 1 unless KeepAll).
 	Checkpoints []*Checkpoint
@@ -130,6 +132,7 @@ func newEngine(model *energy.Model, prog *isa.Program, base, live *mem.Memory, a
 		model:    model,
 		prog:     prog,
 		base:     base,
+		prof:     prof,
 		written:  prof.WrittenWords(),
 		interval: cfg.Interval,
 		mem:      live,
@@ -150,12 +153,6 @@ func newEngine(model *energy.Model, prog *isa.Program, base, live *mem.Memory, a
 				e.slices = append(e.slices, si)
 				e.byID[si.ID] = si
 			}
-		}
-	}
-	if cfg.Policy == PolicyRecomp {
-		e.inFoot = make(map[uint64]bool, len(e.written))
-		for _, w := range e.written {
-			e.inFoot[w] = true
 		}
 	}
 	return e, nil
@@ -197,8 +194,11 @@ func (e *Engine) Run() (*RunResult, error) {
 // Restart reconstructs machine state from ck on a fresh engine and resumes
 // execution: saved words are applied over the base image, omitted words are
 // regenerated by their slices, and registers, energy account, cache
-// hierarchy, program counter and store count restore to the snapshot. The
-// resumed run continues checkpointing on the same interval.
+// hierarchy, program counter, store count and checkpoint Stats restore to
+// the snapshot. The resumed run continues checkpointing on the same
+// interval and numbering, so its checkpoints are the ones the uninterrupted
+// run takes after ck, and its final Stats equal the uninterrupted run's
+// field for field.
 func (e *Engine) Restart(ck *Checkpoint) (*RunResult, error) {
 	if e.ran {
 		return nil, errors.New("ckpt: engine already ran; use a fresh engine")
@@ -236,6 +236,7 @@ func (e *Engine) Restart(ck *Checkpoint) (*RunResult, error) {
 	e.hier = ck.Hier.Clone()
 	e.pc = ck.PC
 	e.stores = ck.Stores
+	e.Stats = ck.Stats
 	return e.resume(rs)
 }
 
@@ -287,7 +288,15 @@ func (e *Engine) result(rs *RestoreStats) *RunResult {
 	}
 }
 
-// takeCheckpoint snapshots the live state under the configured policy.
+// runWords bounds how many consecutive footprint words a checkpoint reads
+// from memory at once.
+const runWords = 512
+
+// takeCheckpoint snapshots the live state under the configured policy. It
+// walks the footprint once in ascending order, merging in the sorted list
+// of words planOmissions dropped, and reads each run of consecutive
+// footprint words from the live and base memories in bulk
+// (Memory.ReadWords).
 func (e *Engine) takeCheckpoint() {
 	ck := &Checkpoint{
 		Seq:    e.Stats.Taken,
@@ -298,22 +307,41 @@ func (e *Engine) takeCheckpoint() {
 		Acct:   e.acct,
 		Hier:   e.hier.Clone(),
 	}
-	var omitted map[uint64]bool
-	if e.cfg.Policy == PolicyRecomp {
-		omitted = e.planOmissions(ck)
+	recomp := e.cfg.Policy == PolicyRecomp
+	var omit []uint64
+	if recomp {
+		omit = e.planOmissions(ck)
 	}
-	for _, w := range e.written {
-		addr := w << 3
-		if omitted[w] {
-			continue
-		}
-		cur := e.mem.Load(addr)
-		if e.cfg.Policy == PolicyRecomp && cur == e.base.Load(addr) {
-			ck.OmittedUntouched++
-			continue
-		}
-		ck.Saved = append(ck.Saved, WordVal{Addr: addr, Val: cur})
+	if cap(e.saved) < len(e.written) {
+		e.saved = make([]WordVal, 0, len(e.written))
 	}
+	saved := e.saved[:0]
+	var live, orig [runWords]uint64
+	for i := 0; i < len(e.written); {
+		w, n := e.written[i], 1
+		for n < runWords && i+n < len(e.written) && e.written[i+n] == w+uint64(n) {
+			n++
+		}
+		e.mem.ReadWords(w<<3, live[:n])
+		if recomp {
+			e.base.ReadWords(w<<3, orig[:n])
+		}
+		for k, cur := range live[:n] {
+			// Every omitted word is a footprint word, so the two
+			// ascending lists meet exactly.
+			if len(omit) > 0 && omit[0] == w+uint64(k) {
+				omit = omit[1:]
+				continue
+			}
+			if recomp && cur == orig[k] {
+				ck.OmittedUntouched++
+				continue
+			}
+			saved = append(saved, WordVal{Addr: (w + uint64(k)) << 3, Val: cur})
+		}
+		i += n
+	}
+	ck.Saved = append([]WordVal(nil), saved...)
 	payload := float64(ck.PayloadWords())
 	ck.CostNJ = payload * e.model.WriteEnergy[energy.Mem]
 	ck.CostNS = payload * e.model.Latency[energy.Mem]
@@ -325,6 +353,7 @@ func (e *Engine) takeCheckpoint() {
 	e.Stats.OmittedUntouched += uint64(ck.OmittedUntouched)
 	e.Stats.CkptEnergyNJ += ck.CostNJ
 	e.Stats.CkptTimeNS += ck.CostNS
+	ck.Stats = e.Stats
 
 	if !e.cfg.KeepAll {
 		e.Checkpoints = e.Checkpoints[:0]
@@ -334,31 +363,29 @@ func (e *Engine) takeCheckpoint() {
 
 // planOmissions verifies, per hist-free slice, that evaluating its body
 // against the snapshot's register file and the read-only base image
-// reproduces the current value of the word the slice's load addresses. On a
-// match the word is dropped from the payload and the slice ID recorded as
-// its restart recipe. Verification at snapshot time is what makes restart
-// exact by construction: the restart path replays the identical evaluation
-// against the identical inputs.
-func (e *Engine) planOmissions(ck *Checkpoint) map[uint64]bool {
-	omitted := make(map[uint64]bool)
+// reproduces the current value of the footprint word the slice's load
+// addresses. On a match the word is dropped from the payload and the slice
+// ID recorded as its restart recipe. Verification at snapshot time is what
+// makes restart exact by construction: the restart path replays the
+// identical evaluation against the identical inputs. It returns the
+// omitted words in ascending order.
+func (e *Engine) planOmissions(ck *Checkpoint) []uint64 {
+	var omit []uint64
 	for _, si := range e.slices {
 		ld := si.Slice.Load
 		addr := e.regs[ld.Src1] + uint64(ld.Imm)
-		if addr%8 != 0 {
-			continue
-		}
-		w := addr >> 3
-		if !e.inFoot[w] || omitted[w] {
+		if addr%8 != 0 || e.prof.ReadOnlyAddr(addr) || slices.Contains(omit, addr>>3) {
 			continue
 		}
 		v, ok := e.evalRecipe(si, &e.regs)
 		if !ok || v != e.mem.Load(addr) {
 			continue
 		}
-		omitted[w] = true
+		omit = append(omit, addr>>3)
 		ck.Omitted = append(ck.Omitted, Omission{Addr: addr, SliceID: si.ID})
 	}
-	return omitted
+	slices.Sort(omit)
+	return omit
 }
 
 // evalRecipe executes a hist-free slice body leaves-to-root against the

@@ -4,10 +4,10 @@
 // never crashed. "Indistinguishable" covers the final register file and
 // memory image, the spliced store stream an external observer would see
 // (pre-crash prefix up to the checkpoint plus the resumed suffix), the
-// final program counter, and the full energy account, under every
-// checkpoint policy. This is the checkpoint engine's analogue of the
-// execution oracle in difftest.go: restart correctness is machine-checked,
-// not argued.
+// final program counter, the full energy account, and the checkpoint
+// engine's running totals, under every checkpoint policy. This is the
+// checkpoint engine's analogue of the execution oracle in difftest.go:
+// restart correctness is machine-checked, not argued.
 package difftest
 
 import (
@@ -92,8 +92,10 @@ func CheckCkptSeed(seed int64, opts CkptOptions) error {
 // CheckCkpt runs the restart oracle on one program: an uninterrupted
 // classic reference run, then per (policy, crash point) a crashed
 // checkpointed run and a restart from the surviving checkpoint, requiring
-// the splice to be bit-identical to the reference. Infrastructure problems
-// return plain errors; disagreements return *Divergence.
+// the splice to be bit-identical to the reference and the restarted
+// engine's checkpoint Stats to equal an uninterrupted checkpointed run's.
+// Infrastructure problems return plain errors; disagreements return
+// *Divergence.
 func CheckCkpt(prog *isa.Program, initial *mem.Memory, opts CkptOptions) error {
 	if opts.Model == nil {
 		return errors.New("difftest: ckpt: nil model")
@@ -147,13 +149,29 @@ func CheckCkpt(prog *isa.Program, initial *mem.Memory, opts CkptOptions) error {
 		}
 	}
 	intervals := []uint64{total/10 + 1, total/4 + 1, total/2 + 1}
+	// steady holds, per (policy, interval), the checkpoint Stats of an
+	// uninterrupted checkpointed run, which every restart must end with.
+	steady := map[[2]uint64]ckpt.Stats{}
 
 	for _, raw := range crashes {
 		crash := 1 + raw%(total-1)
 		interval := intervals[rng.Intn(len(intervals))]
 		for _, pol := range opts.Policies {
 			stage := fmt.Sprintf("ckpt %s crash@%d/%d interval %d", pol, crash, total, interval)
-			d, err := checkOneRestart(prog, initial, ann, prof, opts, pol, crash, interval, &ref)
+			key := [2]uint64{uint64(pol), interval}
+			if _, ok := steady[key]; !ok {
+				e, err := ckpt.NewEngine(opts.Model, prog, initial, ann, prof, ckpt.Config{
+					Policy: pol, Interval: interval, MaxInstrs: opts.MaxInstrs,
+				})
+				if err != nil {
+					return fmt.Errorf("difftest: %s: %w", stage, err)
+				}
+				if _, err := e.Run(); err != nil {
+					return fmt.Errorf("difftest: %s: uninterrupted run: %w", stage, err)
+				}
+				steady[key] = e.Stats
+			}
+			d, err := checkOneRestart(prog, initial, ann, prof, opts, pol, crash, interval, &ref, steady[key])
 			if err != nil {
 				return fmt.Errorf("difftest: %s: %w", stage, err)
 			}
@@ -178,6 +196,7 @@ func checkOneRestart(
 		mem    *mem.Memory
 		stores []StoreEvent
 	},
+	steady ckpt.Stats,
 ) (*Divergence, error) {
 	var prefix []StoreEvent
 	crashed, err := ckpt.NewEngine(opts.Model, prog, initial, ann, prof, ckpt.Config{
@@ -244,6 +263,11 @@ func checkOneRestart(
 	}
 	if res2.Acct != ref.acct {
 		return &Divergence{Detail: "energy account diverges: " + accountDiff(&res2.Acct, &ref.acct)}, nil
+	}
+	// The restarted engine resumes the crashed run's checkpoint totals, so
+	// it must end with the uninterrupted run's, float sums included.
+	if resumed.Stats != steady {
+		return &Divergence{Detail: fmt.Sprintf("checkpoint stats after restart %+v, uninterrupted %+v", resumed.Stats, steady)}, nil
 	}
 
 	// Spliced store stream: checkpoint prefix + resumed suffix must equal

@@ -13,16 +13,20 @@
 // binaries; the policy runs then only read those artifacts. There is one
 // policy job per distinct (binary, policy kind) among the selected labels:
 // Oracle and C-Oracle both run the Exact policy, so they share a job
-// whenever the compiler emitted one binary for both modes, and a workload
-// that cost-rejects a slice keeps five. Results are written into
-// pre-indexed slots and assembled in workload/policy order after the pool
-// drains, so parallel output is byte-identical to serial output. All
-// shared inputs (the energy.Model, compiler.Annotated binaries, profiles,
-// and the sealed initial memory image) are read-only during runs; every
-// simulation forks the sealed image copy-on-write and builds private
-// caches and machine state. A panic inside a prepare, policy or
-// per-workload job becomes that stage's error (see contain), so one
-// faulting job cannot take the process down.
+// whenever the compiler emitted one binary for both modes. A binary with
+// no slice (and no dead-store elimination) never reaches a policy
+// decision, so every label on it shares one job: a workload that compiles
+// no slice makes one simulation, and one whose only slice is cost-rejected
+// makes two (Oracle, and one for the four labels on the slice-free
+// probabilistic binary). Results are written into pre-indexed slots and
+// assembled in workload/policy order after the pool drains, so parallel
+// output is byte-identical to serial output. All shared inputs (the
+// energy.Model, compiler.Annotated binaries, profiles, and the sealed
+// initial memory image) are read-only during runs; every simulation forks
+// the sealed image copy-on-write and builds private caches and machine
+// state. A panic inside a prepare, policy or per-workload job becomes
+// that stage's error (see contain), so one faulting job cannot take the
+// process down.
 package harness
 
 import (
@@ -126,14 +130,19 @@ type simulation struct {
 
 // simulations groups labels by the (binary, policy kind) they execute, in
 // label order. Runs are deterministic functions of that pair, so labels in
-// one group get identical results from one simulation.
+// one group get identical results from one simulation. A binary with no
+// slices has no RCMP, so its runs never reach a policy decision: all its
+// labels share one simulation whatever their kind, unless dead-store
+// elimination ran, which makes the kind decide whether the run may start
+// at all (amnesic.ErrPolicyDSE).
 func simulations(art *Artifacts, labels []string) []*simulation {
 	var sims []*simulation
 next:
 	for j, label := range labels {
 		binary, k := policyBinary(art, label)
+		anyKind := len(binary.Slices) == 0 && !binary.DeadStoreElim
 		for _, s := range sims {
-			if s.binary == binary && s.kind == k {
+			if s.binary == binary && (s.kind == k || anyKind) {
 				s.labels = append(s.labels, j)
 				continue next
 			}

@@ -68,8 +68,11 @@ var costRejecting = []string{"GemsFDTD", "lbm", "fluidanimate", "particlefilter"
 // distinct (binary, policy kind). The Oracle binary is the probabilistic
 // one exactly when the compiler cost-rejected no valid slice: on each
 // responsive kernel Oracle and C-Oracle share a run, so the suite makes
-// four simulations, and a workload that cost-rejects its slice makes five.
-// The trace aggregate counts exactly those runs' instructions. Every label
+// four simulations. A workload that cost-rejects its only slice makes two:
+// Oracle on the oracle binary, and one run of the probabilistic binary,
+// which keeps no slice and so serves the other four labels whatever their
+// policy kind (see TestZeroSliceSimulatesOnce). The trace aggregate
+// counts exactly those runs' instructions. Every label
 // still gets its own run and progress unit, and on is and lbm each
 // label's run deep-equals the run of a single-label suite.
 func TestSharedRunSimulatesOnce(t *testing.T) {
@@ -99,9 +102,12 @@ func TestSharedRunSimulatesOnce(t *testing.T) {
 			log.check(t, ws, harness.PolicyLabels, nil)
 
 			r := res[0]
-			distinct := harness.PolicyLabels // the slice was cost-rejected
-			if w.Responsive {
-				distinct = distinct[1:] // Oracle is C-Oracle's simulation
+			distinct := harness.PolicyLabels[1:] // Oracle is C-Oracle's simulation
+			if !w.Responsive {
+				if len(r.Ann.Slices) != 0 {
+					t.Fatalf("%d slices left after cost rejection, want none", len(r.Ann.Slices))
+				}
+				distinct = []string{"Oracle", "C-Oracle"} // C-Oracle's run serves every label on Ann
 			}
 			var instrs uint64
 			for _, label := range distinct {
@@ -173,5 +179,68 @@ func TestSharedRunFailureKeepsLabels(t *testing.T) {
 			t.Errorf("Workers=%d: error = %q, want %q", workers, err, want)
 		}
 		log.check(t, ws, harness.PolicyLabels, map[string]bool{"Oracle": true, "C-Oracle": true, "FLC": true, "LLC": true})
+	}
+}
+
+// TestZeroSliceSimulatesOnce: a binary with no slice has no RCMP, so no
+// run on it reaches a policy decision, and a five-policy suite makes one
+// simulation for all five labels. The trace aggregate counts exactly one
+// run's instructions, and every label's run deep-equals the run of a
+// single-label suite. Under dead-store elimination the policy kind still
+// decides whether a run may start, so the labels keep their per-kind
+// simulations and every non-Compiler label fails.
+func TestZeroSliceSimulatesOnce(t *testing.T) {
+	for _, name := range []string{"perlbench", "ft"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workloads.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := []*workloads.Workload{w}
+			cfg := harness.DefaultConfig()
+			cfg.Scale = 0.05
+			cfg.Cache = harness.NewArtifactCache()
+			suiteCfg := cfg
+			suiteCfg.TraceObs = new(trace.Agg)
+			var log progressLog
+			suiteCfg.Progress = log.add
+			res, err := harness.RunSuiteContext(context.Background(), suiteCfg, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log.check(t, ws, harness.PolicyLabels, nil)
+			r := res[0]
+			if len(r.Ann.Slices) != 0 || r.OracleAnn != r.Ann {
+				t.Fatalf("%d slices, shared binary %v: not a zero-slice workload", len(r.Ann.Slices), r.OracleAnn == r.Ann)
+			}
+			if got, want := suiteCfg.TraceObs.Load().TotalInstrs, r.Runs["Oracle"].Acct.Instrs; got != want {
+				t.Errorf("trace aggregate counted %d instructions, want %d from one simulation", got, want)
+			}
+			for _, label := range harness.PolicyLabels {
+				if label != "Oracle" && r.Runs[label] == r.Runs["Oracle"] {
+					t.Errorf("%s shares Oracle's *PolicyRun", label)
+				}
+				one := cfg
+				one.Policies = []string{label}
+				single, err := harness.RunSuite(one, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := r.Runs[label], single[0].Runs[label]; !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: five-policy run differs from a single-label suite:\n%+v\n%+v", label, got, want)
+				}
+			}
+
+			dse := cfg
+			dse.Opts.EliminateDeadStores = true
+			dse.Cache = harness.NewArtifactCache()
+			var dseLog progressLog
+			dse.Progress = dseLog.add
+			_, err = harness.RunSuite(dse, ws)
+			if want := "harness: " + name + "/Oracle: " + amnesic.ErrPolicyDSE.Error(); err == nil || err.Error() != want {
+				t.Errorf("dead-store-eliminated suite: error = %v, want %q", err, want)
+			}
+			dseLog.check(t, ws, harness.PolicyLabels, map[string]bool{"Oracle": true, "C-Oracle": true, "FLC": true, "LLC": true})
+		})
 	}
 }

@@ -237,3 +237,48 @@ func TestStoreZeroToUntouchedPage(t *testing.T) {
 		t.Error("untouched word must read zero")
 	}
 }
+
+// TestReadWordsMatchesLoad: a bulk read equals word-by-word Loads wherever
+// the words live — the primary arena, secondary regions, the page map, a
+// fork's copied windows, overlay pages and sealed base, and pages never
+// written — and across the boundaries between them.
+func TestReadWordsMatchesLoad(t *testing.T) {
+	m := NewMemory()
+	bases := []uint64{0x0100_0000, 0x0800_0000, 0x1000_0000, 0x2000_0000, 0x4000_0000}
+	for i, b := range bases {
+		for k := uint64(0); k < 3*pageWords; k += 7 {
+			m.Store(b+8*k, uint64(i)<<32|k)
+		}
+	}
+	img := m.Seal()
+	fork := img.Fork()
+	defer fork.Release()
+	for i, b := range bases {
+		fork.Store(b+8*5, 1000+uint64(i))
+		fork.Store(b+8*(3*pageWords+1), 77)
+	}
+	for _, mm := range []*Memory{img.Mem(), fork} {
+		for _, b := range bases {
+			for _, start := range []uint64{b - 8*5, b, b + 8*(pageWords-3)} {
+				for _, n := range []int{1, 9, pageWords + 5, 3*pageWords + 20} {
+					got := make([]uint64, n)
+					for k := range got {
+						got[k] = 0xbad
+					}
+					mm.ReadWords(start, got)
+					for k, v := range got {
+						if want := mm.Load(start + 8*uint64(k)); v != want {
+							t.Fatalf("ReadWords(%#x, %d)[%d] = %#x, Load = %#x", start, n, k, v, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("misaligned ReadWords did not panic")
+		}
+	}()
+	fork.ReadWords(bases[0]+4, make([]uint64, 1))
+}

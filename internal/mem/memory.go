@@ -188,6 +188,28 @@ func (m *Memory) WindowFor(addr uint64) (baseWord uint64, words []uint64, ok boo
 	return 0, nil, false
 }
 
+// ReadWords copies the len(dst) consecutive words starting at byte address
+// addr into dst. It is Load for a run of words, with one storage lookup
+// per page crossed instead of one per word, whatever holds the page: a
+// flat window, the page map, or the sealed base of a fork. Words of a page
+// never written read as zero.
+func (m *Memory) ReadWords(addr uint64, dst []uint64) {
+	if addr&7 != 0 {
+		panic(fmt.Sprintf("mem: misaligned access at %#x", addr))
+	}
+	for w := addr >> 3; len(dst) > 0; {
+		off := w & pageMask
+		n := min(uint64(len(dst)), pageWords-off)
+		if p := m.pageAt(w >> pageShift); p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		w += n
+	}
+}
+
 // ArenaViewW is ArenaView plus the arena's writable-prefix length — the
 // store-side bound for interpreter window caches. Loads keep bounding by
 // len(words); stores bound by wlen, so a store into words shared with a

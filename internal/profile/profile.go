@@ -29,8 +29,9 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
@@ -167,23 +168,45 @@ type Profile struct {
 // ReadOnlyAddr reports whether the program never stored to addr.
 func (p *Profile) ReadOnlyAddr(addr uint64) bool { return !p.written.contains(addr >> 3) }
 
-// WrittenWords returns the sorted word indices the program stored to
-// (tests and tooling; hot callers use ReadOnlyAddr).
+// WrittenWords returns the word indices the program stored to, in
+// ascending order (the checkpoint engine's payload domain; hot membership
+// queries use ReadOnlyAddr). The dense windows are disjoint and list their
+// words in order, so only the few words outside every window are sorted
+// before the two are merged.
 func (p *Profile) WrittenWords() []uint64 {
-	var out []uint64
+	wins := make([]*writtenWin, len(p.written.wins))
 	for i := range p.written.wins {
-		win := &p.written.wins[i]
-		for off, st := range win.st {
+		wins[i] = &p.written.wins[i]
+	}
+	slices.SortFunc(wins, func(a, b *writtenWin) int { return cmp.Compare(a.base, b.base) })
+	spill := make([]uint64, 0, len(p.written.spill))
+	for w := range p.written.spill {
+		spill = append(spill, w)
+	}
+	slices.Sort(spill)
+	n := len(spill)
+	for _, win := range wins {
+		for _, st := range win.st {
 			if st >= 0 {
-				out = append(out, win.base+uint64(off))
+				n++
 			}
 		}
 	}
-	for w := range p.written.spill {
-		out = append(out, w)
+	out := make([]uint64, 0, n)
+	for _, win := range wins {
+		for off, st := range win.st {
+			if st < 0 {
+				continue
+			}
+			w := win.base + uint64(off)
+			for len(spill) > 0 && spill[0] < w {
+				out = append(out, spill[0])
+				spill = spill[1:]
+			}
+			out = append(out, w)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(out, spill...)
 }
 
 // newProfile allocates the PC-indexed skeleton shared by both collectors.

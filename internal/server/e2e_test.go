@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -380,5 +381,57 @@ func TestJobList(t *testing.T) {
 	}
 	if len(jobs) != 1 || jobs[0].ID != st.ID {
 		t.Fatalf("job list = %+v, want the one submitted job", jobs)
+	}
+}
+
+// TestJobPanicContained: a panic out of one job's run fails only that job,
+// with the panic value in its error. A job running beside it finishes
+// done, the running gauge returns to zero, /healthz stays ok, and the
+// failure is not cached: resubmitting the spec runs it again.
+func TestJobPanicContained(t *testing.T) {
+	h := newE2E(t, Config{JobWorkers: 2, SimWorkers: 1})
+	var once sync.Once
+	started := make(chan struct{}) // the other job has begun executing
+	h.srv.runner.hook = func(sp JobSpec) {
+		h.execs.Add(1)
+		if sp.Kind == KindDifftest {
+			<-started
+			panic("injected fault")
+		}
+		once.Do(func() { close(started) })
+	}
+	const faulty = `{"kind":"difftest","seeds":1}`
+	bad, code := h.post(t, faulty)
+	if code != http.StatusAccepted {
+		t.Fatalf("faulty submission: HTTP %d", code)
+	}
+	good, code := h.post(t, `{"kind":"suite","workloads":["is"],"scale":0.05,"policies":["Compiler"]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("concurrent submission: HTTP %d", code)
+	}
+	if st := h.waitTerminal(t, bad.ID); st.State != StateFailed || !strings.Contains(st.Error, "panicked: injected fault") {
+		t.Fatalf("faulty job = %s (%q), want failed with the panic value", st.State, st.Error)
+	}
+	if st := h.waitTerminal(t, good.ID); st.State != StateDone {
+		t.Fatalf("concurrent job = %s (%s), want done", st.State, st.Error)
+	}
+	var health map[string]any
+	if code := h.getJSON(t, "/healthz", &health); code != http.StatusOK || health["status"] != "ok" {
+		t.Fatalf("/healthz = HTTP %d %v after a job panicked", code, health)
+	}
+	if n := health["jobs_running"]; n != float64(0) {
+		t.Errorf("jobs_running = %v with no job running", n)
+	}
+
+	before := h.execs.Load()
+	again, code := h.post(t, faulty)
+	if code != http.StatusAccepted || again.CacheHit {
+		t.Fatalf("resubmission: HTTP %d, cache hit %v; want a fresh execution", code, again.CacheHit)
+	}
+	if st := h.waitTerminal(t, again.ID); st.State != StateFailed {
+		t.Fatalf("resubmitted job = %s, want failed again", st.State)
+	}
+	if n := h.execs.Load(); n != before+1 {
+		t.Errorf("resubmission made %d executions, want 1", n-before)
 	}
 }

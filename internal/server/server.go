@@ -32,6 +32,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -360,7 +361,7 @@ func (s *Server) runJob(j *job) {
 	s.met.running.Add(1)
 	j.emit(Event{Type: "state", State: StateRunning})
 	obs := new(trace.Agg)
-	data, err := s.runner.run(ctx, j.spec, j.emit, obs)
+	data, err := s.execute(ctx, j, obs)
 	s.met.running.Add(-1)
 	if ts := obs.Load(); ts.TotalInstrs > 0 {
 		s.met.observeTrace(ts)
@@ -383,6 +384,19 @@ func (s *Server) runJob(j *job) {
 		s.log.Printf("amnesiacd: job %s failed: %v", j.id, err)
 		s.finalize(j, StateFailed, err.Error(), nil)
 	}
+}
+
+// execute runs j's spec. A panic out of the run fails only this job: it
+// becomes the job's error, with the stack in the log, and like any other
+// failure it is not cached, so resubmitting the spec runs it again.
+func (s *Server) execute(ctx context.Context, j *job, obs *trace.Agg) (data []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.log.Printf("amnesiacd: job %s panicked: %v\n%s", j.id, r, debug.Stack())
+			data, err = nil, fmt.Errorf("server: job panicked: %v", r)
+		}
+	}()
+	return s.runner.run(ctx, j.spec, j.emit, obs)
 }
 
 // finalize moves j to a terminal state exactly once, updating metrics and
