@@ -21,6 +21,7 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
 	"github.com/amnesiac-sim/amnesiac/internal/harness"
+	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
 	"github.com/amnesiac-sim/amnesiac/internal/policy"
 	"github.com/amnesiac-sim/amnesiac/internal/profile"
@@ -506,23 +507,88 @@ func BenchmarkCheckpointJobs(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed (instructions
-// per second) of the classic core on a compute kernel.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	w, err := workloads.Get("blackscholes")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, initial := w.Build(0.2)
-	model := energy.Default()
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		res, err := cpu.RunProgram(model, prog, initial.Clone())
+// throughputScale keeps BenchmarkSimulatorThroughput to a few seconds, so
+// CI's bench-smoke job can run it on every push.
+const throughputScale = 0.05
+
+// throughputKernel is one responsive kernel readied for timed runs: its
+// program, its sealed initial image and its Compiler-mode binary.
+type throughputKernel struct {
+	prog *isa.Program
+	img  *mem.Image
+	ann  *compiler.Annotated
+}
+
+// run executes k once in mode and returns the instructions it retired.
+// Only the run is on b's clock: forking the image, building the core or
+// the machine, and releasing the fork are not.
+func (k *throughputKernel) run(b *testing.B, model *energy.Model, mode string) (uint64, error) {
+	b.StopTimer()
+	if mode == "profiled" {
+		// The collector copies its input memory, as in the prepare stage,
+		// so that copy is part of the timed run.
+		b.StartTimer()
+		prof, err := profile.Collect(model, k.prog, k.img.Mem())
+		b.StopTimer()
 		if err != nil {
-			b.Fatal(err)
+			return 0, err
 		}
-		instrs = res.Acct.Instrs
+		return prof.TotalDynamic, nil
 	}
-	b.ReportMetric(float64(instrs), "instrs/run")
+	fm := k.img.Fork()
+	defer fm.Release()
+	if mode == "classic" {
+		core := cpu.New(model, mem.NewDefaultHierarchy(), fm)
+		b.StartTimer()
+		err := core.Run(k.prog)
+		b.StopTimer()
+		return core.Acct.Instrs, err
+	}
+	machine, err := amnesic.New(model, k.ann, fm, policy.New(policy.Compiler), uarch.DefaultConfig())
+	if err != nil {
+		return 0, err
+	}
+	b.StartTimer()
+	err = machine.Run()
+	b.StopTimer()
+	return machine.Acct.Instrs, err
+}
+
+// BenchmarkSimulatorThroughput measures the interpreter throughput every
+// job pays for, over the 11 responsive kernels, in three modes: classic
+// (the classic core), profiled (the fused profiler with its hot-loop
+// replay, the prepare stage's first pass) and amnesic (the amnesic machine
+// under the Compiler policy). Build, profile and compile run once, before
+// any timing. Each sub-benchmark reports aggregate MIPS over all kernels;
+// CI's bench-smoke job holds each mode to a floor.
+func BenchmarkSimulatorThroughput(b *testing.B) {
+	model := energy.Default()
+	var kernels []*throughputKernel
+	for _, w := range workloads.Responsive() {
+		prog, initial := w.Build(throughputScale)
+		prof, err := profile.Collect(model, prog, initial)
+		if err != nil {
+			b.Fatalf("%s: %v", w.Name, err)
+		}
+		ann, err := compiler.Compile(model, prog, prof, initial, compiler.DefaultOptions())
+		if err != nil {
+			b.Fatalf("%s: %v", w.Name, err)
+		}
+		kernels = append(kernels, &throughputKernel{prog: prog, img: initial.Seal(), ann: ann})
+	}
+	for _, mode := range []string{"classic", "profiled", "amnesic"} {
+		b.Run(mode, func(b *testing.B) {
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				for _, k := range kernels {
+					n, err := k.run(b, model, mode)
+					if err != nil {
+						b.Fatalf("%s: %v", mode, err)
+					}
+					instrs += n
+				}
+			}
+			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "MIPS")
+		})
+	}
 }

@@ -1,5 +1,5 @@
 // Package cliutil centralizes flag validation shared by the repo's
-// binaries (amnesiac, experiments, bench, amnesiacd). Each check rejects a
+// binaries (amnesiac, experiments, amnesiacd). Each check rejects a
 // nonsensical value up front with an actionable message prefixed by the
 // program name, instead of letting a negative worker count or instruction
 // budget surface later as a hang or a wrapped-around uint64.
@@ -7,14 +7,16 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strings"
 )
 
-// Scale validates a -scale workload scale factor.
+// Scale validates a -scale workload scale factor. NaN fails every
+// comparison, so the check is written to reject it, and ±Inf with it.
 func Scale(prog string, v float64) error {
-	if v <= 0 {
-		return fmt.Errorf("%s: -scale must be positive, got %g", prog, v)
+	if !(v > 0) || math.IsInf(v, 0) {
+		return fmt.Errorf("%s: -scale must be positive and finite, got %g", prog, v)
 	}
 	return nil
 }
@@ -35,14 +37,6 @@ func MaxInstrs(prog string, v int64) error {
 	return nil
 }
 
-// Runs validates a -runs repetition count.
-func Runs(prog string, v int) error {
-	if v <= 0 {
-		return fmt.Errorf("%s: -runs must be positive, got %d", prog, v)
-	}
-	return nil
-}
-
 // Positive validates an arbitrary flag that must be >= 1 (queue sizes,
 // cache capacities, pool widths).
 func Positive(prog, flagName string, v int) error {
@@ -53,10 +47,10 @@ func Positive(prog, flagName string, v int) error {
 }
 
 // MaxR validates a -maxr break-even sweep bound (the sweep starts at
-// Rdefault, so the bound must exceed 1).
+// Rdefault, so the bound must exceed 1). NaN and +Inf are rejected too.
 func MaxR(prog string, v float64) error {
-	if v <= 1 {
-		return fmt.Errorf("%s: -maxr must exceed 1 (the sweep starts at Rdefault), got %g", prog, v)
+	if !(v > 1) || math.IsInf(v, 0) {
+		return fmt.Errorf("%s: -maxr must exceed 1 and be finite (the sweep starts at Rdefault), got %g", prog, v)
 	}
 	return nil
 }

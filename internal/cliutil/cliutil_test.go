@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,9 @@ func TestScale(t *testing.T) {
 	wantErr(t, Scale("p", 0.01), "")
 	wantErr(t, Scale("p", 0), "p: -scale must be positive")
 	wantErr(t, Scale("prog", -1), "prog: -scale must be positive")
+	wantErr(t, Scale("p", math.NaN()), "p: -scale must be positive and finite, got NaN")
+	wantErr(t, Scale("p", math.Inf(1)), "p: -scale must be positive and finite, got +Inf")
+	wantErr(t, Scale("p", math.Inf(-1)), "p: -scale must be positive and finite, got -Inf")
 }
 
 func TestWorkers(t *testing.T) {
@@ -38,12 +42,6 @@ func TestMaxInstrs(t *testing.T) {
 	wantErr(t, MaxInstrs("p", -5), "p: -maxinstrs must be >= 0")
 }
 
-func TestRuns(t *testing.T) {
-	wantErr(t, Runs("p", 3), "")
-	wantErr(t, Runs("p", 0), "p: -runs must be positive")
-	wantErr(t, Runs("p", -1), "p: -runs must be positive")
-}
-
 func TestPositive(t *testing.T) {
 	wantErr(t, Positive("p", "-queue", 64), "")
 	wantErr(t, Positive("p", "-queue", 0), "p: -queue must be positive")
@@ -54,6 +52,9 @@ func TestMaxR(t *testing.T) {
 	wantErr(t, MaxR("p", 200), "")
 	wantErr(t, MaxR("p", 1), "p: -maxr must exceed 1")
 	wantErr(t, MaxR("p", -3), "p: -maxr must exceed 1")
+	wantErr(t, MaxR("p", math.NaN()), "p: -maxr must exceed 1 and be finite (the sweep starts at Rdefault), got NaN")
+	wantErr(t, MaxR("p", math.Inf(1)), "p: -maxr must exceed 1 and be finite (the sweep starts at Rdefault), got +Inf")
+	wantErr(t, MaxR("p", math.Inf(-1)), "p: -maxr must exceed 1 and be finite (the sweep starts at Rdefault), got -Inf")
 }
 
 func TestBytes(t *testing.T) {

@@ -65,7 +65,9 @@ func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 
 // TestPolicyFanOutConcurrent exercises the per-workload policy fan-out and
 // the artifact cache under concurrent suite runs; it exists to be run under
-// -race (the CI workflow does).
+// -race (the CI workflow does). The two suites fork the same sealed images
+// at once, so deep-equal results show that no fork saw another's writes,
+// and every image must be back to its own single reference afterwards.
 func TestPolicyFanOutConcurrent(t *testing.T) {
 	cfg := harness.DefaultConfig()
 	cfg.Scale = 0.1
@@ -105,6 +107,15 @@ func TestPolicyFanOutConcurrent(t *testing.T) {
 			if r.Runs[label] == nil || !r.Runs[label].Verified {
 				t.Errorf("%s/%s: missing or unverified run", r.Workload.Name, label)
 			}
+		}
+	}
+	for _, w := range ws {
+		art, err := cfg.Cache.Get(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refs := art.Image.Refs(); refs != 1 {
+			t.Errorf("%s: image refs = %d after the suites, want 1 (leaked forks)", w.Name, refs)
 		}
 	}
 }

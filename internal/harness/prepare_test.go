@@ -62,3 +62,38 @@ func TestPrepareParity(t *testing.T) {
 		t.Error("no workload produced a slice; the parity check is vacuous")
 	}
 }
+
+// TestArtifactsInitialPristine locks in the scheduler fix: the prepare
+// stage no longer hands its only copy of the initial memory to the classic
+// baseline. After a full suite (classic + five policy runs), the cached
+// Artifacts.Initial must still equal a freshly built initial image, and it
+// must be sealed — writes through it panic rather than corrupting the
+// state every fork is derived from.
+func TestArtifactsInitialPristine(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Cache = harness.NewArtifactCache()
+	w, err := workloads.Get("is")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := harness.Run(cfg, w); err != nil {
+		t.Fatal(err)
+	}
+	art, err := cfg.Cache.Get(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fresh := w.Build(cfg.Scale)
+	if !art.Initial.Equal(fresh) {
+		t.Errorf("Artifacts.Initial diverged from a fresh build at %#x", art.Initial.Diff(fresh, 4))
+	}
+	if art.Initial != art.Image.Mem() {
+		t.Error("Artifacts.Initial is not the sealed image memory")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("store through sealed Artifacts.Initial did not panic")
+		}
+	}()
+	art.Initial.Store(0, 1)
+}

@@ -388,6 +388,102 @@ func TestClusterOwnerDownFallsBackLocally(t *testing.T) {
 	}
 }
 
+// TestClusterReplicaKillLosesNoJobs: four submitters post 24 waiting
+// difftest specs to a three-replica set, each spec first to a replica that
+// does not own its key. A client rotates through the replicas on any
+// failure, at most three sweeps. A third of the way in one replica dies,
+// its listener and its client connections closed. Every spec must still
+// end done, and the survivors must have proxied some specs to their
+// owners: owner routing, local fallback and client retries together lose
+// no job.
+func TestClusterReplicaKillLosesNoJobs(t *testing.T) {
+	const specs, submitters, victim = 24, 4, 2
+	rs := newReplicaSet(t, 3, nil)
+	index := make(map[string]int, len(rs.urls))
+	for i, u := range rs.urls {
+		index[u] = i
+	}
+	bodies := make([][]byte, specs)
+	first := make([]int, specs)
+	for i := range bodies {
+		spec := mustNormalize(t, JobSpec{Kind: KindDifftest, Seeds: i + 1, Scale: 0.05})
+		owner, _ := rs.srvs[0].cluster.Owner(spec.Key())
+		first[i] = (index[owner] + 1 + i%2) % len(rs.urls)
+		var err error
+		if bodies[i], err = json.Marshal(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var next, finished, retries atomic.Int32
+	var kill sync.Once
+	states := make([]string, specs)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < specs; i = int(next.Add(1)) - 1 {
+				states[i] = submitRotating(rs.urls, first[i], bodies[i], &retries)
+				if finished.Add(1) == specs/3 {
+					kill.Do(func() {
+						rs.ts[victim].Listener.Close()
+						rs.ts[victim].CloseClientConnections()
+					})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i, st := range states {
+		if st != StateDone {
+			t.Errorf("spec %d (seeds %d) ended %q, want done", i, i+1, st)
+		}
+	}
+	var proxied uint64
+	for i, srv := range rs.srvs {
+		if i != victim {
+			proxied += srv.met.proxied.Load()
+		}
+	}
+	t.Logf("%d specs, %d retries, survivors proxied %d", specs, retries.Load(), proxied)
+	if proxied == 0 {
+		t.Error("the surviving replicas proxied no submission to its owner")
+	}
+}
+
+// submitRotating posts a waiting submission to urls[start], and on any
+// failure (no connection, a non-200 answer, a job that did not end done)
+// to the next replica, for at most three sweeps over the set with a pause
+// between sweeps. It returns the final job state, or "" if no attempt
+// answered with one.
+func submitRotating(urls []string, start int, body []byte, retries *atomic.Int32) string {
+	var last string
+	for attempt := 0; attempt < 3*len(urls); attempt++ {
+		if attempt > 0 {
+			retries.Add(1)
+			if attempt%len(urls) == 0 {
+				time.Sleep(200 * time.Millisecond)
+			}
+		}
+		resp, err := http.Post(urls[(start+attempt)%len(urls)]+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			continue
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var st JobStatus
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &st) != nil {
+			continue
+		}
+		if last = st.State; last == StateDone {
+			break
+		}
+	}
+	return last
+}
+
 // TestBatchSubmission: one batch request admits several specs, reports
 // per-spec outcomes in order, and the jobs complete. Resubmitting the
 // batch answers every entry from cache.
