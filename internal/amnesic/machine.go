@@ -76,9 +76,7 @@ type Machine struct {
 	// Trace configures the trace-reuse engine for this run. New defaults it
 	// on (trace.DefaultConfig, matching the classic core): hot loops replay
 	// through REC/RCMP via the exec.Aux callbacks, bit-identical to
-	// interpretation, and a recipe-set change at a recorded site (a REC
-	// overflow permanently failing its slice) invalidates the traces that
-	// captured it. Set the zero Config to opt out. Engine, after Run, is
+	// interpretation. Set the zero Config to opt out. Engine, after Run, is
 	// the engine used (nil when tracing was off).
 	Trace  trace.Config
 	Engine *trace.Engine
@@ -117,11 +115,6 @@ type Machine struct {
 	// position in Ann.Slices).
 	failedSlices []bool
 	sliceVals    []uint64 // scratch per-traversal (SFile mirror for values)
-
-	// env is the running execution's parameter block, set for the duration
-	// of Run so the REC handler can reach the live trace engine when a
-	// failed REC changes the recipe state mid-run (see InvalidateRecipes).
-	env *exec.Env
 
 	// Dense per-PC pre-resolutions built by New, so the run loop never
 	// touches the Annotated's maps: each RCMP's slice pointer, each REC's
@@ -202,9 +195,9 @@ func (m *Machine) WriteReg(r isa.Reg, v uint64) {
 // amnesic opcodes (REC/RCMP and the slices they traverse) keep their
 // out-of-line handlers, reached through the exec.Aux interface, which count
 // their events into m.Acct directly. Trace reuse (m.Trace, on by default)
-// replays hot loops including ones crossing REC/RCMP: the machine
-// implements trace.AuxSigger, so those sites record as trace entries that
-// call back into the same handlers at replay.
+// replays hot loops including ones crossing REC/RCMP: those sites record
+// as trace entries that call back into the same handlers at replay, so a
+// trace holds no recipe state of its own.
 func (m *Machine) Run() error {
 	max := m.MaxInstrs
 	if max == 0 {
@@ -229,9 +222,7 @@ func (m *Machine) Run() error {
 		NopSkips:  &m.Stat.NOPsSkipped,
 		Trace:     m.Trace,
 	}
-	m.env = &env
 	err := exec.Run(&env, m.Ann.Prog)
-	m.env = nil
 	m.PC = env.PC
 	m.Engine = env.Engine
 	if err == nil {
@@ -263,52 +254,6 @@ func (m *Machine) StrayRtn(pc int) error {
 	return fmt.Errorf("amnesic: pc %d (%s): %w", pc, m.Ann.Prog.Code[pc], errStrayRTN)
 }
 
-// AuxSig implements trace.AuxSigger: a signature of the recipe state at pc
-// that shapes the REC/RCMP handlers' control decisions, captured into trace
-// entries at record time. For a REC that is the pre-resolved checkpoint
-// spec; for an RCMP the slice identity plus its failed bit — the one piece
-// of recipe state that can change mid-run (a REC overflow permanently
-// failing the slice, see execREC), which flips the signature and lets
-// InvalidateRecipes drop the traces that captured the old one.
-func (m *Machine) AuxSig(pc int) uint64 {
-	in := m.Ann.Prog.Code[pc]
-	switch in.Op {
-	case isa.REC:
-		if !m.recSpecOK[pc] {
-			return 1
-		}
-		spec := &m.recSpecs[pc]
-		sig := uint64(spec.HistID)<<24 | uint64(spec.Mask)<<16
-		for slot := 0; slot < 3; slot++ {
-			sig = sig<<8 | uint64(spec.Regs[slot])&0xff
-		}
-		return sig<<1 | 0 // bit 0 clear: REC namespace
-	case isa.RCMP:
-		si := m.rcmpSlices[pc]
-		if si == nil {
-			return ^uint64(0)
-		}
-		sig := uint64(si.ID) << 2
-		if m.failedSlices[si.ID] {
-			sig |= 2
-		}
-		return sig | 1 // bit 0 set: RCMP namespace
-	}
-	return 0
-}
-
-// InvalidateRecipes drops every live trace whose captured REC/RCMP
-// signatures no longer match the machine's current recipe state — the
-// recipe-change invalidation hook. execREC calls it when a Hist overflow
-// permanently fails a slice mid-run; callers that mutate recipe state
-// externally (tests, future recompilation paths) call it directly. A no-op
-// when no engine is live.
-func (m *Machine) InvalidateRecipes() {
-	if m.env != nil && m.env.Engine != nil {
-		m.env.Engine.InvalidateStale(m)
-	}
-}
-
 // errStrayRTN preserves the historical step-loop error text.
 var errStrayRTN = errors.New("stray RTN outside recomputation")
 
@@ -332,14 +277,10 @@ func (m *Machine) execREC(in isa.Instr) {
 	}
 	if !m.Hist.Write(spec.HistID, vals, spec.Mask) {
 		m.Stat.RecFailed++
-		if id := int(in.SliceID); id >= 0 && id < len(m.failedSlices) && !m.failedSlices[id] {
-			// The recipe state just changed: every RCMP of this slice now
-			// unconditionally loads. Traces that captured the old signature
-			// are stale — drop them so their heads re-record against the
-			// new behaviour. (Replay stays correct either way; it calls the
-			// live handlers. This is hygiene plus re-optimization.)
+		if id := int(in.SliceID); id >= 0 && id < len(m.failedSlices) {
+			// Every later RCMP of this slice loads, replayed or not: replay
+			// calls ExecRcmp, which reads this bit.
 			m.failedSlices[id] = true
-			m.InvalidateRecipes()
 		}
 	}
 }

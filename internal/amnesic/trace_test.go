@@ -64,10 +64,7 @@ func assertTraceParity(t *testing.T, traced, interp *amnesic.Machine, tStores, i
 // the vacuity guard that superblocks really crossed amnesic opcodes.
 func auxTraceEntries(eng *trace.Engine) int {
 	n := 0
-	for _, tr := range eng.Traces {
-		if tr == nil {
-			continue
-		}
+	for _, tr := range eng.Traces() {
 		for _, op := range tr.Ops {
 			if op.Code == trace.CRec || op.Code == trace.CRcmp {
 				n++
@@ -160,11 +157,11 @@ func TestTracedAmnesicBudgetParity(t *testing.T) {
 	}
 }
 
-// TestTracedAmnesicHistOverflowParity drives the production invalidation
-// path: a one-entry Hist makes RECs overflow mid-run, permanently failing
-// slices while traces are live. The failure flips the affected RCMP
-// signatures (InvalidateRecipes → Engine.InvalidateStale), and the traced
-// run must still match interpretation bit for bit.
+// TestTracedAmnesicHistOverflowParity: a one-entry Hist makes RECs
+// overflow mid-run, permanently failing slices while traces that cross
+// their RCMPs are live. Replay calls the live handler, which reads the
+// failed bit, so the traced run must still match interpretation bit for
+// bit.
 func TestTracedAmnesicHistOverflowParity(t *testing.T) {
 	model, ann, initial, _ := compileDerived(t, 40000, compiler.DefaultOptions())
 	tiny := uarch.Config{SFileEntries: 192, HistEntries: 1, IBuffEntries: 256}

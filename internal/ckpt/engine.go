@@ -26,9 +26,6 @@ type Config struct {
 	// Run returns with Crashed=true and the engine's live state is dead —
 	// only Checkpoints survive for a Restart on a fresh engine.
 	CrashAt uint64
-	// Trace configures the classic core's trace engine; nil selects
-	// trace.DefaultConfig().
-	Trace *trace.Config
 	// StoreHook observes every architectural store in retirement order.
 	StoreHook func(addr, val uint64)
 	// KeepAll retains every checkpoint (experiments, oracle); by default
@@ -53,7 +50,6 @@ type Engine struct {
 	slices   []*compiler.SliceInfo // hist-free recomputation recipes
 	byID     map[int]*compiler.SliceInfo
 	interval uint64
-	trace    trace.Config
 
 	// Live machine state.
 	mem    *mem.Memory
@@ -140,11 +136,6 @@ func newEngine(model *energy.Model, prog *isa.Program, base, live *mem.Memory, a
 	}
 	if e.interval == 0 {
 		e.interval = DefaultInterval
-	}
-	if cfg.Trace != nil {
-		e.trace = *cfg.Trace
-	} else {
-		e.trace = trace.DefaultConfig()
 	}
 	if ann != nil {
 		e.byID = make(map[int]*compiler.SliceInfo)
@@ -252,8 +243,8 @@ func (e *Engine) resume(rs *RestoreStats) (*RunResult, error) {
 	for {
 		env := exec.Env{
 			Model: e.model, Hier: e.hier, Mem: e.mem, Regs: &e.regs, Acct: &e.acct,
-			MaxInstrs: e.cfg.MaxInstrs, Classic: true,
-			StoreHook: hook, Trace: e.trace,
+			MaxInstrs: e.cfg.MaxInstrs,
+			StoreHook: hook, Trace: trace.DefaultConfig(),
 			StartPC: e.pc, StopAt: next, CrashAt: e.cfg.CrashAt,
 		}
 		err := exec.Run(&env, e.prog)

@@ -134,7 +134,7 @@ func (b *builder) build(loadPC int) (*rslice.Slice, rejectReason) {
 	// invalidates the whole slice, so it is better to finish the chain and
 	// let the exact post-validation cost check reject true overshoots.
 	const growthSlack = 1.3
-	budget := growthSlack * b.opts.BudgetSlack * li.ExpectedLoadEnergy(b.model)
+	budget := growthSlack * li.ExpectedLoadEnergy(b.model)
 	s := &rslice.Slice{
 		LoadPC: loadPC,
 		Load:   b.prog.Code[loadPC],

@@ -63,26 +63,19 @@ type Options struct {
 	// Stability is the minimum share a dominant producer must hold over
 	// the dynamic instances of an operand for the compiler to rely on it.
 	Stability float64
-	// MinLoadCount skips loads executed fewer times (noise).
-	MinLoadCount uint64
 	// EliminateDeadStores drops stores whose every consuming load was
 	// swapped (§1). Only sound under the always-recompute Compiler policy;
 	// the amnesic machine enforces that.
 	EliminateDeadStores bool
-	// BudgetSlack scales the Eld budget during slice growth: growth may
-	// continue while Erc < BudgetSlack×Eld. 1.0 reproduces the paper.
-	BudgetSlack float64
 }
 
 // DefaultOptions returns the configuration used throughout the evaluation.
 func DefaultOptions() Options {
 	return Options{
-		Mode:         ModeProbabilistic,
-		MaxSliceLen:  80,
-		MaxHeight:    48,
-		Stability:    0.9999,
-		MinLoadCount: 1,
-		BudgetSlack:  1.0,
+		Mode:        ModeProbabilistic,
+		MaxSliceLen: 80,
+		MaxHeight:   48,
+		Stability:   0.9999,
 	}
 }
 

@@ -34,18 +34,11 @@ func NewPlan(model *energy.Model, prog *isa.Program, prof *profile.Profile, opts
 	if opts.MaxSliceLen <= 0 || opts.MaxHeight <= 0 {
 		return nil, fmt.Errorf("compiler: non-positive slice caps %+v", opts)
 	}
-	if opts.BudgetSlack <= 0 {
-		opts.BudgetSlack = 1.0
-	}
 	p := &Plan{b: &builder{model: model, prog: prog, prof: prof, opts: opts}}
 
 	var candidates []*rslice.Slice
 	for _, pc := range prof.SortedLoadPCs() {
-		li := prof.Loads[pc]
 		p.stats.LoadsSeen++
-		if li.Count < opts.MinLoadCount {
-			continue
-		}
 		sl, reason := p.b.build(pc)
 		switch reason {
 		case rejectNone:

@@ -89,7 +89,6 @@ func (c *Core) Run(p *isa.Program) error {
 		Regs:      &c.Regs,
 		Acct:      &c.Acct,
 		MaxInstrs: max,
-		Classic:   true,
 		StoreHook: c.StoreHook,
 		Trace:     c.Trace,
 		Watch:     c.Watch,

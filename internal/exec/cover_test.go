@@ -34,19 +34,6 @@ func TestTraceCoverage(t *testing.T) {
 		if eng == nil {
 			t.Fatalf("%s: tracing disabled by default", w.Name)
 		}
-		var traced, tombs int
-		var traceInstr uint64
-		for _, tr := range eng.Traces {
-			if tr == nil {
-				continue
-			}
-			if tr.Ops == nil {
-				tombs++
-			} else {
-				traced++
-				traceInstr += tr.NInstr
-			}
-		}
 		cover := float64(eng.ReplayedInstrs) / float64(core.Acct.Instrs)
 
 		prof, err := profile.Collect(model, prog, initial)

@@ -11,9 +11,10 @@
 // loop carries no floating-point state, and counts may be batched or
 // reordered freely because integer addition is exact.
 //
-// The core also hosts the trace-reuse engine (internal/trace): hot loop
-// heads are detected on taken backward branches, recorded into superblocks,
-// fused, and replayed as dense loop bodies with one guard per recorded
+// The core also hosts the trace-reuse engine (internal/trace): the engine
+// detects hot loop heads from the arrivals the core reports (taken backward
+// branches and unlinked side exits) and records them into superblocks,
+// which the core replays as dense loop bodies with one guard per recorded
 // conditional branch. Replay is bit-identical to interpretation: it counts
 // the same events, and every memory access still probes the cache
 // hierarchy so its state evolves unchanged. A Watch does not stop a loop
@@ -22,9 +23,9 @@
 // The profiler's fused interpreter (internal/profile) and the flat reference
 // stepper (internal/ref) deliberately do NOT consume this core: the
 // profiler interleaves shadow dependence tracking that has no energy model
-// and would only slow this loop down (it compiles its hot loops with
-// trace.Build and replays them itself), and the reference must stay an
-// independent implementation for the differential oracle to be able to
+// and would only slow this loop down (its hot loops go through the same
+// trace.Engine, and it replays them itself), and the reference must stay
+// an independent implementation for the differential oracle to be able to
 // catch bugs here (an oracle that shares its subject's dispatch loop can
 // only agree with it). See DESIGN.md.
 package exec
@@ -83,11 +84,9 @@ type Env struct {
 
 	// MaxInstrs bounds the run; 0 means DefaultMaxInstrs.
 	MaxInstrs uint64
-	// Classic selects the classic core's error texts and rejects the
-	// amnesic kinds; when false the amnesic texts are used and Aux handles
-	// them.
-	Classic bool
-	// Aux executes REC/RCMP/RTN (amnesic machine only; nil for classic).
+	// Aux executes REC/RCMP/RTN (amnesic machine only). A nil Aux is the
+	// classic core: it selects the classic error texts and rejects the
+	// amnesic kinds.
 	Aux Aux
 	// StoreHook, if non-nil, observes every architectural store in
 	// retirement order.
@@ -166,7 +165,7 @@ func watchKinds(kinds []isa.Kind, pcs []int) ([]isa.Kind, []bool) {
 
 // prefix returns the error-text prefix for this environment.
 func (env *Env) prefix() string {
-	if env.Classic {
+	if env.Aux == nil {
 		return "cpu"
 	}
 	return "amnesic"
@@ -207,22 +206,18 @@ func Run(env *Env, p *isa.Program) error {
 	acct := env.Acct
 	regs := env.Regs
 
-	// Trace engine construction. All engine state lives in the rsh block
-	// below, NOT in loop locals: every extra value live across the 11-way
-	// dispatch switch costs register spills in the hot cases (measured ~20%
-	// on the pure interpreter), so the loop keeps exactly one word of trace
-	// state — the `slow` mode flag — and the cold trace paths reload the
-	// rest from the stack-resident parameter block.
+	// Trace engine construction. All engine state lives in the engine,
+	// reached through the rsh block below, NOT in loop locals: every extra
+	// value live across the 11-way dispatch switch costs register spills in
+	// the hot cases (measured ~20% on the pure interpreter), so the loop
+	// keeps exactly one word of trace state — the `slow` mode — and the
+	// cold trace paths reload the rest. An Aux handler makes REC and RCMP
+	// recordable: traces replay them through the live handler.
 	var eng *trace.Engine
 	if env.Trace.Enable {
-		eng = trace.NewEngine(env.Trace, n)
+		eng = trace.NewEngine(env.Trace, d, env.ElimNOP, watched, env.Aux != nil)
 		env.Engine = eng
 	}
-	// An Aux handler that can sign its REC/RCMP sites makes those kinds
-	// recordable: traces replay them through the live handler, and the
-	// signatures captured at record time let the handler invalidate traces
-	// when its recipe state changes (see trace.AuxSigger).
-	sigger, _ := env.Aux.(trace.AuxSigger)
 
 	// Flat windows held in locals, forming a two-entry data micro-TLB: the
 	// primary arena plus the region that serviced the most recent slow-path
@@ -250,40 +245,29 @@ func Run(env *Env, p *isa.Program) error {
 	// difference is what the loop retired — and fetched — itself.
 	instrs := acct.Instrs
 
-	// Parameter block for replayTrace, home of the event counts and of all
-	// mutable trace-engine state (see replay.go). rsh is address-taken, so
-	// its fields live on the stack and never compete with the interpreter's
-	// hot locals for registers; the only trace state the loop itself
-	// carries is `slow`.
+	// Parameter block for replayTrace, home of the event counts (see
+	// replay.go). rsh is address-taken, so its fields live on the stack and
+	// never compete with the interpreter's hot locals for registers; the
+	// only trace state the loop itself carries is `slow`.
 	rsh := replayShared{
 		l1: l1, hier: hier, memory: memory,
 		regs: regs, nopSkips: env.NopSkips, storeHook: env.StoreHook,
 		code: code, pfx: env.prefix(), max: lim,
-		eng: eng, recHead: -1,
-		aux: env.Aux, acct: acct, sigger: sigger,
-		watch: env.Watch, watched: watched,
-	}
-	if eng != nil {
-		rsh.counts, rsh.traces = eng.Counts, eng.Traces
-		rsh.threshold, rsh.maxOps = eng.Cfg.Threshold, eng.Cfg.MaxOps
+		eng: eng, aux: env.Aux, acct: acct, watch: env.Watch,
 	}
 
-	// slow selects the loop-top slow path: 0 is plain interpretation,
-	// slowReplay means rsh.curTr is pending replay at the current pc, and
-	// slowRecord means a superblock is recording from rsh.recHead. The two
-	// are mutually exclusive, so one register-resident word covers both.
-	const (
-		slowReplay = 1
-		slowRecord = 2
-	)
-	slow := 0
+	// slow selects the loop-top slow path: trace.Interpret (0) is plain
+	// interpretation, trace.Replay means the trace headed at the current pc
+	// is pending replay, and trace.Record means a recording is open. The
+	// engine's arrivals and recording steps set it.
+	slow := trace.Interpret
 
 	var rerr error
 	pc := env.StartPC
 loop:
 	for {
 		if uint(pc) >= uint(n) {
-			if env.Classic {
+			if env.Aux == nil {
 				rerr = fmt.Errorf("cpu: pc %d out of range (program %q, %d instrs)", pc, p.Name, n)
 			} else {
 				rerr = fmt.Errorf("amnesic: pc %d out of range (%q)", pc, p.Name)
@@ -301,8 +285,8 @@ loop:
 			}
 			break loop
 		}
-		if slow != 0 {
-			if slow == slowReplay {
+		if slow != trace.Interpret {
+			if slow == trace.Replay {
 				// ---- Trace replay ---------------------------------------
 				// replayTrace runs the superblock as a dense loop body until
 				// a guard side-exits, a replayed access faults, or the
@@ -311,60 +295,33 @@ loop:
 				// the budget rule dictates). It counts into rsh and hands
 				// the budget count back; see replay.go for why it is its
 				// own function.
-				tr := rsh.curTr
-				rsh.curTr = nil
-				slow = 0
 				replayFrom := instrs
 				mw := memWin{arenaBase: arenaBase, arena: arena, arenaWN: arenaWN, w2base: w2base, w2: w2, w2WN: w2WN}
-				instrs, mw, pc, rerr = replayTrace(&rsh, tr, instrs, mw)
+				instrs, mw, pc, rerr = replayTrace(&rsh, eng.Head(pc), instrs, mw)
 				arenaBase, arena, arenaWN = mw.arenaBase, mw.arena, mw.arenaWN
 				w2base, w2, w2WN = mw.w2base, mw.w2, mw.w2WN
 				eng.ReplayedInstrs += instrs - replayFrom
 				if rerr != nil {
 					break loop
 				}
-				// A side-exit target that crossed the threshold (replayTrace
-				// bumps counts on unchained exits) becomes a lateral trace
-				// head: record from here until execution arrives back here,
-				// whatever control flow the path takes. Chained guards then
-				// jump straight from trace to trace without interpreting the
-				// cold tail in between.
-				if uint(pc) < uint(n) && rsh.traces[pc] == nil && rsh.counts[pc] >= rsh.threshold {
-					rsh.counts[pc] = 0
-					rsh.recHead = pc
-					slow = slowRecord
-					if rsh.recPath == nil {
-						rsh.recPath = make([]int32, 0, rsh.maxOps)
-					}
+				// The side exit that ended the replay, if no trace linked
+				// it, arrived at its target: the arrival may have opened a
+				// lateral head's recording there, which runs until
+				// execution arrives back there, whatever control flow the
+				// path takes. Chained guards then jump straight from trace
+				// to trace without interpreting the cold tail in between.
+				slow = trace.Interpret
+				if eng.Recording() {
+					slow = trace.Record
 				}
 				continue loop
 			}
-			// ---- Superblock recording -------------------------------
-			// Arriving back at the head — via the closing back-edge or,
-			// for a lateral head, any control transfer — completes the
-			// superblock; instructions replay cannot reproduce and
-			// over-long paths (e.g. a nested loop spinning inside the
-			// recording) blacklist the head instead.
-			if pc == rsh.recHead && len(rsh.recPath) > 0 {
-				nt := trace.Build(d, rsh.recPath, env.ElimNOP, rsh.watched, rsh.sigger)
-				rsh.traces[pc] = nt
-				eng.RegisterAuxSites(nt)
-				eng.Built++
-				eng.Replays++
-				rsh.recHead = -1
-				rsh.recPath = rsh.recPath[:0]
-				rsh.curTr = nt
-				slow = slowReplay
+			// ---- Superblock recording -----------------------------------
+			// Back at the head the engine closes the path into a trace and
+			// replay starts; an unrecordable instruction or an over-long
+			// path blacklists the head and interpretation goes on.
+			if slow = eng.Step(pc); slow == trace.Replay {
 				continue loop
-			}
-			if k := d.Kind[pc]; !(trace.Recordable(k) || (rsh.sigger != nil && trace.RecordableAux(k))) ||
-				len(rsh.recPath) >= rsh.maxOps {
-				eng.Blacklist(rsh.recHead)
-				rsh.recHead = -1
-				rsh.recPath = rsh.recPath[:0]
-				slow = 0
-			} else {
-				rsh.recPath = append(rsh.recPath, int32(pc))
 			}
 		}
 		k := kinds[pc]
@@ -488,28 +445,11 @@ loop:
 			}
 			if taken {
 				t := int(targets[pc])
-				if t <= pc && slow == 0 && rsh.eng != nil {
-					// Taken back-edge: enter a trace or advance the head's
-					// hotness counter. While recording, back-edges are just
-					// path entries — closure happens when execution arrives
-					// back at the recording head (see the loop top).
-					if tr := rsh.traces[t]; tr != nil {
-						if tr.Ops != nil {
-							rsh.eng.Replays++
-							rsh.curTr = tr
-							slow = slowReplay
-						}
-					} else {
-						rsh.counts[t]++
-						if rsh.counts[t] >= rsh.threshold {
-							rsh.counts[t] = 0
-							rsh.recHead = t
-							slow = slowRecord
-							if rsh.recPath == nil {
-								rsh.recPath = make([]int32, 0, rsh.maxOps)
-							}
-						}
-					}
+				if t <= pc && slow == trace.Interpret && rsh.eng != nil {
+					// Taken back-edge: an arrival at t. While recording,
+					// back-edges are just path entries — closure happens
+					// when execution arrives back at the recording head.
+					slow = rsh.eng.Arrive(t)
 				}
 				pc = t
 			} else {
@@ -519,24 +459,8 @@ loop:
 			instrs++
 			rsh.byCat[isa.CatBranch]++
 			t := int(targets[pc])
-			if t <= pc && slow == 0 && rsh.eng != nil {
-				if tr := rsh.traces[t]; tr != nil {
-					if tr.Ops != nil {
-						rsh.eng.Replays++
-						rsh.curTr = tr
-						slow = slowReplay
-					}
-				} else {
-					rsh.counts[t]++
-					if rsh.counts[t] >= rsh.threshold {
-						rsh.counts[t] = 0
-						rsh.recHead = t
-						slow = slowRecord
-						if rsh.recPath == nil {
-							rsh.recPath = make([]int32, 0, rsh.maxOps)
-						}
-					}
-				}
+			if t <= pc && slow == trace.Interpret && rsh.eng != nil {
+				slow = rsh.eng.Arrive(t)
 			}
 			pc = t
 		case isa.KindNop:

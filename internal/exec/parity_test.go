@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/amnesiac-sim/amnesiac/internal/asm"
@@ -29,9 +30,11 @@ func runOnce(p *isa.Program, m *mem.Memory, maxInstrs uint64, threshold uint32) 
 	return core, stores, err
 }
 
-func assertParity(t *testing.T, name string, p *isa.Program, mkMem func() *mem.Memory, maxInstrs uint64) {
+// assertParity runs p traced at threshold and untraced, and demands the
+// same error text, registers, final pc, store stream and energy account.
+func assertParity(t *testing.T, name string, p *isa.Program, mkMem func() *mem.Memory, maxInstrs uint64, threshold uint32) {
 	t.Helper()
-	traced, tStores, tErr := runOnce(p, mkMem(), maxInstrs, 1)
+	traced, tStores, tErr := runOnce(p, mkMem(), maxInstrs, threshold)
 	interp, iStores, iErr := runOnce(p, mkMem(), maxInstrs, 0)
 	if (tErr == nil) != (iErr == nil) || (tErr != nil && tErr.Error() != iErr.Error()) {
 		t.Fatalf("%s: error mismatch:\n  traced: %v\n  interp: %v", name, tErr, iErr)
@@ -69,7 +72,7 @@ func TestTracedMatchesInterp(t *testing.T) {
 		if traced.Engine == nil || traced.Engine.Replays == 0 {
 			t.Fatalf("%s: no replays happened; parity check would be vacuous", w.Name)
 		}
-		assertParity(t, w.Name, prog, initial.Clone, 0)
+		assertParity(t, w.Name, prog, initial.Clone, 0, 1)
 	}
 }
 
@@ -103,7 +106,7 @@ loop:
 	if traced.Engine.Replays == 0 || traced.Engine.ReplayedInstrs == 0 {
 		t.Fatal("fault did not occur under replay; test is vacuous")
 	}
-	assertParity(t, "fault_loop", p, mem.NewMemory, 0)
+	assertParity(t, "fault_loop", p, mem.NewMemory, 0, 1)
 }
 
 // TestTracedBudgetParity exhausts the instruction budget mid-replay and
@@ -128,7 +131,7 @@ loop:
 	if traced.Engine.Replays == 0 {
 		t.Fatal("budget was not hit under replay; test is vacuous")
 	}
-	assertParity(t, "spin", p, mem.NewMemory, 1000)
+	assertParity(t, "spin", p, mem.NewMemory, 1000, 1)
 }
 
 // TestTraceLinking: a nested loop whose inner trace side-exits into the
@@ -158,5 +161,45 @@ inner:
 	if traced.Engine.Built < 2 {
 		t.Fatalf("built %d traces, want the inner loop and a lateral trace at its exit", traced.Engine.Built)
 	}
-	assertParity(t, "nest", p, mem.NewMemory, 0)
+	assertParity(t, "nest", p, mem.NewMemory, 0, 1)
+}
+
+// TestFallOffEndParity: a hot loop whose closing branch is the program's
+// last instruction side-exits one past the end once the loop is done. The
+// traced run must end exactly as the untraced one does, with the
+// interpreter's out-of-range error, on the classic core and with an aux
+// handler, at the default threshold and at threshold 1.
+func TestFallOffEndParity(t *testing.T) {
+	p, err := asm.Parse("falloff", `
+    li   r2, 100
+loop:
+    addi r1, r1, 1
+    blt  r1, r2, loop
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, th := range []uint32{trace.DefaultConfig().Threshold, 1} {
+		traced, _, tErr := runOnce(p, mem.NewMemory(), 0, th)
+		if tErr == nil || !strings.Contains(tErr.Error(), "cpu: pc 3 out of range") {
+			t.Fatalf("threshold %d: classic error %v, want pc 3 out of range", th, tErr)
+		}
+		if traced.Engine.ReplayedInstrs == 0 {
+			t.Fatalf("threshold %d: the loop never replayed; test is vacuous", th)
+		}
+		assertParity(t, "falloff", p, mem.NewMemory, 0, th)
+
+		tc := trace.Config{Enable: true, Threshold: th}
+		tEnv, _, tErr := runAux(t, p, tc, 0, 0)
+		iEnv, _, iErr := runAux(t, p, trace.Config{}, 0, 0)
+		if tErr == nil || iErr == nil || tErr.Error() != iErr.Error() {
+			t.Fatalf("threshold %d: aux errors diverge:\n  traced: %v\n  interp: %v", th, tErr, iErr)
+		}
+		if *tEnv.Regs != *iEnv.Regs || *tEnv.Acct != *iEnv.Acct || tEnv.PC != iEnv.PC {
+			t.Fatalf("threshold %d: aux state diverges: pc traced %d interp %d", th, tEnv.PC, iEnv.PC)
+		}
+		if tEnv.Engine.ReplayedInstrs == 0 {
+			t.Fatalf("threshold %d: the aux run never replayed; test is vacuous", th)
+		}
+	}
 }

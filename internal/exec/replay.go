@@ -10,9 +10,9 @@ import (
 )
 
 // replayShared is the state Run and replayTrace share: the machine
-// pointers, the error-text inputs, the run's event counts, and the
-// trace-engine state. Run builds one per execution and passes it by
-// pointer so the hot arguments stay scalar.
+// pointers, the error-text inputs, the run's event counts, and the trace
+// engine. Run builds one per execution and passes it by pointer so the hot
+// arguments stay scalar.
 type replayShared struct {
 	l1        *mem.Cache
 	hier      *mem.Hierarchy
@@ -24,16 +24,12 @@ type replayShared struct {
 	pfx       string
 	max       uint64
 
-	// Trace-linking state (counts/traces alias the engine's arrays): a
-	// failing guard chains directly into the side-exit target's trace when
-	// one exists, and bumps the target's hotness counter when none does, so
-	// hot exit paths become lateral traces and replay rarely returns to the
-	// interpreter.
-	eng       *trace.Engine
-	counts    []uint32
-	traces    []*trace.Trace
-	threshold uint32
-	maxOps    int
+	// The run's trace engine. A failing guard is an arrival at its side
+	// exit's target (trace.Engine.Arrive): it chains directly into the
+	// target's trace when one exists, and counts toward the target's own
+	// trace when none does, so hot exit paths become lateral traces and
+	// replay rarely returns to the interpreter.
+	eng *trace.Engine
 
 	// The run's event counts (deltas), folded into the account at exit.
 	// byCat is sized to a power of two so a category masked with &15 needs
@@ -42,25 +38,12 @@ type replayShared struct {
 	loadsAt, storesAt, wbAt [energy.NumLevels]uint64
 
 	// Aux-replay state (amnesic runs): the live handler CRec/CRcmp ops call
-	// back into, the account it counts into, and the sigger that makes aux
-	// kinds recordable. All cold-path only.
-	aux    Aux
-	acct   *energy.Account
-	sigger trace.AuxSigger
+	// back into, and the account it counts into. Cold-path only.
+	aux  Aux
+	acct *energy.Account
 
-	// Watch state (watched runs): the watch CWatch ops call, and the
-	// per-PC marks the recorder hands trace.Build. Cold-path only.
-	watch   *Watch
-	watched []bool
-
-	// Mutable engine state the interpreter loop deliberately keeps OUT of
-	// its locals (each extra value live across the dispatch switch costs
-	// spills in the hot cases — see Run): curTr is the trace pending replay
-	// when slow == slowReplay, recHead the head being recorded when
-	// slow == slowRecord, recPath its superblock buffer.
-	curTr   *trace.Trace
-	recHead int
-	recPath []int32
+	// The watch CWatch ops call (watched runs). Cold-path only.
+	watch *Watch
 }
 
 // miss services an access the L1 probe missed through the rest of the
@@ -113,7 +96,8 @@ type memWin struct {
 // returns it advanced, together with the pc where interpretation must
 // resume (the side-exit continuation, the head on budget exhaustion, or the
 // faulting original pc with a non-nil error). Every other event is counted
-// into sh. Batchable ops advance instrs by their dead-charge weight
+// into sh, and each trace entered, tr and every linked one, into
+// Engine.Replays. Batchable ops advance instrs by their dead-charge weight
 // (trace.Op.NBat); integer addition is exact, so the totals at every
 // observation point are those of interpretation.
 func replayTrace(sh *replayShared, tr *trace.Trace, instrs uint64, mw memWin) (uint64, memWin, int, error) {
@@ -126,6 +110,7 @@ func replayTrace(sh *replayShared, tr *trace.Trace, instrs uint64, mw memWin) (u
 	pc := int(tr.Head)
 	trOps := tr.Ops
 	need := tr.NInstr
+	sh.eng.Replays++
 chain:
 	for instrs+need <= max {
 		for i := range trOps {
@@ -302,20 +287,17 @@ chain:
 				byCat[isa.CatBranch]++
 				if isa.BranchTaken(op.BOp, regs[op.BSrc1&31], regs[op.BSrc2&31]) != op.Taken {
 					// Cold path: go through sh rather than locals so the
-					// link state is not live across the hot dispatch above.
+					// engine is not live across the hot dispatch above.
 					pc = int(op.ExitPC)
-					if nt := sh.traces[pc]; nt != nil {
-						if nt.Ops == nil {
-							break chain // blacklisted head: interpret
-						}
+					if sh.eng.Arrive(pc) == trace.Replay {
 						// Link: fall through into the exit target's trace
 						// without returning to the interpreter.
+						nt := sh.eng.Head(pc)
 						sh.eng.Replays++
 						trOps = nt.Ops
 						need = nt.NInstr
 						continue chain
 					}
-					sh.counts[pc]++
 					break chain
 				}
 			case trace.CAluGuard:
@@ -362,16 +344,13 @@ chain:
 				}
 				if isa.BranchTaken(op.BOp, ga, gb) != op.Taken {
 					pc = int(op.ExitPC)
-					if nt := sh.traces[pc]; nt != nil {
-						if nt.Ops == nil {
-							break chain
-						}
+					if sh.eng.Arrive(pc) == trace.Replay {
+						nt := sh.eng.Head(pc)
 						sh.eng.Replays++
 						trOps = nt.Ops
 						need = nt.NInstr
 						continue chain
 					}
-					sh.counts[pc]++
 					break chain
 				}
 			case trace.CLoadAlu:

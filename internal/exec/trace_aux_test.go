@@ -37,30 +37,29 @@ func auxLoopProgram(t *testing.T, auxOp isa.Instr, innerN, outerN int64) *isa.Pr
 	return p
 }
 
-// flipAux is a test Aux handler implementing trace.AuxSigger. Every call
-// retires one instruction by counting it into the Account (the aux contract).
-// After flipAt REC calls its signatures change epoch and it invalidates
-// stale traces through the live engine — the production recipe-change hook,
-// fired deterministically mid-run. failRcmpAt, when non-zero, makes that
-// RCMP call return an error (the outcome-guard side exit).
+// flipAux is a test Aux handler. Every call retires instructions by
+// counting them into the Account (the aux contract): one per call, and two
+// per REC from the flipAt-th REC call on, a mid-run change in what the
+// handler does, as a slice that fails mid-run changes what its RCMPs do.
+// failRcmpAt, when non-zero, makes that RCMP call return an error (the
+// outcome-guard side exit).
 type flipAux struct {
 	env        *exec.Env
 	recCalls   int
 	rcmpCalls  int
 	flipAt     int
 	failRcmpAt int
-	epoch      uint64
+	// The engine's replay and build counts when the change happened.
+	replaysAtFlip, builtAtFlip uint64
 }
-
-func (a *flipAux) AuxSig(pc int) uint64 { return a.epoch<<8 | uint64(pc) }
 
 func (a *flipAux) ExecRec(pc int) {
 	a.env.Acct.Instrs++
 	a.recCalls++
-	if a.flipAt != 0 && a.recCalls == a.flipAt {
-		a.epoch++
-		if a.env.Engine != nil {
-			a.env.Engine.InvalidateStale(a)
+	if a.flipAt != 0 && a.recCalls >= a.flipAt {
+		a.env.Acct.Instrs++
+		if a.recCalls == a.flipAt && a.env.Engine != nil {
+			a.replaysAtFlip, a.builtAtFlip = a.env.Engine.Replays, a.env.Engine.Built
 		}
 	}
 }
@@ -96,16 +95,15 @@ func runAux(t *testing.T, p *isa.Program, tc trace.Config, flipAt, failRcmpAt in
 	return env, aux, err
 }
 
-// TestTraceAuxMidRunInvalidation: a trace whose body crosses a REC is built,
-// replays, and is dropped mid-run when the handler's recipe signature
-// changes. The head re-counts from zero, re-records against the new
-// signature, and the run stays bit-identical to pure interpretation.
-func TestTraceAuxMidRunInvalidation(t *testing.T) {
+// TestTraceAuxMidRunHandlerChange: a trace whose body crosses a REC holds
+// no handler state, so when the handler starts retiring more per REC
+// mid-run, the trace keeps replaying — no drop, no re-record — and the run
+// stays bit-identical to pure interpretation.
+func TestTraceAuxMidRunHandlerChange(t *testing.T) {
 	// innerN is sized past MaxOps/4 so the outer head cannot record a
-	// whole-program superblock (an already-running replay self-chains to
-	// completion on live handlers and would hide the drop): control
-	// returns to the interpreter between inner-loop bursts, making the
-	// invalidation observable at the inner head's next arrival.
+	// whole-program superblock: control returns to the interpreter between
+	// inner-loop bursts, and each burst after the change enters the inner
+	// trace afresh.
 	prog := auxLoopProgram(t, isa.Instr{Op: isa.REC, Src1: 5, Src2: 6}, 200, 32)
 	const flipAt = 3200 // mid-run: half-way through 200*32 REC calls
 	force := trace.Config{Enable: true, Threshold: 1}
@@ -119,87 +117,26 @@ func TestTraceAuxMidRunInvalidation(t *testing.T) {
 		t.Fatalf("rec calls diverge: traced %d interp %d, want %d", tAux.recCalls, iAux.recCalls, 200*32)
 	}
 	if *tEnv.Regs != *iEnv.Regs || *tEnv.Acct != *iEnv.Acct || tEnv.PC != iEnv.PC {
-		t.Fatalf("state diverges across mid-run invalidation:\ntraced %+v\ninterp %+v", *tEnv.Acct, *iEnv.Acct)
+		t.Fatalf("state diverges across the mid-run handler change:\ntraced %+v\ninterp %+v", *tEnv.Acct, *iEnv.Acct)
 	}
 
 	eng := tEnv.Engine
-	if eng == nil || eng.Replays == 0 {
-		t.Fatalf("vacuous: no replays")
+	if eng == nil || tAux.replaysAtFlip == 0 || eng.Replays <= tAux.replaysAtFlip {
+		t.Fatalf("vacuous: no replay on both sides of the change (replays at the change %d, engine %+v)", tAux.replaysAtFlip, eng)
 	}
-	if eng.Invalidations == 0 {
-		t.Fatalf("signature flip invalidated nothing (built=%d)", eng.Built)
+	if eng.Built != tAux.builtAtFlip {
+		t.Fatalf("built %d traces after the change, %d before: want no re-record", eng.Built, tAux.builtAtFlip)
 	}
-	// A head re-earned a trace against the new signature (after the drop
-	// the first re-arrival re-counts and re-records): some live trace
-	// holds a CRec entry captured at the post-flip epoch.
-	if eng.Built < 2 {
-		t.Fatalf("built = %d, want >= 2 (re-record after invalidation)", eng.Built)
-	}
-	found := false
-	for _, tr := range eng.Traces {
-		if tr == nil || tr.Ops == nil {
-			continue
-		}
+	crossing := 0
+	for _, tr := range eng.Traces() {
 		for _, op := range tr.Ops {
 			if op.Code == trace.CRec {
-				found = true
-				if op.AuxSig != tAux.AuxSig(int(op.PC)) {
-					t.Errorf("live CRec sig %#x at head %d, want post-flip %#x", op.AuxSig, tr.Head, tAux.AuxSig(int(op.PC)))
-				}
+				crossing++
 			}
 		}
 	}
-	if !found {
-		t.Fatalf("no live trace re-captured the REC site after invalidation")
-	}
-}
-
-// TestTraceAuxChainAcrossInvalidatedHead: after the mid-run drop, replay
-// chains that previously linked into the invalidated head fall back to
-// hotness counting (the lateral-head path) instead of replaying a dead
-// trace, then link into the rebuilt one. Observable as replays continuing
-// to accumulate after the invalidation with unchanged architectural state.
-func TestTraceAuxChainAcrossInvalidatedHead(t *testing.T) {
-	// The inner loop is long enough (200*4+4 ops > MaxOps) that recording
-	// the outer head overruns and tombstones it, so only the inner head
-	// holds a trace and the interpreter re-arrives there every outer
-	// iteration — the drop is observable at the next arrival, unlike a
-	// whole-program superblock whose self-chaining replay (correctly)
-	// runs to completion on live handlers.
-	prog := auxLoopProgram(t, isa.Instr{Op: isa.REC, Src1: 5, Src2: 6}, 200, 64)
-	const flipAt = 6400 // half-way through 200*64 = 12800 REC calls
-	force := trace.Config{Enable: true, Threshold: 1}
-
-	tEnv, _, terr := runAux(t, prog, force, flipAt, 0)
-	iEnv, _, ierr := runAux(t, prog, trace.Config{}, flipAt, 0)
-	if terr != nil || ierr != nil {
-		t.Fatalf("runs failed: traced %v interp %v", terr, ierr)
-	}
-	if *tEnv.Regs != *iEnv.Regs || *tEnv.Acct != *iEnv.Acct {
-		t.Fatalf("state diverges across chains crossing the invalidated head")
-	}
-	eng := tEnv.Engine
-	if eng == nil || eng.Invalidations == 0 {
-		t.Fatalf("no invalidation fired (engine=%v)", eng)
-	}
-	if eng.Replays == 0 || eng.ReplayedInstrs == 0 {
-		t.Fatalf("no replay activity: %+v", eng)
-	}
-	// Post-drop execution re-recorded a live aux-crossing trace somewhere
-	// (the fallback path re-counts heads instead of replaying dead traces).
-	live := 0
-	for _, tr := range eng.Traces {
-		if tr == nil || tr.Ops == nil {
-			continue
-		}
-		for _, op := range tr.Ops {
-			if op.Code == trace.CRec {
-				live++
-			}
-		}
-	}
-	if live == 0 {
-		t.Fatalf("no live aux-crossing trace after chain fallback (built=%d inval=%d)", eng.Built, eng.Invalidations)
+	if crossing == 0 {
+		t.Fatalf("no trace crossed the REC site (built=%d)", eng.Built)
 	}
 }
 

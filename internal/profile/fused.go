@@ -33,10 +33,12 @@ import (
 // migrate into the dense form.
 //
 // Hot loops replay (hot.go): a loop head crossing the trace engine's
-// default threshold is recorded for one iteration and replayed with one
-// guard per conditional branch. Replay does the per-access load and store
-// work through the same helpers as the interpreter (load, store) and adds
-// the iteration's register edges and instruction counts once per replay.
+// default threshold is recorded for one iteration, through the same
+// trace.Engine arrivals and recording steps as exec.Run, and replayed with
+// one guard per conditional branch. Replay does the per-access load and
+// store work through the same helpers as the interpreter (load, store) and
+// adds the iteration's register edges and instruction counts once per
+// replay.
 
 // Shadow slot sentinels. Store-PC slots use slotEmpty for "never stored";
 // touch slots use slotEmpty for "no touch recorded" and slotSpilled (in t0)
@@ -471,9 +473,10 @@ func collect(p *isa.Program, initial *mem.Memory, maxInstrs uint64, threshold ui
 		max = cpu.DefaultMaxInstrs
 	}
 
-	// slow selects the loop-top slow path, as in exec.Run: 0 interprets,
-	// slowReplay replays h.cur from pc, slowRecord records from h.head.
-	slow := 0
+	// slow selects the loop-top slow path, as in exec.Run: trace.Interpret
+	// interprets, trace.Replay replays the hotTrace headed at pc, and
+	// trace.Record takes a recording step first.
+	slow := trace.Interpret
 	var rerr error
 	pc := 0
 loop:
@@ -486,15 +489,15 @@ loop:
 			rerr = fmt.Errorf("profile: %w (%d)", cpu.ErrInstrBudget, max)
 			break loop
 		}
-		if slow != 0 {
-			if slow == slowReplay {
-				slow = 0
-				if pc, instrs, rerr = c.replay(h.cur, &regs, &regProd, instrs, max); rerr != nil {
+		if slow != trace.Interpret {
+			if slow == trace.Replay {
+				slow = trace.Interpret
+				if pc, instrs, rerr = c.replay(h.hot[pc], &regs, &regProd, instrs, max); rerr != nil {
 					break loop
 				}
 				continue loop
 			}
-			if slow = h.record(pc); slow == slowReplay {
+			if slow = h.record(pc); slow == trace.Replay {
 				continue loop
 			}
 		}
@@ -573,8 +576,8 @@ loop:
 			instrs++
 			if isa.BranchTaken(ops[pc], regs[src1s[pc]&31], regs[src2s[pc]&31]) {
 				t := int(targets[pc])
-				if t <= pc && slow == 0 {
-					slow = h.backEdge(t)
+				if t <= pc && slow == trace.Interpret {
+					slow = h.eng.Arrive(t)
 				}
 				pc = t
 			} else {
@@ -584,8 +587,8 @@ loop:
 			instrCount[pc]++
 			instrs++
 			t := int(targets[pc])
-			if t <= pc && slow == 0 {
-				slow = h.backEdge(t)
+			if t <= pc && slow == trace.Interpret {
+				slow = h.eng.Arrive(t)
 			}
 			pc = t
 		case isa.KindNop:

@@ -7,14 +7,16 @@ import (
 	"github.com/amnesiac-sim/amnesiac/internal/trace"
 )
 
-// Hot-loop replay for the fused collector. A taken back-edge bumps its
-// target's counter; at the trace engine's default threshold the collector
-// records one iteration of the loop and compiles it with trace.Build. A
-// later arrival at the head replays that iteration as a dense loop body
-// with one guard per conditional branch, until a guard fails (the
-// interpreter resumes at the other successor), the next iteration might
-// not fit the budget, or an access faults. There are no lateral heads and
-// no linking: side exits return to the interpreter.
+// Hot-loop replay for the fused collector. Head detection and recording
+// are the trace engine's, as in exec.Run: a taken back-edge is an arrival
+// (trace.Engine.Arrive), and at the engine's default threshold the
+// collector records one iteration of the loop through Engine.Step, which
+// compiles it with trace.Build. A later arrival at the head replays that
+// iteration as a dense loop body with one guard per conditional branch,
+// until a guard fails (the interpreter resumes at the other successor),
+// the next iteration might not fit the budget, or an access faults. There
+// are no lateral heads and no linking: side exits return to the
+// interpreter without arriving anywhere.
 //
 // Loads and stores keep their per-access work (load, store). Everything
 // else the profile counts per instruction is fixed by the recorded path
@@ -32,12 +34,6 @@ import (
 //
 // Writes to R0 are discarded and define nothing. The table itself is left
 // alone during replay (it is the entry table) and advanced on exit.
-
-// Loop-top slow paths of the fused interpreter.
-const (
-	slowReplay = 1
-	slowRecord = 2
-)
 
 // Register edge kinds (see above).
 const (
@@ -102,69 +98,31 @@ type hotTrace struct {
 }
 
 // hotLoops is the collector's hot-loop state. A trace.Engine does head
-// detection, blacklisting and coverage; hot holds, per head with a built
-// trace, the profiler's hotTrace for it.
+// detection, recording, blacklisting and coverage; hot holds, per head with
+// a built trace, the profiler's hotTrace for it.
 type hotLoops struct {
 	eng     *trace.Engine
 	prof    *Profile // the profile whose distributions edges count into
 	d       *isa.Decoded
 	recMask []uint8
 	hot     []*hotTrace
-	cur     *hotTrace // pending replay
-	head    int       // head being recorded
-	path    []int32
 }
 
 func (h *hotLoops) init(prof *Profile, d *isa.Decoded, recMask []uint8, threshold uint32) {
-	cfg := trace.DefaultConfig()
-	cfg.Threshold = threshold
-	h.eng = trace.NewEngine(cfg, d.Len())
+	h.eng = trace.NewEngine(trace.Config{Enable: true, Threshold: threshold}, d, nil, nil, false)
 	h.prof, h.d, h.recMask = prof, d, recMask
 	h.hot = make([]*hotTrace, d.Len())
 }
 
-// backEdge handles a taken back-edge to t in the interpreter: it returns
-// slowReplay when t owns a trace, slowRecord when t just turned hot, and 0
-// otherwise.
-func (h *hotLoops) backEdge(t int) int {
-	eng := h.eng
-	if tr := eng.Traces[t]; tr != nil {
-		if tr.Ops == nil { // blacklisted
-			return 0
-		}
-		h.cur = h.hot[t]
-		return slowReplay
-	}
-	eng.Counts[t]++
-	if eng.Counts[t] < eng.Cfg.Threshold {
-		return 0
-	}
-	eng.Counts[t] = 0
-	h.head = t
-	h.path = h.path[:0]
-	return slowRecord
-}
-
-// record extends the recording with pc, about to be interpreted. Arriving
-// back at the head completes the iteration and returns slowReplay with the
-// new trace in h.cur; an unrecordable instruction or an over-long path
-// blacklists the head and returns 0.
+// record is a recording step at pc, about to be interpreted (see
+// trace.Engine.Step). When it closes the path it wraps the new trace in
+// the head's hotTrace.
 func (h *hotLoops) record(pc int) int {
-	eng := h.eng
-	if pc == h.head && len(h.path) > 0 {
-		tr := trace.Build(h.d, h.path, nil, nil, nil)
-		eng.Traces[pc] = tr
-		eng.Built++
-		h.cur = h.build(tr)
-		h.hot[pc] = h.cur
-		return slowReplay
+	slow := h.eng.Step(pc)
+	if slow == trace.Replay {
+		h.hot[pc] = h.build(h.eng.Head(pc), h.eng.Path())
 	}
-	if !trace.Recordable(h.d.Kind[pc]) || len(h.path) >= eng.Cfg.MaxOps {
-		eng.Blacklist(h.head)
-		return 0
-	}
-	h.path = append(h.path, int32(pc))
-	return slowRecord
+	return slow
 }
 
 // defines returns the register the instruction at pc writes, if any.
@@ -178,8 +136,8 @@ func defines(d *isa.Decoded, pc int32) (uint8, bool) {
 
 // build wraps tr, compiled from the recorded path, in a hotTrace,
 // classifying every operand the profile records into a register edge.
-func (h *hotLoops) build(tr *trace.Trace) *hotTrace {
-	prof, d, path := h.prof, h.d, h.path
+func (h *hotLoops) build(tr *trace.Trace, path []int32) *hotTrace {
+	prof, d := h.prof, h.d
 	ht := &hotTrace{Trace: tr, path: slices.Clone(path)}
 
 	// last[r] is the position of r's latest definition before the current

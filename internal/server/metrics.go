@@ -30,7 +30,6 @@ type metrics struct {
 	// suite jobs on this replica executed (see trace.Stats).
 	tracesBuilt         atomic.Uint64
 	tracesBlacklisted   atomic.Uint64
-	traceInvalidations  atomic.Uint64
 	traceReplays        atomic.Uint64
 	traceReplayedInstrs atomic.Uint64
 	traceTotalInstrs    atomic.Uint64
@@ -41,7 +40,6 @@ type metrics struct {
 func (m *metrics) observeTrace(s trace.Stats) {
 	m.tracesBuilt.Add(s.Built)
 	m.tracesBlacklisted.Add(s.Blacklisted)
-	m.traceInvalidations.Add(s.Invalidations)
 	m.traceReplays.Add(s.Replays)
 	m.traceReplayedInstrs.Add(s.ReplayedInstrs)
 	m.traceTotalInstrs.Add(s.TotalInstrs)
@@ -77,7 +75,6 @@ func (m *metrics) write(w io.Writer, cs CacheStats, ps harness.CacheStats, ss st
 	gauge("prepared_images", "sealed prepared images currently resident", int64(ps.Resident))
 	counter("traces_built_total", "superblock traces recorded by amnesic simulations", m.tracesBuilt.Load())
 	counter("traces_blacklisted_total", "trace heads tombstoned as unrecordable", m.tracesBlacklisted.Load())
-	counter("trace_invalidations_total", "traces invalidated (tombstone drops + stale recipe sets)", m.traceInvalidations.Load())
 	counter("trace_replays_total", "trace replay activations", m.traceReplays.Load())
 	counter("trace_replayed_instrs_total", "instructions retired through trace replay", m.traceReplayedInstrs.Load())
 	counter("trace_instrs_total", "instructions retired by traced amnesic simulations", m.traceTotalInstrs.Load())

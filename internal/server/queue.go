@@ -208,7 +208,6 @@ type JobStatus struct {
 type TraceStatus struct {
 	Built          uint64  `json:"built"`
 	Blacklisted    uint64  `json:"blacklisted"`
-	Invalidations  uint64  `json:"invalidations"`
 	Replays        uint64  `json:"replays"`
 	ReplayedInstrs uint64  `json:"replayed_instrs"`
 	TotalInstrs    uint64  `json:"total_instrs"`
@@ -222,7 +221,6 @@ func (j *job) setTrace(s trace.Stats) {
 	j.trace = &TraceStatus{
 		Built:          s.Built,
 		Blacklisted:    s.Blacklisted,
-		Invalidations:  s.Invalidations,
 		Replays:        s.Replays,
 		ReplayedInstrs: s.ReplayedInstrs,
 		TotalInstrs:    s.TotalInstrs,

@@ -7,8 +7,11 @@ import "sync"
 // runs' total dynamic instruction count (energy.Account.Instrs), the
 // denominator of replay coverage.
 type Stats struct {
-	Built          uint64
-	Blacklisted    uint64
+	Built       uint64
+	Blacklisted uint64
+	// Invalidations is always 0: traces hold no recipe state, so nothing
+	// ever drops one. It stays for the job benchmark's per-layer
+	// amnesic.trace_invalidations metric, which reads it.
 	Invalidations  uint64
 	Replays        uint64
 	ReplayedInstrs uint64
@@ -22,16 +25,6 @@ func (s Stats) Coverage() float64 {
 		return 0
 	}
 	return 100 * float64(s.ReplayedInstrs) / float64(s.TotalInstrs)
-}
-
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Built += o.Built
-	s.Blacklisted += o.Blacklisted
-	s.Invalidations += o.Invalidations
-	s.Replays += o.Replays
-	s.ReplayedInstrs += o.ReplayedInstrs
-	s.TotalInstrs += o.TotalInstrs
 }
 
 // Agg accumulates engine statistics across concurrent runs (the harness's
@@ -53,7 +46,6 @@ func (a *Agg) Observe(e *Engine, totalInstrs uint64) {
 	}
 	a.s.Built += e.Built
 	a.s.Blacklisted += e.Blacklisted
-	a.s.Invalidations += e.Invalidations
 	a.s.Replays += e.Replays
 	a.s.ReplayedInstrs += e.ReplayedInstrs
 }

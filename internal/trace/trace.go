@@ -3,12 +3,21 @@
 // fusion of frequent opcode pairs, and the replayable trace representation
 // the shared dispatch core (internal/exec) executes as dense loop bodies.
 //
-// Lifecycle (record → fuse → replay → invalidate):
+// Lifecycle (detect → record → fuse → replay), one implementation for every
+// interpreter that replays (exec.Run and the profiler's fused collector):
 //
-//   - record: every taken backward branch bumps a per-PC counter; when a
-//     loop head crosses Config.Threshold the interpreter records the PCs it
-//     retires until the back-edge returns to the head — one complete loop
-//     iteration, the superblock;
+//   - detect: Engine.Arrive handles every arrival at a candidate head — a
+//     taken back-edge, or a replay side exit that no trace links — and
+//     bumps the head's counter; at Config.Threshold it opens a recording;
+//   - record: the interpreter calls Engine.Step before each instruction it
+//     retires while the recording is open. Step closes the path when
+//     control returns to the head — one complete loop iteration, the
+//     superblock — and installs the built trace. An untraceable
+//     instruction (HALT, RTN) or a path past Config.MaxOps blacklists the
+//     head with a tombstone, and it is never re-recorded. An outer loop
+//     whose body is too large simply blacklists at MaxOps; recording
+//     closes when any control transfer returns to the head, so
+//     multi-back-edge and nested paths that fit are recorded as-is;
 //   - fuse: Build compiles the recorded path into replay ops, collapsing
 //     ALU+branch (compare-and-loop-close), load+ALU, and ALU+store pairs
 //     into single superinstructions with a precomputed operand-forwarding
@@ -16,31 +25,23 @@
 //     second op's operands;
 //   - replay: a later arrival at the head executes the trace body with one
 //     guard per recorded conditional branch; a guard that resolves against
-//     the recorded direction side-exits at the other successor. A side
-//     exit whose target owns a trace links straight into it without
-//     returning to the interpreter (LuaJIT-style side traces); one without
-//     a trace bumps the target's hotness counter, so hot exit paths earn
-//     their own lateral traces and chained replay covers loop nests, not
-//     just single loops;
-//   - invalidate: heads whose recording crosses an untraceable instruction
-//     (HALT, RTN) or exceeds Config.MaxOps are blacklisted with a tombstone
-//     and never re-recorded. An outer loop whose body is too large simply
-//     blacklists at MaxOps; recording closes when any control transfer
-//     returns to the head, so multi-back-edge and nested paths that fit are
-//     recorded as-is.
+//     the recorded direction side-exits at the other successor. In
+//     exec.Run a side exit is an arrival: one whose target owns a trace
+//     links straight into it without returning to the interpreter
+//     (LuaJIT-style side traces), and one without a trace counts toward
+//     the target's own lateral trace, so chained replay covers loop nests,
+//     not just single loops.
 //
-// The amnesic opcodes REC and RCMP are recordable when the executor
-// provides an AuxSigger: they become CRec/CRcmp trace entries that replay
-// by calling back into the live amnesic handlers (exec.Aux), so slice
-// traversal, policy decisions, Hist/SFile/IBuff state, and energy
-// accounting all follow the interpreter's exact code path. Each entry
-// captures the site's recipe signature (AuxSig) at record time; when the
-// machine's recipe state changes — a REC overflow permanently failing a
-// slice — Engine.InvalidateStale drops every trace whose captured
-// signatures went stale so the head re-records against the new recipe set.
-// An RCMP whose handler errors side-exits the replay at the faulting pc
-// with the interpreter's error, preserving bit-identical store streams and
-// energy accounts (the outcome guard).
+// The amnesic opcodes REC and RCMP are recordable whenever the run has an
+// aux handler (exec.Aux): they become CRec/CRcmp trace entries that replay
+// by calling back into the live handlers, so slice traversal, policy
+// decisions, Hist/SFile/IBuff state, and energy accounting all follow the
+// interpreter's exact code path. A trace therefore holds no recipe state:
+// a slice that fails mid-run (a REC overflow) changes what the next
+// replayed RCMP does exactly as it changes the interpreted one. An RCMP
+// whose handler errors side-exits the replay at the faulting pc with the
+// interpreter's error, preserving bit-identical store streams and energy
+// accounts (the outcome guard).
 //
 // A run's watched PCs (exec.Watch) are recordable too: Build puts a CWatch
 // observer op before each, and replay calls the watch's observer there with
@@ -66,9 +67,9 @@ import "github.com/amnesiac-sim/amnesiac/internal/isa"
 type Config struct {
 	// Enable turns trace recording and replay on.
 	Enable bool
-	// Threshold is the number of taken back-edge arrivals at a loop head
-	// before recording starts; 0 means the default. 1 records on the first
-	// arrival (the difftest stress setting).
+	// Threshold is the number of arrivals at a head (Engine.Arrive) before
+	// recording starts; 0 means the default. 1 records on the first arrival
+	// (the difftest stress setting).
 	Threshold uint32
 	// MaxOps bounds a recorded superblock, in original instructions; a
 	// recording that grows past it blacklists the head. 0 means the default.
@@ -184,10 +185,6 @@ type Op struct {
 	ExitPC int32
 	// Imm / Imm2 are the two sub-instructions' immediates.
 	Imm, Imm2 int64
-	// AuxSig is the recipe signature CRec/CRcmp captured at record time
-	// (AuxSigger.AuxSig); Engine.InvalidateStale compares it against the
-	// site's live signature to drop stale traces.
-	AuxSig uint64
 	// NBat is the dead-charge batch weight: the total number of original
 	// instructions retired by the maximal guard-/memory-/aux-free run of
 	// ops starting here (a trailing guard is included — a branch retires
@@ -212,128 +209,149 @@ type Trace struct {
 	NInstr uint64
 }
 
-// Engine holds per-run trace state for one program execution. Each run owns
-// its engine; it is not safe for concurrent use.
+// What an interpreter does at the pc that an arrival or a recording step
+// leaves it at: the one word of trace state its dispatch loop carries.
+const (
+	// Interpret: nothing is pending.
+	Interpret = iota
+	// Replay: pc heads a live trace (Engine.Head).
+	Replay
+	// Record: a recording is open; call Engine.Step before retiring pc.
+	Record
+)
+
+// Engine holds the trace state of one program execution: the hotness
+// counters, the open recording, and the built traces. Each run owns its
+// engine; it is not safe for concurrent use.
 type Engine struct {
-	Cfg Config
-	// Counts is the per-PC hotness counter driving head detection: taken
-	// back-edge arrivals, plus unchained trace side-exits whose target has
-	// no trace yet (lateral-head candidates).
-	Counts []uint32
-	// Traces maps head PC to its built trace; a tombstone (non-nil with
-	// nil Ops) marks a blacklisted head.
-	Traces []*Trace
+	// What Arrive reads comes first, so that an arrival touches one cache
+	// line of the engine: with the statistics first, the profiled
+	// interpreter measured about 4% slower.
+	//
+	// counts is the per-PC hotness counter. traces maps a head PC to its
+	// built trace; a tombstone (non-nil, nil Ops) marks a blacklisted head.
+	// One more tombstone sits just past the program end, where a side exit
+	// off the last instruction arrives: it finds no trace, opens no
+	// recording, and leaves the interpreter to raise its out-of-range
+	// error.
+	counts    []uint32
+	traces    []*Trace
+	threshold uint32
+	// recHead is the head being recorded (-1 when none is), path the
+	// superblock recorded so far.
+	recHead int
+	path    []int32
+
 	// Built / Blacklisted / Replays are engine statistics: traces compiled,
 	// heads tombstoned, and trace entries (not iterations) replayed,
 	// whether from the interpreter or linked from another trace's side
-	// exit.
+	// exit. The replaying interpreter counts Replays and ReplayedInstrs.
 	Built, Blacklisted, Replays uint64
 	// ReplayedInstrs counts original instructions retired under replay —
 	// the engine's dynamic coverage, next to Account.Instrs.
 	ReplayedInstrs uint64
-	// Invalidations counts traces dropped by InvalidateStale because a
-	// captured aux signature no longer matched the live recipe state.
-	Invalidations uint64
 
-	// auxIndex maps a trace head to the CRec/CRcmp sites its body captured,
-	// so InvalidateStale re-signs only traces that contain aux ops.
-	auxIndex map[int32][]auxSite
+	maxOps int
+	// The run's Build inputs, and whether it has an aux handler.
+	d           *isa.Decoded
+	elim, watch []bool
+	aux         bool
 }
 
-// auxSite is one recorded aux op: its pc and the signature captured there.
-type auxSite struct {
-	pc  int32
-	sig uint64
-}
-
-// NewEngine builds an engine for a program of progLen instructions,
-// normalizing zero Config fields to their defaults.
-func NewEngine(cfg Config, progLen int) *Engine {
+// NewEngine builds an engine for one run of the decoded program d,
+// normalizing zero Config fields to their defaults. elim and watch are the
+// run's Build inputs (either may be nil), and aux says whether the run has
+// an aux handler (see Recordable).
+func NewEngine(cfg Config, d *isa.Decoded, elim, watch []bool, aux bool) *Engine {
 	cfg = cfg.withDefaults()
-	return &Engine{
-		Cfg:    cfg,
-		Counts: make([]uint32, progLen),
-		Traces: make([]*Trace, progLen),
+	n := d.Len()
+	e := &Engine{
+		threshold: cfg.Threshold, maxOps: cfg.MaxOps,
+		d: d, elim: elim, watch: watch, aux: aux,
+		counts:  make([]uint32, n),
+		traces:  make([]*Trace, n+1),
+		recHead: -1,
+		path:    make([]int32, 0, cfg.MaxOps),
 	}
+	e.traces[n] = &Trace{Head: int32(n)}
+	return e
 }
 
-// Blacklist permanently invalidates head as a trace anchor.
-func (e *Engine) Blacklist(head int) {
-	e.Traces[head] = &Trace{Head: int32(head)}
-	e.Blacklisted++
+// Arrive handles an arrival at pc: a taken back-edge, or a replay side exit
+// that no trace links. It returns Replay when pc heads a live trace.
+// Otherwise it counts the arrival, and at the threshold opens a recording
+// at pc and returns Record. A blacklisted head is never counted again.
+func (e *Engine) Arrive(pc int) int {
+	if tr := e.traces[pc]; tr != nil {
+		if tr.Ops == nil {
+			return Interpret
+		}
+		return Replay
+	}
+	e.counts[pc]++
+	if e.counts[pc] < e.threshold {
+		return Interpret
+	}
+	e.counts[pc] = 0
+	e.recHead = pc
+	e.path = e.path[:0]
+	return Record
 }
 
-// Invalidate drops head's trace or tombstone so it can be re-counted and
-// re-recorded from scratch.
-func (e *Engine) Invalidate(head int) {
-	e.Traces[head] = nil
-	e.Counts[head] = 0
-	delete(e.auxIndex, int32(head))
+// Step is one recording step: pc is the next instruction the interpreter
+// retires while a recording is open. Control back at the head closes the
+// path: Step builds the trace, installs it at the head, and returns Replay.
+// An unrecordable instruction or a path past MaxOps blacklists the head
+// and returns Interpret. Otherwise pc joins the path and Step returns
+// Record.
+func (e *Engine) Step(pc int) int {
+	head := e.recHead
+	if pc == head && len(e.path) > 0 {
+		e.traces[pc] = Build(e.d, e.path, e.elim, e.watch)
+		e.Built++
+		e.recHead = -1
+		return Replay
+	}
+	if !Recordable(e.d.Kind[pc], e.aux) || len(e.path) >= e.maxOps {
+		e.traces[head] = &Trace{Head: int32(head)}
+		e.Blacklisted++
+		e.recHead = -1
+		return Interpret
+	}
+	e.path = append(e.path, int32(pc))
+	return Record
 }
 
-// RegisterAuxSites records the CRec/CRcmp sites of a freshly built trace so
-// InvalidateStale can later re-sign them. Traces without aux ops are not
-// indexed; the executor calls this on every build.
-func (e *Engine) RegisterAuxSites(tr *Trace) {
-	var sites []auxSite
-	for i := range tr.Ops {
-		op := &tr.Ops[i]
-		if op.Code == CRec || op.Code == CRcmp {
-			sites = append(sites, auxSite{pc: op.PC, sig: op.AuxSig})
+// Recording reports whether a recording is open.
+func (e *Engine) Recording() bool { return e.recHead >= 0 }
+
+// Head returns the live trace headed at pc, once Arrive or Step has
+// returned Replay there.
+func (e *Engine) Head(pc int) *Trace { return e.traces[pc] }
+
+// Path returns the path of the trace Step built last, until the next
+// recording opens.
+func (e *Engine) Path() []int32 { return e.path }
+
+// Traces returns the built traces, in head order.
+func (e *Engine) Traces() []*Trace {
+	var out []*Trace
+	for _, tr := range e.traces {
+		if tr != nil && tr.Ops != nil {
+			out = append(out, tr)
 		}
 	}
-	if sites == nil {
-		return
-	}
-	if e.auxIndex == nil {
-		e.auxIndex = make(map[int32][]auxSite)
-	}
-	e.auxIndex[tr.Head] = sites
+	return out
 }
 
-// InvalidateStale drops every trace holding an aux site whose captured
-// signature no longer matches sig's live answer — the recipe-change
-// invalidation hook. The amnesic machine calls it when a REC overflow
-// permanently fails a slice; replay itself never consults the captured
-// signatures (it always calls the live handlers, which read live state),
-// so a trace replaying concurrently with its invalidation stays correct
-// and simply re-records on the next head arrival.
-func (e *Engine) InvalidateStale(sig AuxSigger) {
-	for head, sites := range e.auxIndex {
-		for _, s := range sites {
-			if sig.AuxSig(int(s.pc)) != s.sig {
-				e.Invalidate(int(head))
-				e.Invalidations++
-				break
-			}
-		}
-	}
-}
-
-// Recordable reports whether an instruction kind may appear on a recorded
-// path. HALT, the amnesic opcodes, and undecodable instructions abort and
-// blacklist the recording head (their handlers leave the dispatch loop or
-// call out to stateful handlers replay cannot reproduce). RecordableAux
-// widens the set for executors that provide an AuxSigger.
-func Recordable(k isa.Kind) bool { return k < isa.KindHalt }
-
-// RecordableAux reports whether a kind may appear on a recorded path when
-// the executor's Aux handler implements AuxSigger: the plain recordable
-// set plus REC and RCMP, which replay through the live handler. RTN stays
-// unrecordable — top-level RTN is a terminal error, and slice bodies are
-// traversed inside the RCMP handler, never fetched by the dispatch loop.
-func RecordableAux(k isa.Kind) bool {
-	return k < isa.KindHalt || k == isa.KindRec || k == isa.KindRcmp
-}
-
-// AuxSigger is implemented by Aux handlers whose REC/RCMP sites may be
-// recorded into traces. AuxSig returns a signature of everything at pc
-// that shapes the handler's control decisions — for a REC the resolved
-// checkpoint spec, for an RCMP the slice identity plus its failed bit. A
-// changed signature marks every trace that captured the old one stale
-// (see Engine.InvalidateStale).
-type AuxSigger interface {
-	AuxSig(pc int) uint64
+// Recordable reports whether an instruction of kind k may appear on a
+// recorded path, in a run with an aux handler or without one. HALT, RTN and
+// undecodable instructions never may: they leave the dispatch loop, and
+// slice bodies are traversed inside the RCMP handler, never fetched. REC
+// and RCMP may whenever the run has an aux handler, through which they
+// replay.
+func Recordable(k isa.Kind, aux bool) bool {
+	return k < isa.KindHalt || aux && (k == isa.KindRec || k == isa.KindRcmp)
 }
 
 // aluCode maps an inline-evaluated compute opcode to its specialized replay
@@ -379,13 +397,10 @@ func isALU(c Code) bool { return c <= CAluGen }
 // to the head. elim (may be nil) marks eliminated-store NOPs for amnesic
 // statistics. watch (may be nil) marks the run's watched PCs: each gets a
 // CWatch op just before its own, so replay observes it as interpretation
-// does. The watch set is fixed for a run, so observer ops carry no
-// signature and never go stale. sig captures aux signatures for REC/RCMP
-// sites; it must be non-nil when the path contains them (the recorder only
-// admits aux kinds when the executor provides an AuxSigger). Build panics
-// on kinds the recorder must have filtered (see Recordable/RecordableAux);
-// that is an internal invariant, not an input error.
-func Build(d *isa.Decoded, path []int32, elim, watch []bool, sig AuxSigger) *Trace {
+// does. REC and RCMP become CRec/CRcmp ops that replay through the run's
+// aux handler. Build panics on kinds the recorder must have filtered (see
+// Recordable); that is an internal invariant, not an input error.
+func Build(d *isa.Decoded, path []int32, elim, watch []bool) *Trace {
 	head := path[0]
 	raw := make([]Op, 0, len(path))
 	for j, pc := range path {
@@ -438,10 +453,8 @@ func Build(d *isa.Decoded, path []int32, elim, watch []bool, sig AuxSigger) *Tra
 			}
 		case isa.KindRec:
 			op.Code = CRec
-			op.AuxSig = sig.AuxSig(int(pc))
 		case isa.KindRcmp:
 			op.Code = CRcmp
-			op.AuxSig = sig.AuxSig(int(pc))
 		default:
 			panic("trace: unrecordable kind on recorded path")
 		}

@@ -32,7 +32,7 @@ loop:
     halt
 `)
 	path := []int32{0, 1, 2, 3, 4, 5}
-	tr := trace.Build(d, path, nil, nil, nil)
+	tr := trace.Build(d, path, nil, nil)
 	if tr.Head != 0 || tr.NInstr != 6 {
 		t.Fatalf("head=%d ninstr=%d, want 0/6", tr.Head, tr.NInstr)
 	}
@@ -67,7 +67,7 @@ out:
     halt
 `)
 	path := []int32{0, 1, 2, 3}
-	tr := trace.Build(d, path, nil, nil, nil)
+	tr := trace.Build(d, path, nil, nil)
 	if len(tr.Ops) != 3 {
 		t.Fatalf("got %d ops, want 3: %+v", len(tr.Ops), tr.Ops)
 	}
@@ -91,59 +91,94 @@ func TestBuildNoFuseThroughR0(t *testing.T) {
     st  r0, 0(r1)
     halt
 `)
-	tr := trace.Build(d, []int32{0, 1}, nil, nil, nil)
+	tr := trace.Build(d, []int32{0, 1}, nil, nil)
 	if len(tr.Ops) != 2 || tr.Ops[0].Code != trace.CAdd || tr.Ops[1].Code != trace.CStore {
 		t.Fatalf("ops = %+v, want unfused CAdd, CStore", tr.Ops)
 	}
 }
 
-// TestBlacklistTombstone: a blacklisted head is a non-nil trace with nil
-// Ops — never replayed, never re-counted — until Invalidate resets it.
-func TestBlacklistTombstone(t *testing.T) {
-	eng := trace.NewEngine(trace.Config{Enable: true}, 8)
-	eng.Counts[3] = 7
-	eng.Blacklist(3)
-	if tr := eng.Traces[3]; tr == nil || tr.Ops != nil {
-		t.Fatalf("tombstone = %+v, want non-nil trace with nil ops", eng.Traces[3])
-	}
-	if eng.Blacklisted != 1 {
-		t.Fatalf("blacklisted = %d, want 1", eng.Blacklisted)
-	}
-	eng.Invalidate(3)
-	if eng.Traces[3] != nil || eng.Counts[3] != 0 {
-		t.Fatalf("invalidate left traces[3]=%v counts[3]=%d", eng.Traces[3], eng.Counts[3])
-	}
-}
-
-// TestInvalidateRecounts: after a tombstone (or trace) is dropped, the head
-// counts hotness from zero and can hold a freshly built trace again — the
-// re-record path behind recipe-change invalidation.
-func TestInvalidateRecounts(t *testing.T) {
+// TestEngineLifecycle walks one head through detection, recording and
+// replay: arrivals below the threshold only count, the threshold opens a
+// recording, recording steps grow the path until control is back at the
+// head, and the built trace is what later arrivals replay. An arrival past
+// the program end never records.
+func TestEngineLifecycle(t *testing.T) {
 	d := mustParse(t, `
 loop:
     addi r5, r5, 1
     blt  r5, r6, loop
     halt
 `)
-	eng := trace.NewEngine(trace.Config{Enable: true, Threshold: 4}, 8)
-	eng.Counts[0] = 9
-	eng.Blacklist(0)
-	eng.Invalidate(0)
-	if eng.Counts[0] != 0 {
-		t.Fatalf("counts[0] = %d after invalidate, want 0 (re-count from scratch)", eng.Counts[0])
+	eng := trace.NewEngine(trace.Config{Enable: true, Threshold: 3}, d, nil, nil, false)
+	for i := 0; i < 2; i++ {
+		if got := eng.Arrive(0); got != trace.Interpret || eng.Recording() {
+			t.Fatalf("arrival %d = %d (recording %v), want Interpret below the threshold", i+1, got, eng.Recording())
+		}
 	}
-	// The head re-earns its trace: count back up and install a real build.
-	for i := uint32(0); i < 4; i++ {
-		eng.Counts[0]++
+	if got := eng.Arrive(0); got != trace.Record || !eng.Recording() {
+		t.Fatalf("threshold arrival = %d, want Record", got)
 	}
-	tr := trace.Build(d, []int32{0, 1}, nil, nil, nil)
-	eng.Traces[0] = tr
-	eng.Built++
-	if got := eng.Traces[0]; got == nil || got.Ops == nil {
-		t.Fatalf("rebuilt trace = %+v, want live trace after tombstone drop", got)
+	for _, pc := range []int{0, 1} {
+		if got := eng.Step(pc); got != trace.Record {
+			t.Fatalf("step at %d = %d, want Record", pc, got)
+		}
 	}
-	if eng.Blacklisted != 1 || eng.Built != 1 {
-		t.Fatalf("blacklisted=%d built=%d, want 1/1", eng.Blacklisted, eng.Built)
+	if got := eng.Step(0); got != trace.Replay || eng.Recording() {
+		t.Fatalf("step back at the head = %d, want Replay with the recording closed", got)
+	}
+	tr := eng.Head(0)
+	if tr == nil || tr.NInstr != 2 || eng.Built != 1 || len(eng.Path()) != 2 {
+		t.Fatalf("built trace %+v, built %d, path %v: want one 2-instruction trace", tr, eng.Built, eng.Path())
+	}
+	if got := eng.Arrive(0); got != trace.Replay || eng.Head(0) != tr {
+		t.Fatalf("arrival at a built head = %d, want Replay of the same trace", got)
+	}
+	if got := eng.Traces(); len(got) != 1 || got[0] != tr {
+		t.Fatalf("Traces() = %v, want the one built trace", got)
+	}
+	// A side exit off the last instruction arrives one past the end: it
+	// finds no trace and opens no recording, whatever the count.
+	for i := 0; i < 4; i++ {
+		if got := eng.Arrive(d.Len()); got != trace.Interpret || eng.Recording() {
+			t.Fatalf("arrival past the end = %d (recording %v), want Interpret", got, eng.Recording())
+		}
+	}
+}
+
+// TestBlacklistTombstone: an unrecordable instruction or a path past MaxOps
+// blacklists the recording head with a tombstone — never replayed, never
+// re-counted, never recorded again.
+func TestBlacklistTombstone(t *testing.T) {
+	d := mustParse(t, `
+loop:
+    addi r5, r5, 1
+    addi r4, r4, 1
+    blt  r5, r6, loop
+    halt
+`)
+	// HALT on the path: unrecordable.
+	eng := trace.NewEngine(trace.Config{Enable: true, Threshold: 1}, d, nil, nil, false)
+	eng.Arrive(0)
+	eng.Step(0)
+	if got := eng.Step(3); got != trace.Interpret || eng.Recording() || eng.Blacklisted != 1 {
+		t.Fatalf("step at HALT = %d (recording %v, blacklisted %d), want the head blacklisted", got, eng.Recording(), eng.Blacklisted)
+	}
+	for i := 0; i < 4; i++ {
+		if got := eng.Arrive(0); got != trace.Interpret || eng.Recording() {
+			t.Fatalf("arrival at a tombstone = %d (recording %v), want Interpret", got, eng.Recording())
+		}
+	}
+	if eng.Built != 0 || len(eng.Traces()) != 0 {
+		t.Fatalf("built %d, traces %v: a tombstone is no trace", eng.Built, eng.Traces())
+	}
+
+	// A path past MaxOps.
+	eng = trace.NewEngine(trace.Config{Enable: true, Threshold: 1, MaxOps: 2}, d, nil, nil, false)
+	eng.Arrive(0)
+	eng.Step(0)
+	eng.Step(1)
+	if got := eng.Step(2); got != trace.Interpret || eng.Blacklisted != 1 || eng.Arrive(0) != trace.Interpret {
+		t.Fatalf("step past MaxOps = %d (blacklisted %d), want the head blacklisted", got, eng.Blacklisted)
 	}
 }
 
@@ -164,36 +199,30 @@ func auxProgram(t *testing.T) *isa.Decoded {
 	return p.Decoded()
 }
 
-// sigmap is a test AuxSigger answering from a mutable map.
-type sigmap map[int]uint64
-
-func (s sigmap) AuxSig(pc int) uint64 { return s[pc] }
-
-// TestBuildCapturesAuxSigs: REC/RCMP become CRec/CRcmp entries holding the
-// signature the sigger answered at record time.
+// TestBuildCapturesAuxSigs: REC/RCMP become CRec/CRcmp entries, which
+// replay through the run's live aux handler; they are fusion barriers.
 func TestBuildCapturesAuxSigs(t *testing.T) {
 	d := auxProgram(t)
-	sig := sigmap{1: 0xAB, 2: 0xCD}
-	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, sig)
+	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil)
 	if len(tr.Ops) != 4 {
 		t.Fatalf("got %d ops, want 4 (aux ops are fusion barriers): %+v", len(tr.Ops), tr.Ops)
 	}
-	if tr.Ops[1].Code != trace.CRec || tr.Ops[1].AuxSig != 0xAB {
-		t.Errorf("op1 = %+v, want CRec sig 0xAB", tr.Ops[1])
+	if tr.Ops[1].Code != trace.CRec {
+		t.Errorf("op1 = %+v, want CRec", tr.Ops[1])
 	}
-	if tr.Ops[2].Code != trace.CRcmp || tr.Ops[2].AuxSig != 0xCD {
-		t.Errorf("op2 = %+v, want CRcmp sig 0xCD", tr.Ops[2])
+	if tr.Ops[2].Code != trace.CRcmp {
+		t.Errorf("op2 = %+v, want CRcmp", tr.Ops[2])
 	}
 	if tr.Ops[3].Code != trace.CGuard {
 		t.Errorf("op3 = %+v, want unfused CGuard (CRcmp is no ALU)", tr.Ops[3])
 	}
 }
 
-// TestRecordableAux: the aux set widens recordability by exactly REC and
-// RCMP; RTN stays unrecordable under both predicates.
+// TestRecordableAux: an aux handler widens recordability by exactly REC
+// and RCMP; RTN stays unrecordable either way.
 func TestRecordableAux(t *testing.T) {
 	for k := isa.Kind(0); k < isa.KindBad; k++ {
-		plain, aux := trace.Recordable(k), trace.RecordableAux(k)
+		plain, aux := trace.Recordable(k, false), trace.Recordable(k, true)
 		switch k {
 		case isa.KindRec, isa.KindRcmp:
 			if plain || !aux {
@@ -205,69 +234,8 @@ func TestRecordableAux(t *testing.T) {
 			}
 		}
 	}
-	if trace.RecordableAux(isa.KindRtn) {
+	if trace.Recordable(isa.KindRtn, true) {
 		t.Errorf("RTN must stay unrecordable")
-	}
-}
-
-// TestInvalidateStale: only traces holding an aux site whose live signature
-// changed are dropped; the head re-counts from zero, and a later
-// InvalidateStale with no further changes is a no-op.
-func TestInvalidateStale(t *testing.T) {
-	d := auxProgram(t)
-	sig := sigmap{1: 0xAB, 2: 0xCD}
-	eng := trace.NewEngine(trace.Config{Enable: true}, 8)
-
-	aux := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, sig)
-	eng.Traces[0] = aux
-	eng.RegisterAuxSites(aux)
-
-	// A plain trace (no aux ops) at another head must survive any recipe
-	// change.
-	dp := mustParse(t, `
-loop:
-    addi r5, r5, 1
-    blt  r5, r6, loop
-    halt
-`)
-	plain := trace.Build(dp, []int32{0, 1}, nil, nil, nil)
-	eng.Traces[2] = plain
-	eng.RegisterAuxSites(plain)
-
-	eng.Counts[0] = 5
-	eng.InvalidateStale(sig) // signatures unchanged: nothing drops
-	if eng.Traces[0] == nil || eng.Invalidations != 0 || eng.Counts[0] != 5 {
-		t.Fatalf("unchanged sigs invalidated: traces[0]=%v inv=%d counts=%d",
-			eng.Traces[0], eng.Invalidations, eng.Counts[0])
-	}
-
-	sig[2] = 0xCF // the RCMP site's recipe state changed (failed bit)
-	eng.InvalidateStale(sig)
-	if eng.Traces[0] != nil || eng.Counts[0] != 0 {
-		t.Fatalf("stale trace survived: traces[0]=%v counts=%d", eng.Traces[0], eng.Counts[0])
-	}
-	if eng.Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1", eng.Invalidations)
-	}
-	if eng.Traces[2] == nil {
-		t.Fatalf("plain trace dropped by aux invalidation")
-	}
-
-	// The dropped head's sites are gone: re-signing is a no-op until a
-	// rebuild re-registers them.
-	eng.InvalidateStale(sigmap{1: 1, 2: 2})
-	if eng.Invalidations != 1 {
-		t.Fatalf("invalidations = %d after drop, want still 1", eng.Invalidations)
-	}
-
-	// Rebuild against the live signatures: the head is valid again and a
-	// further unchanged re-sign keeps it.
-	aux2 := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, sig)
-	eng.Traces[0] = aux2
-	eng.RegisterAuxSites(aux2)
-	eng.InvalidateStale(sig)
-	if eng.Traces[0] == nil || eng.Invalidations != 1 {
-		t.Fatalf("rebuilt trace dropped: traces[0]=%v inv=%d", eng.Traces[0], eng.Invalidations)
 	}
 }
 
@@ -286,7 +254,7 @@ loop:
     blt  r5, r6, loop
     halt
 `)
-	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, nil)
+	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil)
 	if len(tr.Ops) != 3 {
 		t.Fatalf("got %d ops, want 3: %+v", len(tr.Ops), tr.Ops)
 	}
@@ -305,7 +273,7 @@ loop:
 out:
     halt
 `)
-	tr2 := trace.Build(d2, []int32{0, 1, 2, 3}, nil, nil, nil)
+	tr2 := trace.Build(d2, []int32{0, 1, 2, 3}, nil, nil)
 	if len(tr2.Ops) != 3 {
 		t.Fatalf("got %d ops, want 3: %+v", len(tr2.Ops), tr2.Ops)
 	}
@@ -315,13 +283,13 @@ out:
 
 	// Memory and aux ops break runs and contribute nothing.
 	d3 := auxProgram(t)
-	tr3 := trace.Build(d3, []int32{0, 1, 2, 3}, nil, nil, sigmap{})
+	tr3 := trace.Build(d3, []int32{0, 1, 2, 3}, nil, nil)
 	if got := []uint32{tr3.Ops[0].NBat, tr3.Ops[1].NBat, tr3.Ops[2].NBat, tr3.Ops[3].NBat}; got[0] != 1 || got[1] != 0 || got[2] != 0 || got[3] != 1 {
 		t.Errorf("NBat = %v, want [1 0 0 1] (aux ops are weight-0 breakers)", got)
 	}
 
 	// Observer ops retire nothing and end the run before them.
-	tr4 := trace.Build(d, []int32{0, 1, 2, 3}, nil, []bool{false, false, true, false, false}, nil)
+	tr4 := trace.Build(d, []int32{0, 1, 2, 3}, nil, []bool{false, false, true, false, false})
 	if got := []uint32{tr4.Ops[0].NBat, tr4.Ops[1].NBat, tr4.Ops[2].NBat, tr4.Ops[3].NBat}; got[0] != 2 || got[1] != 0 || got[2] != 0 || got[3] != 2 {
 		t.Errorf("NBat = %v, want [2 0 0 2] (CWatch splits the run)", got)
 	}
@@ -358,7 +326,7 @@ loop:
     blt  r5, r6, loop
     halt
 `)
-	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, []bool{false, true, false, true, false}, nil)
+	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, []bool{false, true, false, true, false})
 	want := []trace.Code{trace.CLoad, trace.CWatch, trace.CAdd, trace.CAddi, trace.CWatch, trace.CGuard}
 	if len(tr.Ops) != len(want) || tr.NInstr != 4 {
 		t.Fatalf("got %d ops, NInstr %d: %+v", len(tr.Ops), tr.NInstr, tr.Ops)
@@ -372,7 +340,7 @@ loop:
 		t.Errorf("observer pcs %d/%d, want 1/3", tr.Ops[1].PC, tr.Ops[4].PC)
 	}
 	// Unwatched, the same path fuses into two pairs.
-	if plain := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil, nil); len(plain.Ops) != 2 {
+	if plain := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil); len(plain.Ops) != 2 {
 		t.Errorf("unwatched build: %d ops, want 2 fused", len(plain.Ops))
 	}
 }
