@@ -114,7 +114,6 @@ type Machine struct {
 	// failedSlices is indexed by slice ID (IDs are dense: the slice's
 	// position in Ann.Slices).
 	failedSlices []bool
-	sliceVals    []uint64 // scratch per-traversal (SFile mirror for values)
 
 	// Dense per-PC pre-resolutions built by New, so the run loop never
 	// touches the Annotated's maps: each RCMP's slice pointer, each REC's

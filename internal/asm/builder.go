@@ -43,9 +43,6 @@ func (b *Builder) Label(name string) *Builder {
 	return b
 }
 
-// PC returns the index the next emitted instruction will occupy.
-func (b *Builder) PC() int { return len(b.code) }
-
 // Emit appends a raw instruction.
 func (b *Builder) Emit(in isa.Instr) *Builder {
 	b.code = append(b.code, in)

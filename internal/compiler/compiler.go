@@ -20,7 +20,6 @@ package compiler
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
@@ -202,16 +201,6 @@ func (a *Annotated) SliceByID(id int32) *SliceInfo {
 		return nil
 	}
 	return a.Slices[id]
-}
-
-// SwappedLoadPCs returns the original PCs of loads swapped for RCMP.
-func (a *Annotated) SwappedLoadPCs() []int {
-	pcs := make([]int, 0, len(a.Slices))
-	for _, s := range a.Slices {
-		pcs = append(pcs, s.LoadPC)
-	}
-	sort.Ints(pcs)
-	return pcs
 }
 
 // Compile runs the full pass for one mode: plan (build the candidate

@@ -1,5 +1,6 @@
 // Package exec implements the shared decoded-dispatch execution core used
-// by the classic core (cpu.Core) and the amnesic machine's fast path. Both loops previously hand-copied the same idiom — pre-decoded
+// by the classic core (cpu.Core) and the amnesic machine's fast path. Both
+// loops previously hand-copied the same idiom — pre-decoded
 // struct-of-arrays dispatch, re-sliced arrays for a single bounds check,
 // masked register indices, an inline hot-ALU switch, a two-entry flat-window
 // data micro-TLB, and local event counters folded into the account at exit —
@@ -8,17 +9,17 @@
 // The loop only counts events: retired instructions by category, loads and
 // stores by servicing level, writebacks, and L1-I fetches. Energy and time
 // are priced once from those counts at exit (energy.Account.Price), so the
-// loop carries no floating-point state, and counts may be batched or
-// reordered freely because integer addition is exact.
+// loop carries no floating-point state.
 //
 // The core also hosts the trace-reuse engine (internal/trace): the engine
 // detects hot loop heads from the arrivals the core reports (taken backward
 // branches and unlinked side exits) and records them into superblocks,
 // which the core replays as dense loop bodies with one guard per recorded
-// conditional branch. Replay is bit-identical to interpretation: it counts
-// the same events, and every memory access still probes the cache
-// hierarchy so its state evolves unchanged. A Watch does not stop a loop
-// from replaying: its PCs record as observer ops.
+// conditional branch. Each replayed op is one instruction, executed and
+// counted as its interpreter case executes and counts it, so replay is
+// bit-identical to interpretation, and every memory access still probes
+// the cache hierarchy so its state evolves unchanged. A Watch does not stop
+// a loop from replaying: its PCs record as observer ops.
 //
 // The profiler's fused interpreter (internal/profile) and the flat reference
 // stepper (internal/ref) deliberately do NOT consume this core: the

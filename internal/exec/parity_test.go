@@ -1,12 +1,14 @@
 package exec_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/amnesiac-sim/amnesiac/internal/asm"
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
+	"github.com/amnesiac-sim/amnesiac/internal/exec"
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
 	"github.com/amnesiac-sim/amnesiac/internal/trace"
@@ -109,29 +111,130 @@ loop:
 	assertParity(t, "fault_loop", p, mem.NewMemory, 0, 1)
 }
 
-// TestTracedBudgetParity exhausts the instruction budget mid-replay and
-// checks the traced run stops on the same instruction with the same error
-// as the interpreter (replay returns to the interpreter when the next
-// iteration might not fit, so the final partial iteration retires there).
-func TestTracedBudgetParity(t *testing.T) {
-	p, err := asm.Parse("spin", `
+// stopLoopSrc is a loop whose body holds a load, an ALU op, a store, a
+// guard that leaves the recorded path every fourth iteration, and the
+// closing branch. Each load reads the word the previous iteration stored.
+// The aux variant puts a REC where the nop is.
+const stopLoopSrc = `
+    li   r1, 1024      ; array base
+    li   r9, 16        ; trip count
+    li   r10, 3
 loop:
-    addi r1, r1, 1
-    addi r2, r2, 3
-    xor  r3, r1, r2
-    jmp  loop
-`)
+    ld   r2, 0(r1)
+    addi r2, r2, 5
+    st   r2, 8(r1)
+    nop
+    addi r1, r1, 8
+    addi r4, r4, 1
+    and  r5, r4, r10
+    bne  r5, r0, skip  ; falls through every fourth iteration
+    addi r6, r6, 1
+skip:
+    blt  r4, r9, loop
+    halt
+`
+
+// stopRun is what one run of the stop-point sweep ends with.
+type stopRun struct {
+	err     string
+	pc      int
+	stopped bool
+	regs    [isa.NumRegs]uint64
+	acct    energy.Account
+	stores  [][2]uint64
+	// replayed is the number of instructions the run retired under replay.
+	replayed uint64
+}
+
+// endOf collects what a run of env ended with.
+func endOf(env *exec.Env, stores [][2]uint64, err error) stopRun {
+	r := stopRun{pc: env.PC, stopped: env.Stopped, regs: *env.Regs, acct: *env.Acct, stores: stores}
+	if err != nil {
+		r.err = err.Error()
+	}
+	if env.Engine != nil {
+		r.replayed = env.Engine.ReplayedInstrs
+	}
+	return r
+}
+
+// TestTracedBudgetParity stops a replayed loop at every instruction: for
+// each n up to the end of the run, with the budget (MaxInstrs), a clean
+// pause (StopAt) and an injected crash (CrashAt) at n — the checkpoint
+// engine's segment and crash boundaries — the run traced at threshold 1
+// must end exactly as the untraced one does: error text, final pc,
+// Stopped, registers, store stream and account. Replay hands an iteration
+// that might not fit back to the interpreter, which stops on the exact
+// instruction, so a replayed op that miscounts moves every later stop
+// point. The aux variant puts a REC in the body, whose handler retires two
+// instructions per call from its sixth call on, more than the trace
+// budgets for it.
+func TestTracedBudgetParity(t *testing.T) {
+	p, err := asm.Parse("stop_loop", stopLoopSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, _, tErr := runOnce(p, mem.NewMemory(), 1000, 1)
-	if tErr == nil {
-		t.Fatal("traced run did not hit the budget")
+	code := slices.Clone(p.Code)
+	nop := slices.IndexFunc(code, func(in isa.Instr) bool { return in.Op == isa.NOP })
+	code[nop] = isa.Instr{Op: isa.REC, Src1: 2, Src2: 1}
+	auxP := &isa.Program{Name: "stop_loop_aux", Code: code}
+	if err := auxP.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if traced.Engine.Replays == 0 {
-		t.Fatal("budget was not hit under replay; test is vacuous")
+	force := trace.Config{Enable: true, Threshold: 1}
+	limits := []struct {
+		name string
+		set  func(env *exec.Env, n uint64)
+	}{
+		{"MaxInstrs", func(env *exec.Env, n uint64) { env.MaxInstrs = n }},
+		{"StopAt", func(env *exec.Env, n uint64) { env.StopAt = n }},
+		{"CrashAt", func(env *exec.Env, n uint64) { env.CrashAt = n }},
 	}
-	assertParity(t, "spin", p, mem.NewMemory, 1000, 1)
+	classic := func(tc trace.Config, set func(*exec.Env)) stopRun {
+		env := newEnv(tc)
+		var stores [][2]uint64
+		env.StoreHook = func(addr, val uint64) { stores = append(stores, [2]uint64{addr, val}) }
+		set(env)
+		return endOf(env, stores, exec.Run(env, p))
+	}
+	withAux := func(tc trace.Config, set func(*exec.Env)) stopRun {
+		var stores [][2]uint64
+		env, _, err := runAux(t, auxP, tc, 6, 0, func(env *exec.Env) {
+			env.StoreHook = func(addr, val uint64) { stores = append(stores, [2]uint64{addr, val}) }
+			set(env)
+		})
+		return endOf(env, stores, err)
+	}
+	for _, v := range []struct {
+		name string
+		run  func(trace.Config, func(*exec.Env)) stopRun
+	}{{"classic", classic}, {"aux", withAux}} {
+		full := v.run(trace.Config{}, func(*exec.Env) {})
+		if full.err != "" {
+			t.Fatalf("%s: untraced run: %s", v.name, full.err)
+		}
+		stoppedUnderReplay := 0
+		for n := uint64(1); n <= full.acct.Instrs+1; n++ {
+			for _, l := range limits {
+				set := func(env *exec.Env) { l.set(env, n) }
+				traced, interp := v.run(force, set), v.run(trace.Config{}, set)
+				if traced.err != interp.err || traced.pc != interp.pc || traced.stopped != interp.stopped {
+					t.Fatalf("%s, %s=%d: traced ends %q at pc %d (stopped %v), untraced %q at pc %d (stopped %v)",
+						v.name, l.name, n, traced.err, traced.pc, traced.stopped, interp.err, interp.pc, interp.stopped)
+				}
+				if traced.regs != interp.regs || traced.acct != interp.acct || !slices.Equal(traced.stores, interp.stores) {
+					t.Fatalf("%s, %s=%d: state diverges:\n  traced: regs %v acct %+v stores %v\n  interp: regs %v acct %+v stores %v",
+						v.name, l.name, n, traced.regs, traced.acct, traced.stores, interp.regs, interp.acct, interp.stores)
+				}
+				if traced.replayed > 0 && n <= full.acct.Instrs {
+					stoppedUnderReplay++
+				}
+			}
+		}
+		if stoppedUnderReplay == 0 {
+			t.Fatalf("%s: no stop point came after a replay; the sweep is vacuous", v.name)
+		}
+	}
 }
 
 // TestTraceLinking: a nested loop whose inner trace side-exits into the
@@ -190,8 +293,8 @@ loop:
 		assertParity(t, "falloff", p, mem.NewMemory, 0, th)
 
 		tc := trace.Config{Enable: true, Threshold: th}
-		tEnv, _, tErr := runAux(t, p, tc, 0, 0)
-		iEnv, _, iErr := runAux(t, p, trace.Config{}, 0, 0)
+		tEnv, _, tErr := runAux(t, p, tc, 0, 0, nil)
+		iEnv, _, iErr := runAux(t, p, trace.Config{}, 0, 0, nil)
 		if tErr == nil || iErr == nil || tErr.Error() != iErr.Error() {
 			t.Fatalf("threshold %d: aux errors diverge:\n  traced: %v\n  interp: %v", th, tErr, iErr)
 		}

@@ -20,7 +20,7 @@ func cpuNS() int64 {
 
 // TestProfWorkload A/B-compares traced vs untraced execution of the shared
 // core in one process, alternating per iteration so host-speed drift hits
-// both sides equally.
+// both sides equally. The gate: aggregate traced/untraced >= 1.3x.
 func TestProfWorkload(t *testing.T) {
 	if os.Getenv("PROF_WORKLOAD") == "" {
 		t.Skip("set PROF_WORKLOAD")
@@ -56,7 +56,10 @@ func TestProfWorkload(t *testing.T) {
 		nOn += int64(onI)
 		nOff += int64(offI)
 	}
+	ratio := float64(nOn) * float64(tOff) / (float64(nOff) * float64(tOn))
 	t.Logf("AGG  traced=%6.1f interp=%6.1f ratio=%.3f",
-		float64(nOn)*1e3/float64(tOn), float64(nOff)*1e3/float64(tOff),
-		float64(nOn)*float64(tOff)/(float64(nOff)*float64(tOn)))
+		float64(nOn)*1e3/float64(tOn), float64(nOff)*1e3/float64(tOff), ratio)
+	if ratio < 1.3 {
+		t.Errorf("traced classic %.3fx untraced, want >= 1.3x", ratio)
+	}
 }

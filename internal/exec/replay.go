@@ -97,8 +97,8 @@ type memWin struct {
 // resume (the side-exit continuation, the head on budget exhaustion, or the
 // faulting original pc with a non-nil error). Every other event is counted
 // into sh, and each trace entered, tr and every linked one, into
-// Engine.Replays. Batchable ops advance instrs by their dead-charge weight
-// (trace.Op.NBat); integer addition is exact, so the totals at every
+// Engine.Replays. Each case is one interpreter case of Run: it counts its
+// instruction where the instruction retires, so the totals at every
 // observation point are those of interpretation.
 func replayTrace(sh *replayShared, tr *trace.Trace, instrs uint64, mw memWin) (uint64, memWin, int, error) {
 	l1, hier, memory := sh.l1, sh.hier, sh.memory
@@ -113,83 +113,86 @@ func replayTrace(sh *replayShared, tr *trace.Trace, instrs uint64, mw memWin) (u
 	sh.eng.Replays++
 chain:
 	for instrs+need <= max {
-		for i := range trOps {
-			op := &trOps[i]
+		// The loop carries op's address rather than an index: amd64 has no
+		// scaled-index byte load, so with 24-byte ops &trOps[i] costs two
+		// extra instructions per field read.
+		for ops := trOps; len(ops) > 0; ops = ops[1:] {
+			op := &ops[0]
 			switch op.Code {
 			case trace.CAdd:
 				v := regs[op.Src1&31] + regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CAddi:
 				v := regs[op.Src1&31] + uint64(op.Imm)
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CLi:
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = uint64(op.Imm)
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CMov:
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = regs[op.Src1&31]
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CSub:
 				v := regs[op.Src1&31] - regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CMul:
 				v := regs[op.Src1&31] * regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CAnd:
 				v := regs[op.Src1&31] & regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.COr:
 				v := regs[op.Src1&31] | regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CXor:
 				v := regs[op.Src1&31] ^ regs[op.Src2&31]
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CShl:
 				v := regs[op.Src1&31] << (regs[op.Src2&31] & 63)
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CShr:
 				v := regs[op.Src1&31] >> (regs[op.Src2&31] & 63)
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CSlt:
 				var v uint64
@@ -199,7 +202,7 @@ chain:
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CSeq:
 				var v uint64
@@ -209,14 +212,14 @@ chain:
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CAluGen:
 				v := isa.EvalComputeOp(op.AOp, op.Imm, regs[op.Src1&31], regs[op.Src2&31], regs[op.Dst&31])
 				if dst := op.Dst & 31; dst != 0 {
 					regs[dst] = v
 				}
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[op.Cat&15]++
 			case trace.CLoad:
 				addr := regs[op.Src1&31] + uint64(op.Imm)
@@ -274,18 +277,18 @@ chain:
 					storeHook(addr, v)
 				}
 			case trace.CNop:
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[isa.CatNop]++
 				if op.Elim {
 					*nopSkips++
 				}
 			case trace.CBrCharge:
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[isa.CatBranch]++
 			case trace.CGuard:
-				instrs += uint64(op.NBat)
+				instrs++
 				byCat[isa.CatBranch]++
-				if isa.BranchTaken(op.BOp, regs[op.BSrc1&31], regs[op.BSrc2&31]) != op.Taken {
+				if isa.BranchTaken(op.AOp, regs[op.Src1&31], regs[op.Src2&31]) != op.Taken {
 					// Cold path: go through sh rather than locals so the
 					// engine is not live across the hot dispatch above.
 					pc = int(op.ExitPC)
@@ -299,198 +302,6 @@ chain:
 						continue chain
 					}
 					break chain
-				}
-			case trace.CAluGuard:
-				// ALU half.
-				a, b := regs[op.Src1&31], regs[op.Src2&31]
-				var v uint64
-				switch op.AOp {
-				case isa.ADD:
-					v = a + b
-				case isa.ADDI:
-					v = a + uint64(op.Imm)
-				case isa.LI:
-					v = uint64(op.Imm)
-				case isa.MOV:
-					v = a
-				case isa.SUB:
-					v = a - b
-				case isa.MUL:
-					v = a * b
-				case isa.SLT:
-					if int64(a) < int64(b) {
-						v = 1
-					}
-				case isa.SEQ:
-					if a == b {
-						v = 1
-					}
-				default:
-					v = isa.EvalComputeOp(op.AOp, op.Imm, a, b, regs[op.Dst&31])
-				}
-				regs[op.Dst&31] = v // fusePair guarantees Dst != 0
-				// Both halves retire whichever way the guard resolves; their
-				// count is folded into this op's NBat (weight 2).
-				instrs += uint64(op.NBat)
-				byCat[op.Cat&15]++
-				byCat[isa.CatBranch]++
-				// Guard half (second original instruction).
-				ga, gb := regs[op.BSrc1&31], regs[op.BSrc2&31]
-				if op.Fwd&1 != 0 {
-					ga = v
-				}
-				if op.Fwd&2 != 0 {
-					gb = v
-				}
-				if isa.BranchTaken(op.BOp, ga, gb) != op.Taken {
-					pc = int(op.ExitPC)
-					if sh.eng.Arrive(pc) == trace.Replay {
-						nt := sh.eng.Head(pc)
-						sh.eng.Replays++
-						trOps = nt.Ops
-						need = nt.NInstr
-						continue chain
-					}
-					break chain
-				}
-			case trace.CLoadAlu:
-				// Load half.
-				addr := regs[op.Src1&31] + uint64(op.Imm)
-				if addr&7 != 0 {
-					pc = int(op.PC)
-					rerr = fmt.Errorf("%s: pc %d (%s): load: %w", sh.pfx, pc, sh.code[pc], mem.CheckAligned(addr))
-					break chain
-				}
-				level := energy.L1
-				if l1.ProbeHit(addr, false) {
-					hier.Serviced[energy.L1]++
-				} else {
-					level = sh.miss(addr, false)
-				}
-				sh.loadsAt[level]++
-				var v uint64
-				if off := addr>>3 - mw.arenaBase; off < uint64(len(mw.arena)) {
-					v = mw.arena[off]
-				} else if off := addr>>3 - mw.w2base; off < uint64(len(mw.w2)) {
-					v = mw.w2[off]
-				} else {
-					v = memory.Load(addr)
-					mw.w2base, mw.w2, mw.w2WN, _ = memory.WindowForW(addr)
-				}
-				regs[op.Dst&31] = v // fusePair guarantees Dst != 0
-				// ALU half (second original instruction).
-				a, b := regs[op.BSrc1&31], regs[op.BSrc2&31]
-				if op.Fwd&1 != 0 {
-					a = v
-				}
-				if op.Fwd&2 != 0 {
-					b = v
-				}
-				var r uint64
-				switch op.AOp {
-				case isa.ADD:
-					r = a + b
-				case isa.ADDI:
-					r = a + uint64(op.Imm2)
-				case isa.MOV:
-					r = a
-				case isa.SUB:
-					r = a - b
-				case isa.MUL:
-					r = a * b
-				case isa.AND:
-					r = a & b
-				case isa.OR:
-					r = a | b
-				case isa.XOR:
-					r = a ^ b
-				case isa.SLT:
-					if int64(a) < int64(b) {
-						r = 1
-					}
-				case isa.SEQ:
-					if a == b {
-						r = 1
-					}
-				default:
-					r = isa.EvalComputeOp(op.AOp, op.Imm2, a, b, regs[op.Dst2&31])
-				}
-				if dst := op.Dst2 & 31; dst != 0 {
-					regs[dst] = r
-				}
-				instrs += 2
-				byCat[op.Cat2&15]++
-			case trace.CAluStore:
-				// ALU half.
-				a, b := regs[op.Src1&31], regs[op.Src2&31]
-				var v uint64
-				switch op.AOp {
-				case isa.ADD:
-					v = a + b
-				case isa.ADDI:
-					v = a + uint64(op.Imm)
-				case isa.LI:
-					v = uint64(op.Imm)
-				case isa.MOV:
-					v = a
-				case isa.SUB:
-					v = a - b
-				case isa.MUL:
-					v = a * b
-				case isa.AND:
-					v = a & b
-				case isa.OR:
-					v = a | b
-				case isa.XOR:
-					v = a ^ b
-				case isa.SLT:
-					if int64(a) < int64(b) {
-						v = 1
-					}
-				case isa.SEQ:
-					if a == b {
-						v = 1
-					}
-				default:
-					v = isa.EvalComputeOp(op.AOp, op.Imm, a, b, regs[op.Dst&31])
-				}
-				regs[op.Dst&31] = v // fusePair guarantees Dst != 0
-				instrs++
-				byCat[op.Cat&15]++
-				// Store half (second original instruction).
-				base := regs[op.BSrc1&31]
-				if op.Fwd&1 != 0 {
-					base = v
-				}
-				val := regs[op.BSrc2&31]
-				if op.Fwd&2 != 0 {
-					val = v
-				}
-				addr := base + uint64(op.Imm2)
-				if addr&7 != 0 {
-					pc = int(op.PC2)
-					rerr = fmt.Errorf("%s: pc %d (%s): store: %w", sh.pfx, pc, sh.code[pc], mem.CheckAligned(addr))
-					break chain
-				}
-				level := energy.L1
-				if l1.ProbeHit(addr, true) {
-					hier.Serviced[energy.L1]++
-				} else {
-					level = sh.miss(addr, true)
-				}
-				instrs++
-				sh.storesAt[level]++
-				if off := addr>>3 - mw.arenaBase; off < mw.arenaWN {
-					mw.arena[off] = val
-				} else if off := addr>>3 - mw.w2base; off < mw.w2WN {
-					mw.w2[off] = val
-				} else {
-					memory.Store(addr, val)
-					mw.arenaBase, mw.arena, mw.arenaWN = memory.ArenaViewW()
-					mw.w2base, mw.w2, mw.w2WN, _ = memory.WindowForW(addr)
-				}
-				if storeHook != nil {
-					storeHook(addr, val)
 				}
 			case trace.CWatch:
 				// Cold path: observe the state the next op is about to
@@ -528,8 +339,8 @@ chain:
 				// the aux op closed the iteration, pc already holds the
 				// current trace head.
 				if instrs+need > max {
-					if i+1 < len(trOps) {
-						pc = int(trOps[i+1].PC)
+					if len(ops) > 1 {
+						pc = int(ops[1].PC)
 					}
 					break chain
 				}

@@ -75,22 +75,30 @@ func (a *flipAux) ExecRcmp(pc int) error {
 
 func (a *flipAux) StrayRtn(pc int) error { return fmt.Errorf("amnesic: pc %d: stray rtn", pc) }
 
-// runAux executes p with a flipAux handler under the given trace config,
-// returning the env, the handler, and the run error.
-func runAux(t *testing.T, p *isa.Program, tc trace.Config, flipAt, failRcmpAt int) (*exec.Env, *flipAux, error) {
-	t.Helper()
-	var regs [isa.NumRegs]uint64
-	var acct energy.Account
-	env := &exec.Env{
+// newEnv returns the env of a fresh machine under tc: empty memory, zeroed
+// registers and account, no aux handler.
+func newEnv(tc trace.Config) *exec.Env {
+	return &exec.Env{
 		Model: energy.Default(),
 		Hier:  mem.NewDefaultHierarchy(),
 		Mem:   mem.NewMemory(),
-		Regs:  &regs,
-		Acct:  &acct,
+		Regs:  new([isa.NumRegs]uint64),
+		Acct:  new(energy.Account),
 		Trace: tc,
 	}
+}
+
+// runAux executes p with a flipAux handler under the given trace config,
+// returning the env, the handler, and the run error. set, if non-nil,
+// adjusts the env before the run.
+func runAux(t *testing.T, p *isa.Program, tc trace.Config, flipAt, failRcmpAt int, set func(*exec.Env)) (*exec.Env, *flipAux, error) {
+	t.Helper()
+	env := newEnv(tc)
 	aux := &flipAux{env: env, flipAt: flipAt, failRcmpAt: failRcmpAt}
 	env.Aux = aux
+	if set != nil {
+		set(env)
+	}
 	err := exec.Run(env, p)
 	return env, aux, err
 }
@@ -100,16 +108,17 @@ func runAux(t *testing.T, p *isa.Program, tc trace.Config, flipAt, failRcmpAt in
 // mid-run, the trace keeps replaying — no drop, no re-record — and the run
 // stays bit-identical to pure interpretation.
 func TestTraceAuxMidRunHandlerChange(t *testing.T) {
-	// innerN is sized past MaxOps/4 so the outer head cannot record a
-	// whole-program superblock: control returns to the interpreter between
-	// inner-loop bursts, and each burst after the change enters the inner
-	// trace afresh.
+	// innerN is sized so that the inner loop alone runs past the trace
+	// engine's 512-instruction bound on a recorded path: the outer head
+	// cannot record a whole-program superblock, control returns to the
+	// interpreter between inner-loop bursts, and each burst after the
+	// change enters the inner trace afresh.
 	prog := auxLoopProgram(t, isa.Instr{Op: isa.REC, Src1: 5, Src2: 6}, 200, 32)
 	const flipAt = 3200 // mid-run: half-way through 200*32 REC calls
 	force := trace.Config{Enable: true, Threshold: 1}
 
-	tEnv, tAux, terr := runAux(t, prog, force, flipAt, 0)
-	iEnv, iAux, ierr := runAux(t, prog, trace.Config{}, flipAt, 0)
+	tEnv, tAux, terr := runAux(t, prog, force, flipAt, 0, nil)
+	iEnv, iAux, ierr := runAux(t, prog, trace.Config{}, flipAt, 0, nil)
 	if terr != nil || ierr != nil {
 		t.Fatalf("runs failed: traced %v interp %v", terr, ierr)
 	}
@@ -148,8 +157,8 @@ func TestTraceAuxRcmpErrorParity(t *testing.T) {
 	const failAt = 777 // deep inside hot replay of the inner loop
 	force := trace.Config{Enable: true, Threshold: 1}
 
-	tEnv, tAux, terr := runAux(t, prog, force, 0, failAt)
-	iEnv, iAux, ierr := runAux(t, prog, trace.Config{}, 0, failAt)
+	tEnv, tAux, terr := runAux(t, prog, force, 0, failAt, nil)
+	iEnv, iAux, ierr := runAux(t, prog, trace.Config{}, 0, failAt, nil)
 	if terr == nil || ierr == nil {
 		t.Fatalf("injected rcmp failure not surfaced: traced %v interp %v", terr, ierr)
 	}

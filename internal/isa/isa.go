@@ -197,10 +197,6 @@ func IsBranch(op Op) bool {
 	return false
 }
 
-// IsMem reports whether op accesses data memory (RCMP counts: it may
-// perform the load it replaces).
-func IsMem(op Op) bool { return op == LD || op == ST || op == RCMP }
-
 // WritesDst reports whether op writes its Dst register.
 func WritesDst(op Op) bool {
 	switch op {

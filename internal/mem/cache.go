@@ -186,9 +186,6 @@ func (c *Cache) DirtyLines() int {
 	return n
 }
 
-// ResetStats zeroes hit/miss/eviction counters without touching contents.
-func (c *Cache) ResetStats() { c.Hits, c.Misses, c.Evictions = 0, 0, 0 }
-
 // Clone returns a deep copy: tags, LRU state, clock and stats all carry
 // over, so a run resumed on the clone services exactly the hit/miss
 // sequence the original would have.
@@ -298,11 +295,4 @@ func (h *Hierarchy) Peek(addr uint64) energy.Level {
 // the uninterrupted run's.
 func (h *Hierarchy) Clone() *Hierarchy {
 	return &Hierarchy{L1: h.L1.Clone(), L2: h.L2.Clone(), Serviced: h.Serviced}
-}
-
-// ResetStats zeroes all counters without touching contents.
-func (h *Hierarchy) ResetStats() {
-	h.L1.ResetStats()
-	h.L2.ResetStats()
-	h.Serviced = [energy.NumLevels]uint64{}
 }

@@ -88,7 +88,6 @@ type regDef struct {
 // iteration in batches.
 type hotTrace struct {
 	*trace.Trace
-	end  []int32   // per op: path instructions retired once it completes
 	svp  []regEdge // per op: the stored value's producer (store ops only)
 	path []int32   // the recorded PCs
 	// edges lists the iteration's register edges — Producers and
@@ -161,7 +160,8 @@ func (h *hotLoops) build(tr *trace.Trace, path []int32) *hotTrace {
 		}
 		return e
 	}
-	storeVP := make([]regEdge, len(path))
+	// The collector records no watch, so op i is path instruction i.
+	ht.svp = make([]regEdge, len(path))
 	for i, pc := range path {
 		pp := &prof.Producers[pc]
 		m := h.recMask[pc]
@@ -175,23 +175,12 @@ func (h *hotLoops) build(tr *trace.Trace, path []int32) *hotTrace {
 			ht.edges = append(ht.edges, edge(&pp[2], i, uint8(d.Dst[pc])&31))
 		}
 		if d.Kind[pc] == isa.KindStore {
-			storeVP[i] = edge(&prof.StoreValueProducer[pc], i, uint8(d.Src2[pc])&31)
-			ht.edges = append(ht.edges, storeVP[i])
+			ht.svp[i] = edge(&prof.StoreValueProducer[pc], i, uint8(d.Src2[pc])&31)
+			ht.edges = append(ht.edges, ht.svp[i])
 		}
 		if r, ok := defines(d, pc); ok {
 			last[r] = int32(i)
 			ht.defs = append(ht.defs, regDef{pos: int32(i), pc: pc, reg: r})
-		}
-	}
-
-	ht.end = make([]int32, len(tr.Ops))
-	ht.svp = make([]regEdge, len(tr.Ops))
-	pos := int32(0)
-	for i := range tr.Ops {
-		pos += int32(tr.Ops[i].Code.Width())
-		ht.end[i] = pos
-		if c := tr.Ops[i].Code; c == trace.CStore || c == trace.CAluStore {
-			ht.svp[i] = storeVP[pos-1] // the store is the op's last instruction
 		}
 	}
 	return ht
@@ -264,53 +253,11 @@ iter:
 				}
 			case trace.CNop, trace.CBrCharge:
 			case trace.CGuard:
-				if isa.BranchTaken(op.BOp, regs[op.BSrc1&31], regs[op.BSrc2&31]) != op.Taken {
-					pc, m = int(op.ExitPC), tr.end[i]
+				if isa.BranchTaken(op.AOp, regs[op.Src1&31], regs[op.Src2&31]) != op.Taken {
+					// Op i is path instruction i (see build): the exit
+					// retires the guard and the i instructions before it.
+					pc, m = int(op.ExitPC), int32(i+1)
 					break iter
-				}
-			case trace.CAluGuard:
-				v := isa.EvalComputeOp(op.AOp, op.Imm, regs[op.Src1&31], regs[op.Src2&31], regs[op.Dst&31])
-				regs[op.Dst&31] = v // trace.Build fuses only Dst != 0
-				a, b := regs[op.BSrc1&31], regs[op.BSrc2&31]
-				if op.Fwd&1 != 0 {
-					a = v
-				}
-				if op.Fwd&2 != 0 {
-					b = v
-				}
-				if isa.BranchTaken(op.BOp, a, b) != op.Taken {
-					pc, m = int(op.ExitPC), tr.end[i]
-					break iter
-				}
-			case trace.CLoadAlu:
-				v, err := c.load(int(op.PC), regs[op.Src1&31]+uint64(op.Imm))
-				if err != nil {
-					return int(op.PC), instrs, err
-				}
-				regs[op.Dst&31] = v
-				a, b := regs[op.BSrc1&31], regs[op.BSrc2&31]
-				if op.Fwd&1 != 0 {
-					a = v
-				}
-				if op.Fwd&2 != 0 {
-					b = v
-				}
-				if r := isa.EvalComputeOp(op.AOp, op.Imm2, a, b, regs[op.Dst2&31]); op.Dst2&31 != 0 {
-					regs[op.Dst2&31] = r
-				}
-			case trace.CAluStore:
-				v := isa.EvalComputeOp(op.AOp, op.Imm, regs[op.Src1&31], regs[op.Src2&31], regs[op.Dst&31])
-				regs[op.Dst&31] = v
-				base, val := regs[op.BSrc1&31], regs[op.BSrc2&31]
-				if op.Fwd&1 != 0 {
-					base = v
-				}
-				if op.Fwd&2 != 0 {
-					val = v
-				}
-				vp := tr.svp[i].producer(first, regProd)
-				if err := c.store(int(op.PC2), base+uint64(op.Imm2), val, vp); err != nil {
-					return int(op.PC2), instrs, err
 				}
 			default: // the remaining single compute ops
 				if v := isa.EvalComputeOp(op.AOp, op.Imm, regs[op.Src1&31], regs[op.Src2&31], regs[op.Dst&31]); op.Dst&31 != 0 {

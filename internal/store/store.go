@@ -126,9 +126,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 const tmpPrefix = ".tmp-"
 
 // validKey reports whether name is a content-address entry name: a hex
@@ -381,16 +378,4 @@ func (s *Store) Stats() Stats {
 		Bytes:       s.bytes,
 		MaxBytes:    s.maxBytes,
 	}
-}
-
-// Keys returns the entry keys from most to least recently used. Intended
-// for tests and diagnostics.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, s.ll.Len())
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry).key)
-	}
-	return out
 }

@@ -1,9 +1,10 @@
 // Package trace implements the trace-reuse execution engine: hot back-edge
-// detection, superblock recording over decoded programs, superinstruction
-// fusion of frequent opcode pairs, and the replayable trace representation
-// the shared dispatch core (internal/exec) executes as dense loop bodies.
+// detection, superblock recording over decoded programs, and the replayable
+// trace representation the shared dispatch core (internal/exec) executes as
+// dense loop bodies. Every trace op stands for one original instruction,
+// apart from the CWatch observer op, which retires none.
 //
-// Lifecycle (detect → record → fuse → replay), one implementation for every
+// Lifecycle (detect → record → replay), one implementation for every
 // interpreter that replays (exec.Run and the profiler's fused collector):
 //
 //   - detect: Engine.Arrive handles every arrival at a candidate head — a
@@ -12,17 +13,12 @@
 //   - record: the interpreter calls Engine.Step before each instruction it
 //     retires while the recording is open. Step closes the path when
 //     control returns to the head — one complete loop iteration, the
-//     superblock — and installs the built trace. An untraceable
-//     instruction (HALT, RTN) or a path past Config.MaxOps blacklists the
-//     head with a tombstone, and it is never re-recorded. An outer loop
-//     whose body is too large simply blacklists at MaxOps; recording
-//     closes when any control transfer returns to the head, so
+//     superblock — and installs the trace Build compiles from it. An
+//     untraceable instruction (HALT, RTN) or a path past maxOps
+//     blacklists the head with a tombstone, and it is never re-recorded.
+//     An outer loop whose body is too large simply blacklists at maxOps;
+//     recording closes when any control transfer returns to the head, so
 //     multi-back-edge and nested paths that fit are recorded as-is;
-//   - fuse: Build compiles the recorded path into replay ops, collapsing
-//     ALU+branch (compare-and-loop-close), load+ALU, and ALU+store pairs
-//     into single superinstructions with a precomputed operand-forwarding
-//     mask (Op.Fwd) that routes the first op's result straight into the
-//     second op's operands;
 //   - replay: a later arrival at the head executes the trace body with one
 //     guard per recorded conditional branch; a guard that resolves against
 //     the recorded direction side-exits at the other successor. In
@@ -49,15 +45,9 @@
 // interpreting.
 //
 // Replay preserves bit-identical architectural and energy behaviour: it
-// counts the same events as interpretation (energy is priced from the
-// counts once, when the run exits), every memory op still probes the cache
-// hierarchy, and fused pairs still write the first op's destination
-// register architecturally. Counts are integers, so replay may pre-sum
-// them: Build folds the dynamic-instruction increments of every run of ops
-// that provably retires atomically — no guard, memory access, or aux call
-// between them, guards allowed only as the final op since a branch retires
-// whichever way it resolves — into Op.NBat on the run's first op
-// (dead-charge batching), collapsing the per-instruction counter chain.
+// counts the same events as interpretation, each where its instruction
+// retires (energy is priced from the counts once, when the run exits), and
+// every memory op still probes the cache hierarchy.
 package trace
 
 import "github.com/amnesiac-sim/amnesiac/internal/isa"
@@ -71,28 +61,18 @@ type Config struct {
 	// recording starts; 0 means the default. 1 records on the first arrival
 	// (the difftest stress setting).
 	Threshold uint32
-	// MaxOps bounds a recorded superblock, in original instructions; a
-	// recording that grows past it blacklists the head. 0 means the default.
-	MaxOps int
 }
 
 // DefaultConfig returns the production tuning: record after 32 back-edge
-// arrivals, superblocks up to 512 instructions.
-func DefaultConfig() Config { return Config{Enable: true, Threshold: 32, MaxOps: 512} }
+// arrivals.
+func DefaultConfig() Config { return Config{Enable: true, Threshold: 32} }
 
-func (c Config) withDefaults() Config {
-	if c.Threshold == 0 {
-		c.Threshold = 32
-	}
-	if c.MaxOps <= 0 {
-		c.MaxOps = 512
-	}
-	return c
-}
+// maxOps bounds a recorded superblock, in original instructions; a
+// recording that grows past it blacklists the head.
+const maxOps = 512
 
-// Code is the replay dispatch code of one trace op. Single-op codes mirror
-// the interpreter's inline ALU set; the three C*-pair codes are the fused
-// superinstructions.
+// Code is the replay dispatch code of one trace op. The compute codes
+// mirror the interpreter's inline ALU set.
 type Code uint8
 
 const (
@@ -123,10 +103,6 @@ const (
 	// CGuard charges and re-evaluates a recorded conditional branch; if it
 	// resolves against the recorded direction, replay side-exits to ExitPC.
 	CGuard
-	// Fused superinstructions (two original instructions each).
-	CAluGuard // ALU + conditional branch consuming its result
-	CLoadAlu  // load + ALU consuming the loaded value
-	CAluStore // ALU + store consuming its result (value and/or address base)
 	// Amnesic aux ops: replay calls back into the live exec.Aux handler so
 	// the amnesic machine's checkpoint/recompute logic runs unchanged.
 	CRec
@@ -137,65 +113,30 @@ const (
 	CWatch
 )
 
-// nCodes is the number of replay codes (for tests).
-const nCodes = int(CWatch) + 1
-
-// Width returns the number of original instructions an op of code c
-// retires: two for the fused pairs, none for an observer op, one otherwise.
-func (c Code) Width() int {
-	switch c {
-	case CAluGuard, CLoadAlu, CAluStore:
-		return 2
-	case CWatch:
-		return 0
-	}
-	return 1
-}
-
-// Op is one replay operation. Register fields are pre-masked (&31). For
-// fused codes the A-fields (AOp/Dst/Src1/Src2/Imm/Cat/PC) describe the
-// first original instruction and the B-fields (BOp/Dst2/BSrc1/BSrc2/Imm2/
-// Cat2/PC2) the second; Fwd says which of the second op's operands take the
-// first op's result instead of the register file (the intermediate register
-// is still written architecturally, so no liveness analysis is needed).
+// Op is one replay operation: one original instruction, or a CWatch
+// observer op. Register fields are pre-masked (&31).
 type Op struct {
 	Code Code
-	// AOp is the compute opcode for CAluGen and for the ALU half of every
-	// fused code; BOp is the branch opcode of CGuard/CAluGuard.
+	// AOp is the opcode of a compute op (CAluGen evaluates it) and the
+	// branch opcode of CGuard.
 	AOp isa.Op
-	BOp isa.Op
-	// First-instruction operands.
+	// Operands; a guard compares Src1 with Src2, a store writes Src2's
+	// value at Src1's address plus Imm.
 	Dst, Src1, Src2 uint8
-	// Second-instruction operands (fused codes) / guard operands (CGuard).
-	Dst2, BSrc1, BSrc2 uint8
-	// Fwd forwards the first op's result into the second op's operands:
-	// bit 0 = first operand (guard Src1 / ALU Src1 / store address base),
-	// bit 1 = second operand (guard Src2 / ALU Src2 / store value).
-	Fwd uint8
-	// Taken is the recorded direction of CGuard/CAluGuard.
+	// Taken is the recorded direction of CGuard.
 	Taken bool
 	// Elim marks an eliminated-store NOP (amnesic statistics).
 	Elim bool
-	// Cat / Cat2 are the energy categories of the two sub-instructions.
-	Cat, Cat2 isa.Category
-	// PC / PC2 are the original program counters (fault reporting).
-	PC, PC2 int32
+	// Cat is the instruction's energy category.
+	Cat isa.Category
+	// PC is the original program counter (fault reporting; the observed pc
+	// of CWatch).
+	PC int32
 	// ExitPC is the side-exit continuation when a guard fails: the recorded
 	// branch's other successor.
 	ExitPC int32
-	// Imm / Imm2 are the two sub-instructions' immediates.
-	Imm, Imm2 int64
-	// NBat is the dead-charge batch weight: the total number of original
-	// instructions retired by the maximal guard-/memory-/aux-free run of
-	// ops starting here (a trailing guard is included — a branch retires
-	// whichever way it resolves). Replay adds NBat to the instruction
-	// counter at the run's first op and 0 at the interior ops, collapsing
-	// the per-instruction counter chain; integer addition is exact, so the
-	// totals at every observation point (side exit, aux call, return) are
-	// unchanged. Ops that can fault or call out (memory, aux) keep NBat 0
-	// and count positionally in their own replay case. Category and
-	// per-level counts stay per op.
-	NBat uint32
+	// Imm is the instruction's immediate.
+	Imm int64
 }
 
 // Trace is one compiled superblock: a complete loop iteration anchored at
@@ -204,8 +145,8 @@ type Trace struct {
 	Head int32
 	Ops  []Op
 	// NInstr is the number of original instructions retired by one complete
-	// iteration (fused ops count as two); the replay loop uses it for a
-	// conservative pre-iteration budget check.
+	// iteration; the replay loop uses it for a conservative pre-iteration
+	// budget check.
 	NInstr uint64
 }
 
@@ -251,27 +192,27 @@ type Engine struct {
 	// the engine's dynamic coverage, next to Account.Instrs.
 	ReplayedInstrs uint64
 
-	maxOps int
 	// The run's Build inputs, and whether it has an aux handler.
 	d           *isa.Decoded
 	elim, watch []bool
 	aux         bool
 }
 
-// NewEngine builds an engine for one run of the decoded program d,
-// normalizing zero Config fields to their defaults. elim and watch are the
+// NewEngine builds an engine for one run of the decoded program d, with
+// the default threshold when cfg's is 0. elim and watch are the
 // run's Build inputs (either may be nil), and aux says whether the run has
 // an aux handler (see Recordable).
 func NewEngine(cfg Config, d *isa.Decoded, elim, watch []bool, aux bool) *Engine {
-	cfg = cfg.withDefaults()
+	if cfg.Threshold == 0 {
+		cfg.Threshold = DefaultConfig().Threshold
+	}
 	n := d.Len()
 	e := &Engine{
-		threshold: cfg.Threshold, maxOps: cfg.MaxOps,
-		d: d, elim: elim, watch: watch, aux: aux,
+		threshold: cfg.Threshold, d: d, elim: elim, watch: watch, aux: aux,
 		counts:  make([]uint32, n),
 		traces:  make([]*Trace, n+1),
 		recHead: -1,
-		path:    make([]int32, 0, cfg.MaxOps),
+		path:    make([]int32, 0, maxOps),
 	}
 	e.traces[n] = &Trace{Head: int32(n)}
 	return e
@@ -301,7 +242,7 @@ func (e *Engine) Arrive(pc int) int {
 // Step is one recording step: pc is the next instruction the interpreter
 // retires while a recording is open. Control back at the head closes the
 // path: Step builds the trace, installs it at the head, and returns Replay.
-// An unrecordable instruction or a path past MaxOps blacklists the head
+// An unrecordable instruction or a path past maxOps blacklists the head
 // and returns Interpret. Otherwise pc joins the path and Step returns
 // Record.
 func (e *Engine) Step(pc int) int {
@@ -312,7 +253,7 @@ func (e *Engine) Step(pc int) int {
 		e.recHead = -1
 		return Replay
 	}
-	if !Recordable(e.d.Kind[pc], e.aux) || len(e.path) >= e.maxOps {
+	if !Recordable(e.d.Kind[pc], e.aux) || len(e.path) >= maxOps {
 		e.traces[head] = &Trace{Head: int32(head)}
 		e.Blacklisted++
 		e.recHead = -1
@@ -388,9 +329,6 @@ func aluCode(op isa.Op) Code {
 	return CAluGen
 }
 
-// isALU reports whether c is a single compute op (fusion candidate).
-func isALU(c Code) bool { return c <= CAluGen }
-
 // Build compiles one recorded superblock into a replayable trace. path is
 // the sequence of retired PCs for one complete loop iteration: it starts at
 // the head and ends with the loop-closing branch whose execution returned
@@ -402,16 +340,14 @@ func isALU(c Code) bool { return c <= CAluGen }
 // Recordable); that is an internal invariant, not an input error.
 func Build(d *isa.Decoded, path []int32, elim, watch []bool) *Trace {
 	head := path[0]
-	raw := make([]Op, 0, len(path))
+	ops := make([]Op, 0, len(path))
 	for j, pc := range path {
 		next := head
 		if j+1 < len(path) {
 			next = path[j+1]
 		}
 		if watch != nil && watch[pc] {
-			// An observer op sits between its instruction and whatever
-			// precedes it, so fusion never pairs across it.
-			raw = append(raw, Op{Code: CWatch, PC: pc})
+			ops = append(ops, Op{Code: CWatch, PC: pc})
 		}
 		op := Op{PC: pc, Imm: d.Imm[pc], Cat: d.Cat[pc]}
 		switch k := d.Kind[pc]; k {
@@ -442,9 +378,9 @@ func Build(d *isa.Decoded, path []int32, elim, watch []bool) *Trace {
 				break
 			}
 			op.Code = CGuard
-			op.BOp = d.Op[pc]
-			op.BSrc1 = uint8(d.Src1[pc]) & 31
-			op.BSrc2 = uint8(d.Src2[pc]) & 31
+			op.AOp = d.Op[pc]
+			op.Src1 = uint8(d.Src1[pc]) & 31
+			op.Src2 = uint8(d.Src2[pc]) & 31
 			op.Taken = next == target
 			if op.Taken {
 				op.ExitPC = pc + 1
@@ -458,128 +394,7 @@ func Build(d *isa.Decoded, path []int32, elim, watch []bool) *Trace {
 		default:
 			panic("trace: unrecordable kind on recorded path")
 		}
-		raw = append(raw, op)
+		ops = append(ops, op)
 	}
-	ops := fuse(raw)
-	batchDeadCharges(ops)
 	return &Trace{Head: head, Ops: ops, NInstr: uint64(len(path))}
-}
-
-// batchWeight is an op's dead-charge batch contribution: the number of
-// original instructions it retires, or 0 for ops that may fault, side-exit
-// before fully retiring, or call out to a handler that counts for itself —
-// those count positionally in their own replay case — and for observer
-// ops, which retire nothing and end the run before them.
-func batchWeight(c Code) uint32 {
-	switch c {
-	case CLoad, CStore, CLoadAlu, CAluStore, CRec, CRcmp, CWatch:
-		return 0
-	case CAluGuard:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// batchDeadCharges pre-sums the per-op instruction-counter increments of
-// every maximal run of batchable ops into the run's first op (Op.NBat);
-// interior ops stay 0. A guard terminates its run inclusively: the branch
-// instruction retires whether or not it side-exits, so its count is safe
-// to front-load, while everything after a potential exit starts a new run.
-// Only the instruction counter is batched; replay counts categories per op.
-func batchDeadCharges(ops []Op) {
-	for i := 0; i < len(ops); {
-		if batchWeight(ops[i].Code) == 0 {
-			i++
-			continue
-		}
-		head, total := i, uint32(0)
-		for i < len(ops) {
-			c := ops[i].Code
-			w := batchWeight(c)
-			if w == 0 {
-				break
-			}
-			total += w
-			i++
-			if c == CGuard || c == CAluGuard {
-				break
-			}
-		}
-		ops[head].NBat = total
-	}
-}
-
-// fuse collapses adjacent op pairs into superinstructions. A pair fuses
-// when the first op produces a register (Dst != 0; R0 results read back as
-// zero, so forwarding them would be wrong) and the second consumes it:
-//
-//	ALU  + guard → CAluGuard (compare-and-branch, the loop-close idiom)
-//	load + ALU   → CLoadAlu
-//	ALU  + store → CAluStore (result used as value and/or address base)
-//
-// The Fwd mask records which operand slots take the forwarded result; all
-// other operands still read the register file, and the first op's Dst is
-// still written, so fusion is invisible to architectural state.
-func fuse(raw []Op) []Op {
-	out := make([]Op, 0, len(raw))
-	for i := 0; i < len(raw); i++ {
-		cur := raw[i]
-		if i+1 < len(raw) {
-			nxt := raw[i+1]
-			if f, ok := fusePair(cur, nxt); ok {
-				out = append(out, f)
-				i++
-				continue
-			}
-		}
-		out = append(out, cur)
-	}
-	return out
-}
-
-// fusePair attempts to fuse cur followed by nxt.
-func fusePair(cur, nxt Op) (Op, bool) {
-	switch {
-	case isALU(cur.Code) && cur.Dst != 0 && nxt.Code == CGuard &&
-		(nxt.BSrc1 == cur.Dst || nxt.BSrc2 == cur.Dst):
-		f := cur
-		f.Code = CAluGuard
-		f.BOp, f.BSrc1, f.BSrc2 = nxt.BOp, nxt.BSrc1, nxt.BSrc2
-		f.Taken, f.ExitPC, f.PC2 = nxt.Taken, nxt.ExitPC, nxt.PC
-		if nxt.BSrc1 == cur.Dst {
-			f.Fwd |= 1
-		}
-		if nxt.BSrc2 == cur.Dst {
-			f.Fwd |= 2
-		}
-		return f, true
-	case cur.Code == CLoad && cur.Dst != 0 && isALU(nxt.Code) &&
-		(nxt.Src1 == cur.Dst || nxt.Src2 == cur.Dst):
-		f := cur
-		f.Code = CLoadAlu
-		f.AOp, f.Dst2, f.BSrc1, f.BSrc2 = nxt.AOp, nxt.Dst, nxt.Src1, nxt.Src2
-		f.Imm2, f.Cat2, f.PC2 = nxt.Imm, nxt.Cat, nxt.PC
-		if nxt.Src1 == cur.Dst {
-			f.Fwd |= 1
-		}
-		if nxt.Src2 == cur.Dst {
-			f.Fwd |= 2
-		}
-		return f, true
-	case isALU(cur.Code) && cur.Dst != 0 && nxt.Code == CStore &&
-		(nxt.Src1 == cur.Dst || nxt.Src2 == cur.Dst):
-		f := cur
-		f.Code = CAluStore
-		f.BSrc1, f.BSrc2 = nxt.Src1, nxt.Src2 // base, value
-		f.Imm2, f.PC2 = nxt.Imm, nxt.PC
-		if nxt.Src1 == cur.Dst {
-			f.Fwd |= 1
-		}
-		if nxt.Src2 == cur.Dst {
-			f.Fwd |= 2
-		}
-		return f, true
-	}
-	return Op{}, false
 }

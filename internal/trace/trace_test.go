@@ -1,7 +1,9 @@
 package trace_test
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/amnesiac-sim/amnesiac/internal/asm"
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
@@ -17,10 +19,11 @@ func mustParse(t *testing.T, src string) *isa.Decoded {
 	return p.Decoded()
 }
 
-// TestBuildFusesPairs checks the three superinstruction patterns on the
-// canonical loop body: load feeding an ALU op, ALU result being stored, and
-// the increment-and-loop-close compare.
-func TestBuildFusesPairs(t *testing.T) {
+// TestBuildOneOpPerInstruction: every recorded instruction becomes one op,
+// in path order, carrying its own pc, operands and category, so each op
+// retires exactly one of the trace's NInstr instructions. A guard keeps its
+// branch opcode and operands in the op's own fields. An op is 24 bytes.
+func TestBuildOneOpPerInstruction(t *testing.T) {
 	d := mustParse(t, `
 loop:
     ld   r2, 0(r1)
@@ -31,25 +34,28 @@ loop:
     blt  r5, r6, loop
     halt
 `)
-	path := []int32{0, 1, 2, 3, 4, 5}
-	tr := trace.Build(d, path, nil, nil)
+	tr := trace.Build(d, []int32{0, 1, 2, 3, 4, 5}, nil, nil)
 	if tr.Head != 0 || tr.NInstr != 6 {
 		t.Fatalf("head=%d ninstr=%d, want 0/6", tr.Head, tr.NInstr)
 	}
-	if len(tr.Ops) != 3 {
-		t.Fatalf("got %d ops, want 3 fused: %+v", len(tr.Ops), tr.Ops)
+	want := []trace.Code{trace.CLoad, trace.CAdd, trace.CAddi, trace.CStore, trace.CAddi, trace.CGuard}
+	if len(tr.Ops) != len(want) {
+		t.Fatalf("got %d ops, want %d: %+v", len(tr.Ops), len(want), tr.Ops)
 	}
-	la := tr.Ops[0]
-	if la.Code != trace.CLoadAlu || la.Fwd != 3 || la.PC != 0 || la.PC2 != 1 {
-		t.Errorf("op0 = %+v, want CLoadAlu fwd=3 pcs 0,1", la)
+	for i, c := range want {
+		if op := tr.Ops[i]; op.Code != c || op.PC != int32(i) || op.Cat != d.Cat[i] {
+			t.Errorf("op%d = %+v, want code %d at pc %d", i, op, c, i)
+		}
 	}
-	as := tr.Ops[1]
-	if as.Code != trace.CAluStore || as.Fwd != 2 || as.PC != 2 || as.PC2 != 3 {
-		t.Errorf("op1 = %+v, want CAluStore fwd=2 pcs 2,3", as)
+	if st := tr.Ops[3]; st.Src1 != 1 || st.Src2 != 4 || st.Imm != 0 {
+		t.Errorf("store = %+v, want base r1, value r4", st)
 	}
-	ag := tr.Ops[2]
-	if ag.Code != trace.CAluGuard || ag.Fwd != 1 || !ag.Taken || ag.ExitPC != 6 {
-		t.Errorf("op2 = %+v, want CAluGuard fwd=1 taken exit=6", ag)
+	g := tr.Ops[5]
+	if g.AOp != isa.BLT || g.Src1 != 5 || g.Src2 != 6 || !g.Taken || g.ExitPC != 6 {
+		t.Errorf("guard = %+v, want blt r5, r6 taken, exit 6", g)
+	}
+	if sz := unsafe.Sizeof(trace.Op{}); sz > 24 {
+		t.Errorf("trace.Op is %d bytes, want at most 24", sz)
 	}
 }
 
@@ -68,32 +74,21 @@ out:
 `)
 	path := []int32{0, 1, 2, 3}
 	tr := trace.Build(d, path, nil, nil)
-	if len(tr.Ops) != 3 {
-		t.Fatalf("got %d ops, want 3: %+v", len(tr.Ops), tr.Ops)
+	if len(tr.Ops) != 4 {
+		t.Fatalf("got %d ops, want 4: %+v", len(tr.Ops), tr.Ops)
 	}
-	ag := tr.Ops[0]
-	if ag.Code != trace.CAluGuard || ag.Taken || ag.ExitPC != 4 {
-		t.Errorf("op0 = %+v, want CAluGuard not-taken exit=4", ag)
+	if tr.Ops[0].Code != trace.CAddi {
+		t.Errorf("op0 = %+v, want CAddi", tr.Ops[0])
 	}
-	if tr.Ops[1].Code != trace.CAdd {
-		t.Errorf("op1 = %+v, want CAdd", tr.Ops[1])
+	g := tr.Ops[1]
+	if g.Code != trace.CGuard || g.AOp != isa.BEQ || g.Src1 != 5 || g.Src2 != 7 || g.Taken || g.ExitPC != 4 {
+		t.Errorf("op1 = %+v, want CGuard beq r5, r7 not-taken exit=4", g)
 	}
-	if tr.Ops[2].Code != trace.CBrCharge {
-		t.Errorf("op2 = %+v, want CBrCharge (jmp charges, no guard)", tr.Ops[2])
+	if tr.Ops[2].Code != trace.CAdd {
+		t.Errorf("op2 = %+v, want CAdd", tr.Ops[2])
 	}
-}
-
-// TestBuildNoFuseThroughR0: an ALU op writing R0 must not forward its
-// result (R0 reads back as zero), so the pair stays unfused.
-func TestBuildNoFuseThroughR0(t *testing.T) {
-	d := mustParse(t, `
-    add r0, r1, r1
-    st  r0, 0(r1)
-    halt
-`)
-	tr := trace.Build(d, []int32{0, 1}, nil, nil)
-	if len(tr.Ops) != 2 || tr.Ops[0].Code != trace.CAdd || tr.Ops[1].Code != trace.CStore {
-		t.Fatalf("ops = %+v, want unfused CAdd, CStore", tr.Ops)
+	if tr.Ops[3].Code != trace.CBrCharge {
+		t.Errorf("op3 = %+v, want CBrCharge (jmp charges, no guard)", tr.Ops[3])
 	}
 }
 
@@ -145,9 +140,9 @@ loop:
 	}
 }
 
-// TestBlacklistTombstone: an unrecordable instruction or a path past MaxOps
-// blacklists the recording head with a tombstone — never replayed, never
-// re-counted, never recorded again.
+// TestBlacklistTombstone: an unrecordable instruction or a path past the
+// 512-instruction bound blacklists the recording head with a tombstone —
+// never replayed, never re-counted, never recorded again.
 func TestBlacklistTombstone(t *testing.T) {
 	d := mustParse(t, `
 loop:
@@ -172,13 +167,27 @@ loop:
 		t.Fatalf("built %d, traces %v: a tombstone is no trace", eng.Built, eng.Traces())
 	}
 
-	// A path past MaxOps.
-	eng = trace.NewEngine(trace.Config{Enable: true, Threshold: 1, MaxOps: 2}, d, nil, nil, false)
-	eng.Arrive(0)
-	eng.Step(0)
-	eng.Step(1)
-	if got := eng.Step(2); got != trace.Interpret || eng.Blacklisted != 1 || eng.Arrive(0) != trace.Interpret {
-		t.Fatalf("step past MaxOps = %d (blacklisted %d), want the head blacklisted", got, eng.Blacklisted)
+	// A loop body of 512 instructions records; one of 513 blacklists at
+	// its 513th step.
+	for _, body := range []int{512, 513} {
+		src := "loop:\n" + strings.Repeat("    addi r4, r4, 1\n", body-1) + "    blt r5, r6, loop\n    halt\n"
+		d := mustParse(t, src)
+		eng := trace.NewEngine(trace.Config{Enable: true, Threshold: 1}, d, nil, nil, false)
+		eng.Arrive(0)
+		for pc := 0; pc < body; pc++ {
+			got := eng.Step(pc)
+			if pc < 512 && got != trace.Record {
+				t.Fatalf("body %d: step %d = %d, want Record", body, pc, got)
+			}
+			if pc == 512 && (got != trace.Interpret || eng.Blacklisted != 1 || eng.Arrive(0) != trace.Interpret) {
+				t.Fatalf("body %d: step past the bound = %d (blacklisted %d), want the head blacklisted", body, got, eng.Blacklisted)
+			}
+		}
+		if body == 512 {
+			if got := eng.Step(0); got != trace.Replay || eng.Head(0).NInstr != 512 {
+				t.Fatalf("body 512: closing step = %d, want a 512-instruction trace", got)
+			}
+		}
 	}
 }
 
@@ -200,21 +209,21 @@ func auxProgram(t *testing.T) *isa.Decoded {
 }
 
 // TestBuildCapturesAuxSigs: REC/RCMP become CRec/CRcmp entries, which
-// replay through the run's live aux handler; they are fusion barriers.
+// replay through the run's live aux handler, each at its own pc.
 func TestBuildCapturesAuxSigs(t *testing.T) {
 	d := auxProgram(t)
 	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil)
 	if len(tr.Ops) != 4 {
-		t.Fatalf("got %d ops, want 4 (aux ops are fusion barriers): %+v", len(tr.Ops), tr.Ops)
+		t.Fatalf("got %d ops, want 4: %+v", len(tr.Ops), tr.Ops)
 	}
-	if tr.Ops[1].Code != trace.CRec {
-		t.Errorf("op1 = %+v, want CRec", tr.Ops[1])
+	if tr.Ops[1].Code != trace.CRec || tr.Ops[1].PC != 1 {
+		t.Errorf("op1 = %+v, want CRec at pc 1", tr.Ops[1])
 	}
-	if tr.Ops[2].Code != trace.CRcmp {
-		t.Errorf("op2 = %+v, want CRcmp", tr.Ops[2])
+	if tr.Ops[2].Code != trace.CRcmp || tr.Ops[2].PC != 2 {
+		t.Errorf("op2 = %+v, want CRcmp at pc 2", tr.Ops[2])
 	}
 	if tr.Ops[3].Code != trace.CGuard {
-		t.Errorf("op3 = %+v, want unfused CGuard (CRcmp is no ALU)", tr.Ops[3])
+		t.Errorf("op3 = %+v, want CGuard", tr.Ops[3])
 	}
 }
 
@@ -239,84 +248,9 @@ func TestRecordableAux(t *testing.T) {
 	}
 }
 
-// TestBatchDeadCharges: NBat pre-sums maximal batchable runs — memory and
-// aux ops are breakers that count positionally (weight 0), a guard
-// terminates its run inclusively (ALU+branch fusions weigh 2), and interior
-// ops stay 0. The per-trace invariant: head NBat weights plus positional
-// breaker counts equal NInstr.
-func TestBatchDeadCharges(t *testing.T) {
-	// Straight ALU run closed by a fused compare-and-branch: one batch.
-	d := mustParse(t, `
-loop:
-    addi r2, r2, 1
-    addi r3, r3, 2
-    addi r5, r5, 1
-    blt  r5, r6, loop
-    halt
-`)
-	tr := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil)
-	if len(tr.Ops) != 3 {
-		t.Fatalf("got %d ops, want 3: %+v", len(tr.Ops), tr.Ops)
-	}
-	if got := []uint32{tr.Ops[0].NBat, tr.Ops[1].NBat, tr.Ops[2].NBat}; got[0] != 4 || got[1] != 0 || got[2] != 0 {
-		t.Errorf("NBat = %v, want [4 0 0] (addi+addi+CAluGuard(2) batched at the head)", got)
-	}
-
-	// A guard mid-trace terminates its run inclusively; the ops after the
-	// potential side exit start a new run.
-	d2 := mustParse(t, `
-loop:
-    addi r5, r5, 1
-    beq  r5, r7, out
-    add  r2, r2, r2
-    jmp  loop
-out:
-    halt
-`)
-	tr2 := trace.Build(d2, []int32{0, 1, 2, 3}, nil, nil)
-	if len(tr2.Ops) != 3 {
-		t.Fatalf("got %d ops, want 3: %+v", len(tr2.Ops), tr2.Ops)
-	}
-	if got := []uint32{tr2.Ops[0].NBat, tr2.Ops[1].NBat, tr2.Ops[2].NBat}; got[0] != 2 || got[1] != 2 || got[2] != 0 {
-		t.Errorf("NBat = %v, want [2 2 0] (guard closes run; add+jmp batch after the exit)", got)
-	}
-
-	// Memory and aux ops break runs and contribute nothing.
-	d3 := auxProgram(t)
-	tr3 := trace.Build(d3, []int32{0, 1, 2, 3}, nil, nil)
-	if got := []uint32{tr3.Ops[0].NBat, tr3.Ops[1].NBat, tr3.Ops[2].NBat, tr3.Ops[3].NBat}; got[0] != 1 || got[1] != 0 || got[2] != 0 || got[3] != 1 {
-		t.Errorf("NBat = %v, want [1 0 0 1] (aux ops are weight-0 breakers)", got)
-	}
-
-	// Observer ops retire nothing and end the run before them.
-	tr4 := trace.Build(d, []int32{0, 1, 2, 3}, nil, []bool{false, false, true, false, false})
-	if got := []uint32{tr4.Ops[0].NBat, tr4.Ops[1].NBat, tr4.Ops[2].NBat, tr4.Ops[3].NBat}; got[0] != 2 || got[1] != 0 || got[2] != 0 || got[3] != 2 {
-		t.Errorf("NBat = %v, want [2 0 0 2] (CWatch splits the run)", got)
-	}
-
-	// Invariant on every built trace: batched weights + positional breakers
-	// retire exactly NInstr original instructions.
-	for _, c := range []*trace.Trace{tr, tr2, tr3, tr4} {
-		var sum, width uint64
-		for _, op := range c.Ops {
-			sum += uint64(op.NBat)
-			width += uint64(op.Code.Width())
-			switch op.Code {
-			case trace.CLoad, trace.CStore, trace.CRec, trace.CRcmp:
-				sum++
-			case trace.CLoadAlu, trace.CAluStore:
-				sum += 2
-			}
-		}
-		if sum != c.NInstr || width != c.NInstr {
-			t.Errorf("trace head %d: batched+positional = %d, widths = %d, want NInstr %d", c.Head, sum, width, c.NInstr)
-		}
-	}
-}
-
 // TestBuildObserverOps: a watched PC gets a CWatch op just before its own
-// op, carrying the watched pc. The observer op keeps its neighbours from
-// fusing across it, so the observer sees the state before its instruction.
+// op, carrying the watched pc, so the observer sees the state before its
+// instruction. Observer ops retire nothing: NInstr counts the path.
 func TestBuildObserverOps(t *testing.T) {
 	d := mustParse(t, `
 loop:
@@ -339,8 +273,8 @@ loop:
 	if tr.Ops[1].PC != 1 || tr.Ops[4].PC != 3 {
 		t.Errorf("observer pcs %d/%d, want 1/3", tr.Ops[1].PC, tr.Ops[4].PC)
 	}
-	// Unwatched, the same path fuses into two pairs.
-	if plain := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil); len(plain.Ops) != 2 {
-		t.Errorf("unwatched build: %d ops, want 2 fused", len(plain.Ops))
+	// Unwatched, the same path builds one op per instruction.
+	if plain := trace.Build(d, []int32{0, 1, 2, 3}, nil, nil); len(plain.Ops) != 4 || plain.NInstr != 4 {
+		t.Errorf("unwatched build: %d ops, NInstr %d, want 4/4", len(plain.Ops), plain.NInstr)
 	}
 }

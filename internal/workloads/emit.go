@@ -28,7 +28,6 @@ const (
 	// Checksum/output registers, compared against classic execution.
 	rOut0 = isa.Reg(20)
 	rOut1 = isa.Reg(21)
-	rOut2 = isa.Reg(22)
 )
 
 // intChain emits a chain of `ops` integer instructions deriving a value
@@ -116,8 +115,6 @@ type fastMix struct {
 	// Odd strides for the l2 and cold walks.
 	l2Stride, coldStride int64
 }
-
-func (x fastMix) total() int64 { return x.hotW + x.l2W + x.coldW }
 
 // Registers reserved for fastMix loop constants.
 const (

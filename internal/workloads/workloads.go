@@ -17,7 +17,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
 	"github.com/amnesiac-sim/amnesiac/internal/mem"
@@ -90,18 +89,6 @@ func Responsive() []*Workload {
 		out = append(out, registry[n])
 	}
 	return out
-}
-
-// BySuite returns workloads grouped by suite, suites sorted alphabetically.
-func BySuite() map[string][]*Workload {
-	m := make(map[string][]*Workload)
-	for _, w := range All() {
-		m[w.Suite] = append(m[w.Suite], w)
-	}
-	for _, ws := range m {
-		sort.Slice(ws, func(i, j int) bool { return ws[i].Name < ws[j].Name })
-	}
-	return m
 }
 
 // scaled returns max(lo, int(v*scale)) rounded to a multiple of 8 words
