@@ -35,8 +35,6 @@ type Stats struct {
 	// swapped at runtime (i.e. RCMPs that fired) would have been serviced —
 	// the paper's Table 5 per-policy profile.
 	SwappedServiced [energy.NumLevels]uint64
-	// RcmpLoadServiced profiles RCMP instances that performed the load.
-	RcmpLoadServiced [energy.NumLevels]uint64
 	// RecExecuted / RecFailed count REC instances; a failed REC (Hist
 	// overflow) permanently disables its slice (§3.5).
 	RecExecuted, RecFailed uint64
@@ -353,7 +351,6 @@ func (m *Machine) execRCMP(in isa.Instr) error {
 	m.Acct.AddLoad(res.Level)
 	m.Acct.RcmpLoads++
 	m.Stat.RcmpLoaded++
-	m.Stat.RcmpLoadServiced[res.Level]++
 	m.WriteReg(in.Dst, m.Mem.Load(addr))
 	return nil
 }

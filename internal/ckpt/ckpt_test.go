@@ -139,9 +139,10 @@ func TestChunkedMatchesMonolithic(t *testing.T) {
 		}
 		ref := runReference(t, model, prog, initial)
 		prof, ann := prepare(t, model, prog, initial)
+		img := initial.Clone().Seal()
 		for _, pol := range []Policy{PolicyFull, PolicyRecomp} {
 			var stores []storeEvent
-			e, err := NewEngine(model, prog, initial, ann, prof, Config{
+			e, err := NewEngine(model, prog, img, ann, prof, Config{
 				Policy:   pol,
 				Interval: ref.acct.Instrs/7 + 1,
 				KeepAll:  true,
@@ -170,6 +171,9 @@ func TestChunkedMatchesMonolithic(t *testing.T) {
 // TestCrashRestart: kill the run at several crash points under both
 // policies, restart from the surviving checkpoint on a fresh engine, and
 // require the spliced result to be bit-identical to the uninterrupted run.
+// Every engine runs on a fork of the sealed image: the image must come out
+// unchanged and, once the engines are released, hold only its own
+// reference.
 func TestCrashRestart(t *testing.T) {
 	model := energy.Default()
 	for seed := int64(1); seed <= 3; seed++ {
@@ -179,6 +183,7 @@ func TestCrashRestart(t *testing.T) {
 		}
 		ref := runReference(t, model, prog, initial)
 		prof, ann := prepare(t, model, prog, initial)
+		img := initial.Clone().Seal()
 		total := ref.acct.Instrs
 		interval := total/5 + 1
 		for _, frac := range []uint64{1, 3, 7, 9} {
@@ -188,7 +193,7 @@ func TestCrashRestart(t *testing.T) {
 			}
 			for _, pol := range []Policy{PolicyFull, PolicyRecomp} {
 				var prefix []storeEvent
-				e, err := NewEngine(model, prog, initial, ann, prof, Config{
+				e, err := NewEngine(model, prog, img, ann, prof, Config{
 					Policy: pol, Interval: interval, CrashAt: crash,
 					StoreHook: func(a, v uint64) { prefix = append(prefix, storeEvent{a, v}) },
 				})
@@ -206,7 +211,7 @@ func TestCrashRestart(t *testing.T) {
 				prefix = prefix[:ck.Stores]
 
 				var suffix []storeEvent
-				e2, err := NewEngine(model, prog, initial, ann, prof, Config{
+				e2, err := NewEngine(model, prog, img, ann, prof, Config{
 					Policy: pol, Interval: interval,
 					StoreHook: func(a, v uint64) { suffix = append(suffix, storeEvent{a, v}) },
 				})
@@ -221,7 +226,18 @@ func TestCrashRestart(t *testing.T) {
 					t.Fatalf("seed %d crash %d %v: restore stats %+v", seed, crash, pol, res2.Restore)
 				}
 				checkAgainstReference(t, pol.String(), ref, res2, e2.Mem(), suffix, prefix)
+				if !e2.Mem().Forked() {
+					t.Fatalf("seed %d crash %d %v: engine is not running on a fork", seed, crash, pol)
+				}
+				e.Release()
+				e2.Release()
 			}
+		}
+		if !img.Mem().Equal(initial) {
+			t.Errorf("seed %d: checkpointed runs mutated the sealed image at %#x", seed, img.Mem().Diff(initial, 4))
+		}
+		if refs := img.Refs(); refs != 1 {
+			t.Errorf("seed %d: image holds %d references after every engine was released, want 1", seed, refs)
 		}
 	}
 }
@@ -241,10 +257,11 @@ func TestRestartContinuesCheckpoints(t *testing.T) {
 		}
 		ref := runReference(t, model, prog, initial)
 		prof, ann := prepare(t, model, prog, initial)
+		img := initial.Clone().Seal()
 		interval := ref.acct.Instrs/6 + 1
 		for _, pol := range []Policy{PolicyFull, PolicyRecomp} {
 			engine := func(crash uint64) *Engine {
-				e, err := NewEngine(model, prog, initial, ann, prof, Config{Policy: pol, Interval: interval, CrashAt: crash, KeepAll: true})
+				e, err := NewEngine(model, prog, img, ann, prof, Config{Policy: pol, Interval: interval, CrashAt: crash, KeepAll: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,7 +312,8 @@ func TestRestartFromCheckpointZero(t *testing.T) {
 	}
 	ref := runReference(t, model, prog, initial)
 	prof, _ := prepare(t, model, prog, initial)
-	e, err := NewEngine(model, prog, initial, nil, prof, Config{
+	img := initial.Clone().Seal()
+	e, err := NewEngine(model, prog, img, nil, prof, Config{
 		Policy: PolicyFull, Interval: ref.acct.Instrs + 100, CrashAt: 1,
 	})
 	if err != nil {
@@ -310,7 +328,7 @@ func TestRestartFromCheckpointZero(t *testing.T) {
 		t.Fatalf("expected the t=0 checkpoint, got %+v", ck)
 	}
 	var suffix []storeEvent
-	e2, err := NewEngine(model, prog, initial, nil, prof, Config{
+	e2, err := NewEngine(model, prog, img, nil, prof, Config{
 		Policy:    PolicyFull,
 		StoreHook: func(a, v uint64) { suffix = append(suffix, storeEvent{a, v}) },
 	})
@@ -332,10 +350,11 @@ func TestRecompOmitsSliceWord(t *testing.T) {
 	prog, initial := recompProgram(t)
 	ref := runReference(t, model, prog, initial)
 	prof, ann := prepare(t, model, prog, initial)
+	img := initial.Clone().Seal()
 
 	run := func(tamper uint64) (*Engine, *RunResult, *Checkpoint, []storeEvent) {
 		t.Helper()
-		e, err := NewEngine(model, prog, initial, ann, prof, Config{
+		e, err := NewEngine(model, prog, img, ann, prof, Config{
 			Policy: PolicyRecomp, Interval: 10, CrashAt: 25, KeepAll: true,
 		})
 		if err != nil {
@@ -349,7 +368,7 @@ func TestRecompOmitsSliceWord(t *testing.T) {
 			t.Fatalf("checkpoint %d omitted nothing: %+v", ck.Seq, e.Stats)
 		}
 		var suffix []storeEvent
-		e2, err := NewEngine(model, prog, initial, ann, prof, Config{
+		e2, err := NewEngine(model, prog, img, ann, prof, Config{
 			Policy: PolicyRecomp, Interval: 10, TamperRestart: tamper,
 			StoreHook: func(a, v uint64) { suffix = append(suffix, storeEvent{a, v}) },
 		})
@@ -370,14 +389,14 @@ func TestRecompOmitsSliceWord(t *testing.T) {
 	}
 
 	// Payload accounting: recomp must be measurably below full.
-	eFull, err := NewEngine(model, prog, initial, ann, prof, Config{Policy: PolicyFull, Interval: 10, KeepAll: true})
+	eFull, err := NewEngine(model, prog, img, ann, prof, Config{Policy: PolicyFull, Interval: 10, KeepAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eFull.Run(); err != nil {
 		t.Fatal(err)
 	}
-	eRec, err := NewEngine(model, prog, initial, ann, prof, Config{Policy: PolicyRecomp, Interval: 10, KeepAll: true})
+	eRec, err := NewEngine(model, prog, img, ann, prof, Config{Policy: PolicyRecomp, Interval: 10, KeepAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +427,8 @@ func TestLatestOnly(t *testing.T) {
 	model := energy.Default()
 	prog, initial := recompProgram(t)
 	prof, _ := prepare(t, model, prog, initial)
-	e, err := NewEngine(model, prog, initial, nil, prof, Config{Policy: PolicyFull, Interval: 5})
+	img := initial.Clone().Seal()
+	e, err := NewEngine(model, prog, img, nil, prof, Config{Policy: PolicyFull, Interval: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,21 +450,28 @@ func TestNewEngineErrors(t *testing.T) {
 	model := energy.Default()
 	prog, initial := recompProgram(t)
 	prof, ann := prepare(t, model, prog, initial)
-	if _, err := NewEngine(nil, prog, initial, ann, prof, Config{}); err == nil {
+	img := initial.Clone().Seal()
+	if _, err := NewEngine(nil, prog, img, ann, prof, Config{}); err == nil {
 		t.Fatal("nil model accepted")
 	}
-	if _, err := NewEngine(model, prog, initial, ann, nil, Config{}); err == nil {
+	if _, err := NewEngine(model, prog, img, ann, nil, Config{}); err == nil {
 		t.Fatal("nil profile accepted")
 	}
-	if _, err := NewEngine(model, prog, initial, nil, prof, Config{Policy: PolicyRecomp}); err == nil {
+	if _, err := NewEngine(model, prog, img, nil, prof, Config{Policy: PolicyRecomp}); err == nil {
 		t.Fatal("recomp without annotation accepted")
 	}
-	if _, err := NewEngine(model, prog, initial, ann, prof, Config{Policy: Policy(9)}); err == nil {
+	if _, err := NewEngine(model, prog, img, ann, prof, Config{Policy: Policy(9)}); err == nil {
 		t.Fatal("bogus policy accepted")
 	}
+	if _, err := NewEngine(model, prog, nil, ann, prof, Config{}); err == nil {
+		t.Fatal("nil image accepted")
+	}
 	bad := &isa.Program{Name: "bad", Code: []isa.Instr{{Op: isa.Op(250)}}}
-	if _, err := NewEngine(model, bad, initial, ann, prof, Config{}); err == nil {
+	if _, err := NewEngine(model, bad, img, ann, prof, Config{}); err == nil {
 		t.Fatal("invalid program accepted")
+	}
+	if refs := img.Refs(); refs != 1 {
+		t.Errorf("rejected engines left %d image references, want 1", refs)
 	}
 }
 
@@ -452,7 +479,8 @@ func TestEngineReuseAndBadRestart(t *testing.T) {
 	model := energy.Default()
 	prog, initial := recompProgram(t)
 	prof, ann := prepare(t, model, prog, initial)
-	e, err := NewEngine(model, prog, initial, ann, prof, Config{Policy: PolicyFull})
+	img := initial.Clone().Seal()
+	e, err := NewEngine(model, prog, img, ann, prof, Config{Policy: PolicyFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +496,7 @@ func TestEngineReuseAndBadRestart(t *testing.T) {
 	}
 
 	// A checkpoint referencing an unknown recipe slice must fail loudly.
-	e2, err := NewEngine(model, prog, initial, ann, prof, Config{Policy: PolicyRecomp})
+	e2, err := NewEngine(model, prog, img, ann, prof, Config{Policy: PolicyRecomp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +513,8 @@ func TestBudgetError(t *testing.T) {
 	model := energy.Default()
 	prog, initial := recompProgram(t)
 	prof, _ := prepare(t, model, prog, initial)
-	e, err := NewEngine(model, prog, initial, nil, prof, Config{Policy: PolicyFull, MaxInstrs: 5, Interval: 100})
+	img := initial.Clone().Seal()
+	e, err := NewEngine(model, prog, img, nil, prof, Config{Policy: PolicyFull, MaxInstrs: 5, Interval: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

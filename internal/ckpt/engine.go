@@ -39,14 +39,14 @@ type Config struct {
 
 // Engine drives one checkpointed execution of a classic program. Use one
 // engine per run: NewEngine → Run (crash or complete), then NewEngine →
-// Restart on a fresh engine to resume from a surviving checkpoint.
+// Restart on a fresh engine to resume from a surviving checkpoint, and
+// Release each engine when done with it.
 type Engine struct {
 	cfg      Config
 	model    *energy.Model
 	prog     *isa.Program
-	base     *mem.Memory           // pristine initial image (read-only)
-	prof     *profile.Profile      // answers footprint membership (ReadOnlyAddr)
-	written  []uint64              // ascending word indices of the program's store footprint
+	base     *mem.Memory           // the sealed initial image
+	prof     *profile.Profile      // its Written list is the store footprint
 	slices   []*compiler.SliceInfo // hist-free recomputation recipes
 	byID     map[int]*compiler.SliceInfo
 	interval uint64
@@ -85,34 +85,16 @@ type RunResult struct {
 }
 
 // NewEngine validates the program and prepares a checkpointed run over a
-// clone of initial. ann may be nil for PolicyFull; PolicyRecomp requires
-// compiled slices (use compiler.ModeOracleAll for maximum coverage). prof
-// supplies the store footprint that defines the payload domain. initial is
-// retained as the read-only base image and must not be mutated while the
-// engine lives.
-func NewEngine(model *energy.Model, prog *isa.Program, initial *mem.Memory, ann *compiler.Annotated, prof *profile.Profile, cfg Config) (*Engine, error) {
-	if initial == nil {
-		return nil, errors.New("ckpt: model, program, initial memory and profile are required")
-	}
-	return newEngine(model, prog, initial, initial.Clone(), ann, prof, cfg)
-}
-
-// NewEngineImage is NewEngine over a sealed prepared image: the sealed
-// memory serves as the read-only base (slice recipes and untouched-word
-// elision read it directly) and the live machine state is a copy-on-write
-// fork, so constructing an engine copies nothing. The fork holds a
-// reference on img for the engine's lifetime; checkpoint payloads and
-// restart behavior are identical to a clone-based engine.
-func NewEngineImage(model *energy.Model, prog *isa.Program, img *mem.Image, ann *compiler.Annotated, prof *profile.Profile, cfg Config) (*Engine, error) {
-	if img == nil {
+// sealed initial image: the sealed memory is the read-only base (slice
+// recipes and untouched-word elision read it directly) and the live
+// machine state is a copy-on-write fork of it, so constructing an engine
+// copies nothing. The fork holds a reference on img until Release. ann
+// may be nil for PolicyFull; PolicyRecomp requires compiled slices (use
+// compiler.ModeOracleAll for maximum coverage). prof supplies the store
+// footprint that defines the payload domain.
+func NewEngine(model *energy.Model, prog *isa.Program, img *mem.Image, ann *compiler.Annotated, prof *profile.Profile, cfg Config) (*Engine, error) {
+	if model == nil || prog == nil || img == nil || prof == nil {
 		return nil, errors.New("ckpt: model, program, image and profile are required")
-	}
-	return newEngine(model, prog, img.Mem(), img.Fork(), ann, prof, cfg)
-}
-
-func newEngine(model *energy.Model, prog *isa.Program, base, live *mem.Memory, ann *compiler.Annotated, prof *profile.Profile, cfg Config) (*Engine, error) {
-	if model == nil || prog == nil || prof == nil {
-		return nil, errors.New("ckpt: model, program, initial memory and profile are required")
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
@@ -127,11 +109,10 @@ func newEngine(model *energy.Model, prog *isa.Program, base, live *mem.Memory, a
 		cfg:      cfg,
 		model:    model,
 		prog:     prog,
-		base:     base,
+		base:     img.Mem(),
 		prof:     prof,
-		written:  prof.WrittenWords(),
 		interval: cfg.Interval,
-		mem:      live,
+		mem:      img.Fork(),
 		hier:     mem.NewDefaultHierarchy(),
 	}
 	if e.interval == 0 {
@@ -168,6 +149,11 @@ func histFree(si *compiler.SliceInfo) bool {
 
 // Mem exposes the engine's live memory (final state after a completed run).
 func (e *Engine) Mem() *mem.Memory { return e.mem }
+
+// Release drops the engine's reference on its image and clears its live
+// memory. Call it once Mem has been read; Checkpoints and Stats stay
+// readable, but the engine must not run again.
+func (e *Engine) Release() { e.mem.Release() }
 
 // Run executes the program from the start, checkpointing every interval,
 // until it halts or the injected fault fires. A checkpoint is taken at
@@ -298,19 +284,20 @@ func (e *Engine) takeCheckpoint() {
 		Acct:   e.acct,
 		Hier:   e.hier.Clone(),
 	}
+	written := e.prof.Written
 	recomp := e.cfg.Policy == PolicyRecomp
 	var omit []uint64
 	if recomp {
 		omit = e.planOmissions(ck)
 	}
-	if cap(e.saved) < len(e.written) {
-		e.saved = make([]WordVal, 0, len(e.written))
+	if cap(e.saved) < len(written) {
+		e.saved = make([]WordVal, 0, len(written))
 	}
 	saved := e.saved[:0]
 	var live, orig [runWords]uint64
-	for i := 0; i < len(e.written); {
-		w, n := e.written[i], 1
-		for n < runWords && i+n < len(e.written) && e.written[i+n] == w+uint64(n) {
+	for i := 0; i < len(written); {
+		w, n := written[i], 1
+		for n < runWords && i+n < len(written) && written[i+n] == w+uint64(n) {
 			n++
 		}
 		e.mem.ReadWords(w<<3, live[:n])
@@ -339,7 +326,7 @@ func (e *Engine) takeCheckpoint() {
 
 	e.Stats.Taken++
 	e.Stats.SavedWords += uint64(len(ck.Saved))
-	e.Stats.FullWords += uint64(len(e.written))
+	e.Stats.FullWords += uint64(len(written))
 	e.Stats.OmittedRecomp += uint64(len(ck.Omitted))
 	e.Stats.OmittedUntouched += uint64(ck.OmittedUntouched)
 	e.Stats.CkptEnergyNJ += ck.CostNJ

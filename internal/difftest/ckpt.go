@@ -94,8 +94,10 @@ func CheckCkptSeed(seed int64, opts CkptOptions) error {
 // checkpointed run and a restart from the surviving checkpoint, requiring
 // the splice to be bit-identical to the reference and the restarted
 // engine's checkpoint Stats to equal an uninterrupted checkpointed run's.
-// Infrastructure problems return plain errors; disagreements return
-// *Divergence.
+// Every engine forks one sealed copy of initial and is released after
+// its check; the image must end unchanged and holding no fork's
+// reference. Infrastructure problems return plain errors; disagreements
+// return *Divergence.
 func CheckCkpt(prog *isa.Program, initial *mem.Memory, opts CkptOptions) error {
 	if opts.Model == nil {
 		return errors.New("difftest: ckpt: nil model")
@@ -135,6 +137,8 @@ func CheckCkpt(prog *isa.Program, initial *mem.Memory, opts CkptOptions) error {
 	if err != nil {
 		return fmt.Errorf("difftest: ckpt compile: %w", err)
 	}
+	// The harness's checkpoint jobs fork the prepared image the same way.
+	img := initial.Clone().Seal()
 
 	rng := rand.New(rand.NewSource(opts.RandSeed ^ 0x636b7074)) // "ckpt"
 	crashes := opts.CrashPoints
@@ -160,18 +164,20 @@ func CheckCkpt(prog *isa.Program, initial *mem.Memory, opts CkptOptions) error {
 			stage := fmt.Sprintf("ckpt %s crash@%d/%d interval %d", pol, crash, total, interval)
 			key := [2]uint64{uint64(pol), interval}
 			if _, ok := steady[key]; !ok {
-				e, err := ckpt.NewEngine(opts.Model, prog, initial, ann, prof, ckpt.Config{
+				e, err := ckpt.NewEngine(opts.Model, prog, img, ann, prof, ckpt.Config{
 					Policy: pol, Interval: interval, MaxInstrs: opts.MaxInstrs,
 				})
 				if err != nil {
 					return fmt.Errorf("difftest: %s: %w", stage, err)
 				}
-				if _, err := e.Run(); err != nil {
+				_, err = e.Run()
+				steady[key] = e.Stats
+				e.Release()
+				if err != nil {
 					return fmt.Errorf("difftest: %s: uninterrupted run: %w", stage, err)
 				}
-				steady[key] = e.Stats
 			}
-			d, err := checkOneRestart(prog, initial, ann, prof, opts, pol, crash, interval, &ref, steady[key])
+			d, err := checkOneRestart(prog, img, ann, prof, opts, pol, crash, interval, &ref, steady[key])
 			if err != nil {
 				return fmt.Errorf("difftest: %s: %w", stage, err)
 			}
@@ -182,11 +188,19 @@ func CheckCkpt(prog *isa.Program, initial *mem.Memory, opts CkptOptions) error {
 			}
 		}
 	}
+	if !img.Mem().Equal(initial) {
+		return &Divergence{Seed: -1, Stage: "ckpt image",
+			Detail: fmt.Sprintf("checkpoint engines mutated the sealed base image at words %v", img.Mem().Diff(initial, 4))}
+	}
+	if refs := img.Refs(); refs != 1 {
+		return &Divergence{Seed: -1, Stage: "ckpt image",
+			Detail: fmt.Sprintf("image holds %d references after every engine was released, want 1", refs)}
+	}
 	return nil
 }
 
 func checkOneRestart(
-	prog *isa.Program, initial *mem.Memory,
+	prog *isa.Program, img *mem.Image,
 	ann *compiler.Annotated, prof *profile.Profile,
 	opts CkptOptions, pol ckpt.Policy, crash, interval uint64,
 	ref *struct {
@@ -199,13 +213,14 @@ func checkOneRestart(
 	steady ckpt.Stats,
 ) (*Divergence, error) {
 	var prefix []StoreEvent
-	crashed, err := ckpt.NewEngine(opts.Model, prog, initial, ann, prof, ckpt.Config{
+	crashed, err := ckpt.NewEngine(opts.Model, prog, img, ann, prof, ckpt.Config{
 		Policy: pol, Interval: interval, CrashAt: crash, MaxInstrs: opts.MaxInstrs,
 		StoreHook: func(a, v uint64) { prefix = append(prefix, StoreEvent{a, v}) },
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer crashed.Release()
 	res, err := crashed.Run()
 	if err != nil {
 		return nil, err
@@ -232,7 +247,7 @@ func checkOneRestart(
 	}
 
 	var suffix []StoreEvent
-	resumed, err := ckpt.NewEngine(opts.Model, prog, initial, ann, prof, ckpt.Config{
+	resumed, err := ckpt.NewEngine(opts.Model, prog, img, ann, prof, ckpt.Config{
 		Policy: pol, Interval: interval, MaxInstrs: opts.MaxInstrs,
 		TamperRestart: opts.TamperRestart,
 		StoreHook:     func(a, v uint64) { suffix = append(suffix, StoreEvent{a, v}) },
@@ -240,6 +255,7 @@ func checkOneRestart(
 	if err != nil {
 		return nil, err
 	}
+	defer resumed.Release()
 	res2, err := resumed.Restart(ck)
 	if err != nil {
 		return nil, err

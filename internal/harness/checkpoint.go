@@ -78,59 +78,69 @@ func RunCheckpoint(cfg Config, w *workloads.Workload, interval uint64) ([]*Check
 	if err != nil {
 		return nil, err
 	}
-	classic := art.Classic
-	iv := resolveInterval(interval, classic.Acct.Instrs)
-	crash := classic.Acct.Instrs * 3 / 5
-	if crash == 0 {
-		crash = 1
-	}
+	iv := resolveInterval(interval, art.Classic.Acct.Instrs)
+	crash := max(art.Classic.Acct.Instrs*3/5, 1)
 
 	out := make([]*CheckpointResult, 0, len(CheckpointPolicies))
 	for _, pol := range CheckpointPolicies {
-		row := &CheckpointResult{Workload: w.Name, Policy: pol, Interval: iv}
-
-		// Pass 1: crash at ~60%, leaving the last checkpoint before it.
-		crashed, err := ckpt.NewEngineImage(cfg.Model, art.Prog, art.Image, art.OracleAnn, art.Profile, ckpt.Config{
-			Policy: pol, Interval: iv, MaxInstrs: cfg.MaxInstrs, CrashAt: crash,
-		})
+		row, err := checkpointRow(cfg, art, w.Name, pol, iv, crash)
 		if err != nil {
-			return nil, fmt.Errorf("harness: %s checkpoint: %w", w.Name, err)
+			return nil, err
 		}
-		cres, err := crashed.Run()
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s checkpoint crash (%s): %w", w.Name, pol, err)
-		}
-		if !cres.Crashed {
-			return nil, fmt.Errorf("harness: %s checkpoint (%s): fault at %d did not fire", w.Name, pol, crash)
-		}
-
-		// Pass 2: restart from that checkpoint and run to the end, taking
-		// the rest of the uninterrupted run's checkpoints.
-		ck := crashed.Checkpoints[len(crashed.Checkpoints)-1]
-		resumed, err := ckpt.NewEngineImage(cfg.Model, art.Prog, art.Image, art.OracleAnn, art.Profile, ckpt.Config{
-			Policy: pol, Interval: iv, MaxInstrs: cfg.MaxInstrs,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s checkpoint: %w", w.Name, err)
-		}
-		rres, err := resumed.Restart(ck)
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s checkpoint restart (%s): %w", w.Name, pol, err)
-		}
-		st := resumed.Stats
-		row.Checkpoints = st.Taken
-		row.AvgPayloadWords = float64(st.SavedWords)/float64(st.Taken) + isa.NumRegs
-		row.FootprintWords = float64(st.FullWords)/float64(st.Taken) + isa.NumRegs
-		row.SavingsPct = 100 * (1 - row.AvgPayloadWords/row.FootprintWords)
-		row.CkptEnergyNJ = st.CkptEnergyNJ
-		row.RestartWords = rres.Restore.Words
-		row.RestartRecomputed = rres.Restore.Recomputed
-		row.RestartEnergyNJ = rres.Restore.EnergyNJ
-		row.RestartTimeNS = rres.Restore.TimeNS
-		row.Verified = rres.Completed && rres.Regs == classic.Regs && rres.Acct == classic.Acct
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// checkpointRow runs one policy's two engine passes and releases both
+// engines' forks of art.Image before it returns.
+func checkpointRow(cfg Config, art *Artifacts, name string, pol ckpt.Policy, iv, crash uint64) (*CheckpointResult, error) {
+	row := &CheckpointResult{Workload: name, Policy: pol, Interval: iv}
+
+	// Pass 1: crash at ~60%, leaving the last checkpoint before it. The
+	// engine is released, not deferred, so that its fork and buffers are
+	// garbage while pass 2 runs.
+	crashed, err := ckpt.NewEngine(cfg.Model, art.Prog, art.Image, art.OracleAnn, art.Profile, ckpt.Config{
+		Policy: pol, Interval: iv, MaxInstrs: cfg.MaxInstrs, CrashAt: crash,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s checkpoint: %w", name, err)
+	}
+	cres, err := crashed.Run()
+	crashed.Release()
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s checkpoint crash (%s): %w", name, pol, err)
+	}
+	if !cres.Crashed {
+		return nil, fmt.Errorf("harness: %s checkpoint (%s): fault at %d did not fire", name, pol, crash)
+	}
+
+	// Pass 2: restart from that checkpoint and run to the end, taking the
+	// rest of the uninterrupted run's checkpoints.
+	ck := crashed.Checkpoints[len(crashed.Checkpoints)-1]
+	resumed, err := ckpt.NewEngine(cfg.Model, art.Prog, art.Image, art.OracleAnn, art.Profile, ckpt.Config{
+		Policy: pol, Interval: iv, MaxInstrs: cfg.MaxInstrs,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s checkpoint: %w", name, err)
+	}
+	defer resumed.Release()
+	rres, err := resumed.Restart(ck)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s checkpoint restart (%s): %w", name, pol, err)
+	}
+	st := resumed.Stats
+	row.Checkpoints = st.Taken
+	row.AvgPayloadWords = float64(st.SavedWords)/float64(st.Taken) + isa.NumRegs
+	row.FootprintWords = float64(st.FullWords)/float64(st.Taken) + isa.NumRegs
+	row.SavingsPct = 100 * (1 - row.AvgPayloadWords/row.FootprintWords)
+	row.CkptEnergyNJ = st.CkptEnergyNJ
+	row.RestartWords = rres.Restore.Words
+	row.RestartRecomputed = rres.Restore.Recomputed
+	row.RestartEnergyNJ = rres.Restore.EnergyNJ
+	row.RestartTimeNS = rres.Restore.TimeNS
+	row.Verified = rres.Completed && rres.Regs == art.Classic.Regs && rres.Acct == art.Classic.Acct
+	return row, nil
 }
 
 // RunCheckpointSuite runs the checkpoint family over a workload list,

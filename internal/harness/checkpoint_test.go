@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -27,7 +28,7 @@ func checkpointThreeEngines(cfg harness.Config, w *workloads.Workload, interval 
 	}
 	crash := max(classic.Acct.Instrs*3/5, 1)
 	engine := func(pol ckpt.Policy, crashAt uint64) (*ckpt.Engine, error) {
-		return ckpt.NewEngineImage(cfg.Model, art.Prog, art.Image, art.OracleAnn, art.Profile, ckpt.Config{
+		return ckpt.NewEngine(cfg.Model, art.Prog, art.Image, art.OracleAnn, art.Profile, ckpt.Config{
 			Policy: pol, Interval: iv, MaxInstrs: cfg.MaxInstrs, CrashAt: crashAt,
 		})
 	}
@@ -38,6 +39,7 @@ func checkpointThreeEngines(cfg harness.Config, w *workloads.Workload, interval 
 		if err != nil {
 			return nil, err
 		}
+		defer steady.Release()
 		if res, err := steady.Run(); err != nil || !res.Completed {
 			return nil, fmt.Errorf("steady %s: %+v, %v", pol, res, err)
 		}
@@ -52,6 +54,7 @@ func checkpointThreeEngines(cfg harness.Config, w *workloads.Workload, interval 
 		if err != nil {
 			return nil, err
 		}
+		defer crashed.Release()
 		if res, err := crashed.Run(); err != nil || !res.Crashed {
 			return nil, fmt.Errorf("crashed %s: %+v, %v", pol, res, err)
 		}
@@ -59,6 +62,7 @@ func checkpointThreeEngines(cfg harness.Config, w *workloads.Workload, interval 
 		if err != nil {
 			return nil, err
 		}
+		defer resumed.Release()
 		rres, err := resumed.Restart(crashed.Checkpoints[len(crashed.Checkpoints)-1])
 		if err != nil {
 			return nil, err
@@ -168,4 +172,41 @@ func TestCheckpointMatchesThreeEngines(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckpointReleasesForks: each checkpoint engine releases its fork
+// of the prepared image, so after RunCheckpoint and RunCheckpointSuite
+// the image holds only its own reference, as the daemon's cache needs.
+func TestCheckpointReleasesForks(t *testing.T) {
+	cfg := harness.DefaultConfig()
+	cfg.Scale = 0.05
+	cfg.Cache = harness.NewArtifactCache()
+	var ws []*workloads.Workload
+	for _, name := range []string{"is", "bfs"} {
+		w, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	checkRefs := func(after string, ws []*workloads.Workload) {
+		t.Helper()
+		for _, w := range ws {
+			art, err := cfg.Cache.Get(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if refs := art.Image.Refs(); refs != 1 {
+				t.Errorf("%s: image refs = %d after %s, want 1", w.Name, refs, after)
+			}
+		}
+	}
+	if _, err := harness.RunCheckpoint(cfg, ws[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	checkRefs("RunCheckpoint", ws[:1])
+	if _, err := harness.RunCheckpointSuite(context.Background(), cfg, ws, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkRefs("RunCheckpointSuite", ws)
 }

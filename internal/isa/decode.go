@@ -44,9 +44,6 @@ type Decoded struct {
 	// (from Imm) and the slice entry point for KindRcmp (from
 	// Instr.Target), pre-widened to int32.
 	Target []int32
-	// SliceID / LeafAddr mirror the amnesic annotation fields.
-	SliceID  []int32
-	LeafAddr []int32
 }
 
 // kindOf classifies one opcode.
@@ -81,16 +78,14 @@ func kindOf(op Op) Kind {
 func decode(code []Instr) *Decoded {
 	n := len(code)
 	d := &Decoded{
-		Kind:     make([]Kind, n),
-		Op:       make([]Op, n),
-		Cat:      make([]Category, n),
-		Dst:      make([]int32, n),
-		Src1:     make([]int32, n),
-		Src2:     make([]int32, n),
-		Imm:      make([]int64, n),
-		Target:   make([]int32, n),
-		SliceID:  make([]int32, n),
-		LeafAddr: make([]int32, n),
+		Kind:   make([]Kind, n),
+		Op:     make([]Op, n),
+		Cat:    make([]Category, n),
+		Dst:    make([]int32, n),
+		Src1:   make([]int32, n),
+		Src2:   make([]int32, n),
+		Imm:    make([]int64, n),
+		Target: make([]int32, n),
 	}
 	for pc, in := range code {
 		k := kindOf(in.Op)
@@ -107,8 +102,6 @@ func decode(code []Instr) *Decoded {
 		case KindRcmp:
 			d.Target[pc] = in.Target
 		}
-		d.SliceID[pc] = in.SliceID
-		d.LeafAddr[pc] = in.LeafAddr
 	}
 	return d
 }

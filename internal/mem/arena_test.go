@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // addr builds a byte address from a word index.
 func wordAddr(w uint64) uint64 { return w << 3 }
@@ -49,11 +52,11 @@ func TestMultiRegionWorkloadLayout(t *testing.T) {
 	}
 	// The first four clusters live in flat windows; the fifth does not.
 	for i, b := range bases[:4] {
-		if _, _, ok := m.WindowFor(b); !ok {
+		if _, _, _, ok := m.WindowForW(b); !ok {
 			t.Errorf("cluster %d (%#x) not in any flat window", i, b)
 		}
 	}
-	if _, _, ok := m.WindowFor(bases[4]); ok {
+	if _, _, _, ok := m.WindowForW(bases[4]); ok {
 		t.Error("fifth cluster unexpectedly in a flat window")
 	}
 	if len(m.pages) == 0 {
@@ -61,15 +64,15 @@ func TestMultiRegionWorkloadLayout(t *testing.T) {
 	}
 }
 
-// TestWindowViewStaleness locks the re-fetch contract of ArenaView/WindowFor:
-// a store beyond the held view grows the backing array, and only a re-fetched
-// view observes the extension.
+// TestWindowViewStaleness locks the re-fetch contract of ArenaViewW and
+// WindowForW: a store beyond the held view grows the backing array, and
+// only a re-fetched view observes the extension.
 func TestWindowViewStaleness(t *testing.T) {
 	m := NewMemory()
 	m.Store(0, 7)
-	base, view := m.ArenaView()
-	if base != 0 || uint64(len(view)) != pageWords {
-		t.Fatalf("initial view base %d len %d, want 0 and %d", base, len(view), pageWords)
+	base, view, wlen := m.ArenaViewW()
+	if base != 0 || uint64(len(view)) != pageWords || wlen != pageWords {
+		t.Fatalf("initial view base %d len %d wlen %d, want 0 and %d", base, len(view), wlen, pageWords)
 	}
 	// Store past the view: slow path, arena reallocates.
 	far := wordAddr(4 * pageWords)
@@ -77,16 +80,16 @@ func TestWindowViewStaleness(t *testing.T) {
 	if uint64(len(view)) != pageWords {
 		t.Error("held view must not change length")
 	}
-	base2, view2 := m.ArenaView()
-	if base2 != 0 || uint64(len(view2)) <= uint64(len(view)) {
-		t.Fatalf("re-fetched view base %d len %d, want grown window at base 0", base2, len(view2))
+	base2, view2, wlen2 := m.ArenaViewW()
+	if base2 != 0 || uint64(len(view2)) <= uint64(len(view)) || wlen2 != uint64(len(view2)) {
+		t.Fatalf("re-fetched view base %d len %d wlen %d, want a grown private window at base 0", base2, len(view2), wlen2)
 	}
 	if view2[0] != 7 || view2[4*pageWords] != 9 {
 		t.Error("grown arena lost values")
 	}
-	gotBase, words, ok := m.WindowFor(far)
+	gotBase, words, _, ok := m.WindowForW(far)
 	if !ok || gotBase != 0 || words[far>>3] != 9 {
-		t.Errorf("WindowFor(%#x) = (%d, len %d, %v), want the primary window", far, gotBase, len(words), ok)
+		t.Errorf("WindowForW(%#x) = (%d, len %d, %v), want the primary window", far, gotBase, len(words), ok)
 	}
 }
 
@@ -168,7 +171,7 @@ func TestSnapshotRestoreAcrossWindowMigration(t *testing.T) {
 	if len(m.pages) != 0 {
 		t.Errorf("migration left %d pages in the map (words must have one home)", len(m.pages))
 	}
-	if _, _, ok := m.WindowFor(wordAddr(spillW)); !ok {
+	if _, _, _, ok := m.WindowForW(wordAddr(spillW)); !ok {
 		t.Error("migrated page not reachable through the flat window")
 	}
 	if m.Load(wordAddr(spillW)) != 0xfeed {
@@ -281,4 +284,57 @@ func TestReadWordsMatchesLoad(t *testing.T) {
 		}
 	}()
 	fork.ReadWords(bases[0]+4, make([]uint64, 1))
+}
+
+// TestEachPageAscending: EachPage visits every page holding data once, in
+// ascending address order, whatever holds it — the arena, a region
+// anchored below it, the page map, or a fork's base — and each page's
+// words read as Load does.
+func TestEachPageAscending(t *testing.T) {
+	m := NewMemory()
+	// The arena anchors first at a high base, a region below it next, then
+	// two more regions, and the last two clusters fall to the page map.
+	bases := []uint64{0x4000_0000, 0x0100_0000, 0x2000_0000, 0x3000_0000, 0x5000_0000, 0x0800_0000}
+	var stored []uint64 // word indices
+	for i, b := range bases {
+		for k := uint64(0); k < 2*pageWords; k += 1001 {
+			m.Store(b+8*k, uint64(i)<<32|k|1)
+			stored = append(stored, b>>3+k)
+		}
+	}
+	if len(m.pages) == 0 {
+		t.Fatal("no cluster fell to the page map")
+	}
+	img := m.Seal()
+	fork := img.Fork()
+	defer fork.Release()
+	fork.Store(bases[4]+8, 5) // overlays one base page-map page
+	slices.Sort(stored)
+	forked := append([]uint64{bases[4]>>3 + 1}, stored...)
+	slices.Sort(forked)
+	for _, tc := range []struct {
+		mm     *Memory
+		stored []uint64
+	}{{img.Mem(), stored}, {fork, forked}} {
+		mm, stored := tc.mm, tc.stored
+		var got []uint64
+		last := uint64(0)
+		mm.EachPage(func(w uint64, words []uint64) {
+			if len(got) > 0 && w <= last {
+				t.Fatalf("page at word %#x visited after %#x", w, last)
+			}
+			last = w
+			for i, v := range words {
+				if want := mm.Load(8 * (w + uint64(i))); v != want {
+					t.Fatalf("EachPage word %#x = %#x, Load = %#x", w+uint64(i), v, want)
+				}
+				if v != 0 {
+					got = append(got, w+uint64(i))
+				}
+			}
+		})
+		if !slices.Equal(got, stored) {
+			t.Errorf("EachPage found %d nonzero words, want the %d stored", len(got), len(stored))
+		}
+	}
 }

@@ -128,7 +128,7 @@ func TestForkNewRegionAnchor(t *testing.T) {
 	if f.Load(0x0900_0000) != 7 {
 		t.Error("fork-anchored region lost its value")
 	}
-	if _, _, ok := img.Mem().WindowFor(0x0900_0000); ok {
+	if _, _, _, ok := img.Mem().WindowForW(0x0900_0000); ok {
 		t.Error("fork anchor appeared in the base")
 	}
 	if img.Mem().Load(0x0900_0000) != 0 {

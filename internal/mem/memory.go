@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -159,35 +160,6 @@ func (m *Memory) loadPaged(w uint64) uint64 {
 	return p[off]
 }
 
-// ArenaView returns the current flat-arena window: the word index of the
-// first element and the backing words. Interpreter loops hold the view in
-// locals so the L1-hit memory path is a subtract, compare and index with no
-// call. Any store that misses the view (Store taking its slow path) may
-// reallocate the arena; after such a store the caller must re-fetch the
-// view. Loads never invalidate it.
-func (m *Memory) ArenaView() (baseWord uint64, words []uint64) {
-	return m.arenaBase, m.arena
-}
-
-// WindowFor returns the flat window holding addr — the primary arena or a
-// secondary region — as the word index of its first element plus backing
-// words, or ok=false when addr lives in no flat region. Interpreter loops
-// use it to refresh their inline window caches after a slow-path access;
-// the same staleness rule as ArenaView applies.
-func (m *Memory) WindowFor(addr uint64) (baseWord uint64, words []uint64, ok bool) {
-	w := addr >> 3
-	if off := w - m.arenaBase; off < uint64(len(m.arena)) {
-		return m.arenaBase, m.arena, true
-	}
-	for i := range m.extras {
-		r := &m.extras[i]
-		if off := w - r.base; off < uint64(len(r.words)) {
-			return r.base, r.words, true
-		}
-	}
-	return 0, nil, false
-}
-
 // ReadWords copies the len(dst) consecutive words starting at byte address
 // addr into dst. It is Load for a run of words, with one storage lookup
 // per page crossed instead of one per word, whatever holds the page: a
@@ -210,18 +182,27 @@ func (m *Memory) ReadWords(addr uint64, dst []uint64) {
 	}
 }
 
-// ArenaViewW is ArenaView plus the arena's writable-prefix length — the
-// store-side bound for interpreter window caches. Loads keep bounding by
+// ArenaViewW returns the current flat-arena window: the word index of the
+// first element, the backing words, and the arena's writable-prefix
+// length. Interpreter loops hold the view in locals so the L1-hit memory
+// path is a subtract, compare and index with no call. Loads may bound by
 // len(words); stores bound by wlen, so a store into words shared with a
 // sealed base misses the cache and reaches Store's slow path, which
 // performs the copy-on-write. For private memories wlen == len(words) and
-// the barrier is invisible.
+// the barrier is invisible. Any store that misses the view (Store taking
+// its slow path) may reallocate the window holding its address; after
+// such a store the caller must re-fetch views of that window. Loads never
+// invalidate a view.
 func (m *Memory) ArenaViewW() (baseWord uint64, words []uint64, wlen uint64) {
 	return m.arenaBase, m.arena, m.arenaW
 }
 
-// WindowForW is WindowFor plus the writable-prefix length of the window
-// holding addr; see ArenaViewW for the contract.
+// WindowForW returns the flat window holding addr — the primary arena or
+// a secondary region — as the word index of its first element, its
+// backing words and its writable-prefix length, or ok=false when addr
+// lives in no flat region. Interpreter loops use it to refresh their
+// inline window caches after a slow-path access; see ArenaViewW for the
+// contract.
 func (m *Memory) WindowForW(addr uint64) (baseWord uint64, words []uint64, wlen uint64, ok bool) {
 	w := addr >> 3
 	if off := w - m.arenaBase; off < uint64(len(m.arena)) {
@@ -498,6 +479,23 @@ func (m *Memory) eachPN(visit func(pn uint64) bool) {
 				return
 			}
 		}
+	}
+}
+
+// EachPage calls visit with the first word index and the words of every
+// page with backing storage, in ascending address order: each page of a
+// flat window, each page-map page and, for a fork, each base page it does
+// not shadow. Words never written read as zero; visit must not modify
+// words or m.
+func (m *Memory) EachPage(visit func(w uint64, words []uint64)) {
+	var pns []uint64
+	m.eachPN(func(pn uint64) bool {
+		pns = append(pns, pn)
+		return true
+	})
+	slices.Sort(pns)
+	for _, pn := range pns {
+		visit(pn<<pageShift, m.pageAt(pn)[:])
 	}
 }
 

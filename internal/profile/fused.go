@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
@@ -22,15 +23,16 @@ import (
 // the cache hierarchy still evolves access by access (service levels feed
 // PrLi), and the dynamic-instruction budget still bounds the run.
 //
-// All address-keyed collector state is dense. For every flat window of the
-// functional memory the collector mirrors a shadow window of per-word
-// records — last store PC, the stored value's producer PC, and up to two
-// load PCs that touched the word while it was unwritten (read-only
-// tracking) — so the per-access bookkeeping is a subtract, compare, and a
-// few array writes. Words outside every window (sparse page-map territory)
-// spill to a map, exactly as the data itself does; when a later store
-// anchors or grows a flat window over spilled words, their shadow records
-// migrate into the dense form.
+// The dependence shadow is a second mem.Memory at the data's own
+// addresses: one shadow word per data word. Data and shadow are each read
+// and written through a two-entry window cache (winCache), so the memory
+// layout — flat windows, their growth, the page map — is mem's alone, and
+// the per-access bookkeeping is a subtract, compare and index. A shadow
+// word is 0 while its data word was never stored and never touched. A stored word holds the tag bit, the last store's PC and the
+// stored value's producer. An unwritten word holds the PCs (plus one) of
+// up to two distinct loads that read it — read-only tracking is a
+// store-time invalidation — or touchSpilled once a third one did, when
+// its set lives in touchSpill.
 //
 // Hot loops replay (hot.go): a loop head crossing the trace engine's
 // default threshold is recorded for one iteration, through the same
@@ -40,200 +42,134 @@ import (
 // adds the iteration's register edges and instruction counts once per
 // replay.
 
-// Shadow slot sentinels. Store-PC slots use slotEmpty for "never stored";
-// touch slots use slotEmpty for "no touch recorded" and slotSpilled (in t0)
-// for "this word's touch set overflowed into touchSpill".
+// Shadow word encodings (see above).
 const (
-	slotEmpty   int32 = -1
-	slotSpilled int32 = -2
+	// stored tags a stored word: bits 32-62 hold the last store's PC, bits
+	// 0-31 the stored value's producer (an int32, NoProducer included).
+	stored uint64 = 1 << 63
+	// touchSpilled marks an unwritten word touched by more than two load
+	// PCs. A touched word holds its first PC plus one in bits 0-31 and its
+	// second (0 = none) in bits 32-62; no PC plus one fills 32 bits.
+	touchSpilled uint64 = 1<<32 - 1
 )
 
-// shadowWin is the dense per-word dependence shadow of one flat memory
-// window: element i describes word base+i.
-type shadowWin struct {
-	base uint64  // word index of element 0
-	vp   []int32 // producer PC of the last stored value (valid iff st >= 0)
-	st   []int32 // last store PC; slotEmpty = never stored
-	t0   []int32 // first load PC to touch the word while unwritten
-	t1   []int32 // second distinct load PC; >2 distinct PCs spill
+// winCache is a two-entry cache of one private mem.Memory's flat windows,
+// addressed by word index: the primary arena, which load and store check
+// inline (a subtract, compare and index), and the window of the last
+// access that missed it, which their out-of-line miss path checks before
+// going through the memory. Both entries are bounded by the window's
+// writable prefix, which for a private memory is the whole window;
+// keeping that bound in a field is what lets load and store inline.
+type winCache struct {
+	b0, n0 uint64 // arena: word index of w0[0], writable prefix
+	w0     []uint64
+	b1, n1 uint64 // last-missed window
+	w1     []uint64
+	m      *mem.Memory
 }
 
-// spillEnt is the shadow record for a word outside every flat window.
-type spillEnt struct {
-	vp, st int32
-	touch  []int32
+func newWinCache(m *mem.Memory) winCache {
+	c := winCache{m: m}
+	c.b0, c.w0, c.n0 = m.ArenaViewW()
+	return c
+}
+
+func (c *winCache) load(w uint64) uint64 {
+	if off := w - c.b0; off < c.n0 {
+		return c.w0[off]
+	}
+	return c.loadMiss(w)
+}
+
+func (c *winCache) store(w, v uint64) {
+	if off := w - c.b0; off < c.n0 {
+		c.w0[off] = v
+	} else {
+		c.storeMiss(w, v)
+	}
+}
+
+func (c *winCache) loadMiss(w uint64) uint64 {
+	if off := w - c.b1; off < c.n1 {
+		return c.w1[off]
+	}
+	if b, words, n, ok := c.m.WindowForW(w << 3); ok {
+		c.b1, c.w1, c.n1 = b, words, n
+	}
+	return c.m.Load(w << 3)
+}
+
+// storeMiss stores through the memory when word w is in neither entry;
+// the store may anchor, grow or reallocate the window holding w, so both
+// entries are re-fetched after it.
+func (c *winCache) storeMiss(w, v uint64) {
+	if off := w - c.b1; off < c.n1 {
+		c.w1[off] = v
+		return
+	}
+	c.m.Store(w<<3, v)
+	c.b0, c.w0, c.n0 = c.m.ArenaViewW()
+	if b, words, n, ok := c.m.WindowForW(w << 3); ok {
+		c.b1, c.w1, c.n1 = b, words, n
+	}
 }
 
 // fusedCollector holds the state of one Collect run that the interpreter
-// and hot-loop replay share: the profile being built, the machine, the
-// data and shadow micro-TLBs, and the slow-path shadow state.
+// and hot-loop replay share: the profile being built, the machine, and
+// the data and shadow memories.
 type fusedCollector struct {
 	prof *Profile
 	code []isa.Instr // error texts
 	hier *mem.Hierarchy
 	l1   *mem.Cache
-	mem  *mem.Memory
 
-	// Data micro-TLB (as in exec.Run): the primary arena plus the
-	// last-missed region, re-fetched after any store that misses both.
-	arenaBase, w2base uint64
-	arena, w2         []uint64
-	// Shadow micro-TLB: primary-arena shadow plus the last-resolved window.
-	sh1, sh2 *shadowWin
-
-	wins       []*shadowWin
-	spill      map[uint64]*spillEnt
-	touchSpill map[uint64][]int32 // word -> touch set, when >2 distinct PCs
-	roFalse    []bool             // per load PC: touched a written address
+	data, shadow winCache
+	touchSpill   map[uint64][]int32 // word -> touch set, when >2 distinct PCs
+	roFalse      []bool             // per load PC: touched a written address
+	written      int                // distinct words stored
 	// consCache short-circuits the consumed-by set insert: per load PC, the
-	// last two store PCs already recorded (loads overwhelmingly re-consume
-	// the same static stores).
-	consCache [][2]int32
+	// last two store PCs already recorded, as the upper half of their
+	// shadow words (never 0), since loads overwhelmingly re-consume the
+	// same static stores.
+	consCache [][2]uint32
 
 	hot hotLoops
 }
 
-func newShadowWords(n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = slotEmpty
-	}
-	return s
-}
-
-// winFor returns the shadow window anchored at base, creating or extending
-// it to cover length words and migrating any spilled records it swallows.
-func (c *fusedCollector) winFor(base uint64, length int) *shadowWin {
-	for _, win := range c.wins {
-		if win.base == base {
-			if length > len(win.st) {
-				c.extend(win, length)
-			}
-			return win
-		}
-	}
-	win := &shadowWin{
-		base: base,
-		vp:   newShadowWords(length), st: newShadowWords(length),
-		t0: newShadowWords(length), t1: newShadowWords(length),
-	}
-	c.wins = append(c.wins, win)
-	c.migrate(win, 0)
-	return win
-}
-
-func (c *fusedCollector) extend(win *shadowWin, length int) {
-	old := len(win.st)
-	grow := func(s []int32) []int32 {
-		ns := make([]int32, length)
-		copy(ns, s)
-		for i := old; i < length; i++ {
-			ns[i] = slotEmpty
-		}
-		return ns
-	}
-	win.vp, win.st, win.t0, win.t1 = grow(win.vp), grow(win.st), grow(win.t0), grow(win.t1)
-	c.migrate(win, old)
-}
-
-// migrate moves spill records now covered by win's words [from, len) into
-// the dense arrays. Windows grow rarely (doubling, like the memory's own
-// regions), so the full map scan stays off the hot path.
-func (c *fusedCollector) migrate(win *shadowWin, from int) {
-	if len(c.spill) == 0 {
-		return
-	}
-	lo, hi := win.base+uint64(from), win.base+uint64(len(win.st))
-	for w, ent := range c.spill {
-		if w < lo || w >= hi {
-			continue
-		}
-		off := w - win.base
-		win.vp[off], win.st[off] = ent.vp, ent.st
-		switch len(ent.touch) {
-		case 0:
-		case 1:
-			win.t0[off] = ent.touch[0]
-		case 2:
-			win.t0[off], win.t1[off] = ent.touch[0], ent.touch[1]
-		default:
-			c.touchSpill[w] = ent.touch
-			win.t0[off] = slotSpilled
-		}
-		delete(c.spill, w)
-	}
-}
-
-// winSlow resolves the shadow window for addr through the memory's window
-// table, or (nil, 0) when addr lives in no flat region.
-func (c *fusedCollector) winSlow(addr uint64) (*shadowWin, uint64) {
-	base, words, ok := c.mem.WindowFor(addr)
-	if !ok {
-		return nil, 0
-	}
-	return c.winFor(base, len(words)), addr>>3 - base
-}
-
-func (c *fusedCollector) ensureSpill(w uint64) *spillEnt {
-	ent := c.spill[w]
-	if ent == nil {
-		ent = &spillEnt{vp: NoProducer, st: slotEmpty}
-		c.spill[w] = ent
-	}
-	return ent
-}
-
-// touchWin records that load pc read word w (at win[off]) while it was
-// unwritten, deduplicating against the inline slots and the spill set.
-func (c *fusedCollector) touchWin(win *shadowWin, off, w uint64, pc int32) {
-	t0 := win.t0[off]
+// touch records that load pc read the unwritten word w, whose shadow word
+// is s, deduplicating against the inline PCs and the spill set.
+func (c *fusedCollector) touch(w, s uint64, pc int32) {
+	p := uint64(pc) + 1
 	switch {
-	case t0 == slotEmpty:
-		win.t0[off] = pc
-	case t0 == pc || win.t1[off] == pc:
-	case t0 == slotSpilled:
-		list := c.touchSpill[w]
-		for _, p := range list {
-			if p == pc {
-				return
-			}
+	case s == 0:
+		c.shadow.store(w, p)
+	case uint32(s) == uint32(p) || s>>32 == p:
+	case s == touchSpilled:
+		if !slices.Contains(c.touchSpill[w], pc) {
+			c.touchSpill[w] = append(c.touchSpill[w], pc)
 		}
-		c.touchSpill[w] = append(list, pc)
-	case win.t1[off] == slotEmpty:
-		win.t1[off] = pc
+	case s>>32 == 0:
+		c.shadow.store(w, s|p<<32)
 	default:
-		c.touchSpill[w] = []int32{t0, win.t1[off], pc}
-		win.t0[off], win.t1[off] = slotSpilled, slotEmpty
+		c.touchSpill[w] = []int32{int32(uint32(s)) - 1, int32(s>>32) - 1, pc}
+		c.shadow.store(w, touchSpilled)
 	}
 }
 
-// invalidate marks every load PC that touched word w while it was unwritten
-// as not-read-only (the word is being stored to) and clears the touch set.
-func (c *fusedCollector) invalidate(win *shadowWin, off, w uint64) {
-	t0 := win.t0[off]
-	if t0 == slotSpilled {
+// invalidate marks every load PC that touched the unwritten word w, whose
+// shadow word is s, as not-read-only: the word is being stored to.
+func (c *fusedCollector) invalidate(w, s uint64) {
+	if s == touchSpilled {
 		for _, p := range c.touchSpill[w] {
 			c.roFalse[p] = true
 		}
 		delete(c.touchSpill, w)
-	} else {
-		c.roFalse[t0] = true
-		if t1 := win.t1[off]; t1 != slotEmpty {
-			c.roFalse[t1] = true
-		}
+		return
 	}
-	win.t0[off], win.t1[off] = slotEmpty, slotEmpty
-}
-
-// touchSpillEnt records an unwritten-word touch for an out-of-window word.
-func (c *fusedCollector) touchSpillEnt(w uint64, pc int32) {
-	ent := c.ensureSpill(w)
-	for _, p := range ent.touch {
-		if p == pc {
-			return
-		}
+	c.roFalse[uint32(s)-1] = true
+	if t1 := s >> 32; t1 != 0 {
+		c.roFalse[t1-1] = true
 	}
-	ent.touch = append(ent.touch, pc)
 }
 
 // buildRecMasks precomputes, per static instruction, which operand slots
@@ -279,23 +215,6 @@ func buildRecMasks(d *isa.Decoded) []uint8 {
 	return masks
 }
 
-// shadowAt resolves the shadow window and offset of addr's word through
-// the shadow micro-TLB, or (nil, 0) when addr lives in no flat region.
-func (c *fusedCollector) shadowAt(addr uint64) (*shadowWin, uint64) {
-	w := addr >> 3
-	if off := w - c.sh1.base; off < uint64(len(c.sh1.st)) {
-		return c.sh1, off
-	}
-	if off := w - c.sh2.base; off < uint64(len(c.sh2.st)) {
-		return c.sh2, off
-	}
-	sw, off := c.winSlow(addr)
-	if sw != nil {
-		c.sh2 = sw
-	}
-	return sw, off
-}
-
 // load executes the profiled load at pc from addr: the hierarchy access,
 // the data read, the LoadInfo update, and the shadow lookup that names
 // the loaded value's producer and store. The interpreter and hot-loop
@@ -309,15 +228,7 @@ func (c *fusedCollector) load(pc int, addr uint64) (uint64, error) {
 		level = c.hier.AccessMiss(addr, false).Level
 	}
 	w := addr >> 3
-	var v uint64
-	if off := w - c.arenaBase; off < uint64(len(c.arena)) {
-		v = c.arena[off]
-	} else if off := w - c.w2base; off < uint64(len(c.w2)) {
-		v = c.w2[off]
-	} else {
-		v = c.mem.Load(addr)
-		c.w2base, c.w2, _ = c.mem.WindowFor(addr)
-	}
+	v := c.data.load(w)
 
 	prof := c.prof
 	li := prof.Loads[pc]
@@ -333,33 +244,26 @@ func (c *fusedCollector) load(pc int, addr uint64) (uint64, error) {
 	li.lastValue, li.lastValueSet = v, true
 
 	// Dependence shadow: who stored the loaded value?
-	var stPC int32 = slotEmpty
-	var vp int32 = NoProducer
-	if sw, soff := c.shadowAt(addr); sw != nil {
-		stPC = sw.st[soff]
-		if stPC >= 0 {
-			vp = sw.vp[soff]
-		} else if !c.roFalse[pc] {
-			c.touchWin(sw, soff, w, int32(pc))
+	s := c.shadow.load(w)
+	if s&stored == 0 {
+		li.ValueProducer.Add(NoProducer)
+		if !c.roFalse[pc] {
+			c.touch(w, s, int32(pc))
 		}
-	} else if ent := c.spill[w]; ent != nil && ent.st >= 0 {
-		stPC, vp = ent.st, ent.vp
-	} else if !c.roFalse[pc] {
-		c.touchSpillEnt(w, int32(pc))
+		return v, nil
 	}
-	li.ValueProducer.Add(vp)
-	if stPC >= 0 {
-		c.roFalse[pc] = true
-		cc := &c.consCache[pc]
-		if cc[0] != stPC && cc[1] != stPC {
-			set := prof.StoresConsumedBy[stPC]
-			if set == nil {
-				set = make(map[int]bool)
-				prof.StoresConsumedBy[stPC] = set
-			}
-			set[pc] = true
-			cc[1], cc[0] = cc[0], stPC
+	li.ValueProducer.Add(int32(uint32(s)))
+	c.roFalse[pc] = true
+	cc := &c.consCache[pc]
+	if st := uint32(s >> 32); cc[0] != st && cc[1] != st {
+		stPC := st &^ uint32(stored>>32)
+		set := prof.StoresConsumedBy[stPC]
+		if set == nil {
+			set = make(map[int]bool)
+			prof.StoresConsumedBy[stPC] = set
 		}
+		set[pc] = true
+		cc[1], cc[0] = cc[0], st
 	}
 	return v, nil
 }
@@ -377,30 +281,16 @@ func (c *fusedCollector) store(pc int, addr, val uint64, vp int32) error {
 		c.hier.AccessMiss(addr, true)
 	}
 	w := addr >> 3
-	if off := w - c.arenaBase; off < uint64(len(c.arena)) {
-		c.arena[off] = val
-	} else if off := w - c.w2base; off < uint64(len(c.w2)) {
-		c.w2[off] = val
-	} else {
-		c.mem.Store(addr, val)
-		c.arenaBase, c.arena = c.mem.ArenaView()
-		c.w2base, c.w2, _ = c.mem.WindowFor(addr)
-	}
+	c.data.store(w, val)
 	c.prof.StoreCount[pc]++
 
-	if sw, soff := c.shadowAt(addr); sw != nil {
-		if sw.t0[soff] != slotEmpty {
-			c.invalidate(sw, soff, w)
+	if s := c.shadow.load(w); s&stored == 0 {
+		c.written++
+		if s != 0 {
+			c.invalidate(w, s)
 		}
-		sw.vp[soff], sw.st[soff] = vp, int32(pc)
-	} else {
-		ent := c.ensureSpill(w)
-		for _, p := range ent.touch {
-			c.roFalse[p] = true
-		}
-		ent.touch = ent.touch[:0]
-		ent.vp, ent.st = vp, int32(pc)
 	}
+	c.shadow.store(w, stored|uint64(pc)<<32|uint64(uint32(vp)))
 	return nil
 }
 
@@ -436,22 +326,15 @@ func collect(p *isa.Program, initial *mem.Memory, maxInstrs uint64, threshold ui
 	recMask := buildRecMasks(d)
 
 	hier := mem.NewDefaultHierarchy()
-	memory := initial.Clone()
+	shadow := mem.NewMemory()
 	c := &fusedCollector{
 		prof: prof, code: p.Code,
-		hier: hier, l1: hier.L1, mem: memory,
-		sh1: &shadowWin{}, sh2: &shadowWin{},
-		spill:      make(map[uint64]*spillEnt),
+		hier: hier, l1: hier.L1,
+		data:       newWinCache(initial.Clone()),
+		shadow:     newWinCache(shadow),
 		touchSpill: make(map[uint64][]int32),
 		roFalse:    make([]bool, n),
-		consCache:  make([][2]int32, n),
-	}
-	for i := range c.consCache {
-		c.consCache[i] = [2]int32{slotEmpty, slotEmpty}
-	}
-	c.arenaBase, c.arena = memory.ArenaView()
-	if len(c.arena) > 0 {
-		c.sh1 = c.winFor(c.arenaBase, len(c.arena))
+		consCache:  make([][2]uint32, n),
 	}
 	h := &c.hot
 	h.init(prof, d, recMask, threshold)
@@ -621,17 +504,14 @@ loop:
 			prof.LoadAllReadOnly[pc] = !c.roFalse[pc]
 		}
 	}
-	// Hand the shadow store-PC windows to the Profile as its written-set:
-	// word w was stored iff st[w-base] >= 0.
-	prof.written.wins = make([]writtenWin, 0, len(c.wins))
-	for _, win := range c.wins {
-		prof.written.wins = append(prof.written.wins, writtenWin{base: win.base, st: win.st})
-	}
-	prof.written.spill = make(map[uint64]bool)
-	for w, ent := range c.spill {
-		if ent.st >= 0 {
-			prof.written.spill[w] = true
+	// The written set: every word whose shadow carries the stored tag.
+	prof.Written = make([]uint64, 0, c.written)
+	shadow.EachPage(func(w uint64, words []uint64) {
+		for i, s := range words {
+			if s&stored != 0 {
+				prof.Written = append(prof.Written, w+uint64(i))
+			}
 		}
-	}
+	})
 	return prof, h.eng.ReplayedInstrs, nil
 }

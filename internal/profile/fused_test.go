@@ -3,6 +3,7 @@ package profile_test
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/amnesiac-sim/amnesiac/internal/asm"
@@ -75,14 +76,14 @@ func profilesEqual(t *testing.T, ref, fus *profile.Profile) {
 			t.Errorf("Loads[%d].ValueProducer: ref %v, fused %v", pc, rl.ValueProducer, fl.ValueProducer)
 		}
 	}
-	rw, fw := ref.WrittenWords(), fus.WrittenWords()
+	rw, fw := ref.Written, fus.Written
 	if len(rw) != len(fw) {
-		t.Errorf("WrittenWords: ref %d words, fused %d words", len(rw), len(fw))
+		t.Errorf("Written: ref %d words, fused %d words", len(rw), len(fw))
 		return
 	}
 	for i := range rw {
 		if rw[i] != fw[i] {
-			t.Errorf("WrittenWords[%d]: ref %#x, fused %#x", i, rw[i], fw[i])
+			t.Errorf("Written[%d]: ref %#x, fused %#x", i, rw[i], fw[i])
 			return
 		}
 	}
@@ -129,19 +130,30 @@ func collectBoth(t *testing.T, p *isa.Program, m *mem.Memory) (ref, fus *profile
 }
 
 // TestFusedMatchesReferenceWorkloads proves the fused profiler bit-identical
-// to the reference collector across the full workload suite, at every hot
-// threshold.
+// to the reference collector across the full workload suite at scale 0.05,
+// and over the 11 responsive kernels at scale 0.3 (subtest scale0.3, not
+// run with -short), the cold-suite benchmark's scale, where the data and
+// shadow windows grow several times over; at every hot threshold.
 func TestFusedMatchesReferenceWorkloads(t *testing.T) {
+	responsive := make(map[string]bool)
+	for _, w := range workloads.Responsive() {
+		responsive[w.Name] = true
+	}
+	check := func(t *testing.T, w *workloads.Workload, scale float64) {
+		p, m := w.Build(scale)
+		ref := collectRef(t, p, m)
+		for _, th := range hotThresholds {
+			t.Run(fmt.Sprintf("hot%d", th), func(t *testing.T) {
+				profilesEqual(t, ref, collectFused(t, p, m, th))
+			})
+		}
+	}
 	for _, w := range workloads.All() {
-		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			p, m := w.Build(0.05)
-			ref := collectRef(t, p, m)
-			for _, th := range hotThresholds {
-				t.Run(fmt.Sprintf("hot%d", th), func(t *testing.T) {
-					profilesEqual(t, ref, collectFused(t, p, m, th))
-				})
+			check(t, w, 0.05)
+			if responsive[w.Name] && !testing.Short() {
+				t.Run("scale0.3", func(t *testing.T) { check(t, w, 0.3) })
 			}
 		})
 	}
@@ -167,11 +179,15 @@ func TestFusedMatchesReferenceGen(t *testing.T) {
 	}
 }
 
-// TestFusedShadowMigration exercises the fused collector's slow paths:
-// loads before any window exists (spill touches), a window anchoring and
-// growing over previously-spilled shadow records (migration + store-time
-// invalidation), more far regions than the memory keeps flat windows for
-// (page-map stores via the spill shadow), and spill-serviced consumed loads.
+// TestFusedShadowMigration exercises the window caches' miss paths on the
+// data and the shadow memory, whose windows anchor at different times:
+// loads before any data window exists (the first touch anchors the
+// shadow's arena, the second grows it past any word the data memory
+// holds), a data store anchoring and growing the arena over a touched
+// word (store-time invalidation), more far regions than a memory keeps
+// flat windows for (data and shadow words in the page map), a consumed
+// load served from page-map words, and the written-set walk over a
+// page-map page.
 func TestFusedShadowMigration(t *testing.T) {
 	const (
 		baseA = 0x100000   // primary arena anchor
@@ -180,7 +196,7 @@ func TestFusedShadowMigration(t *testing.T) {
 		reg1  = 0x10000000 // anchors extra region 1
 		reg2  = 0x20000000 // anchors extra region 2
 		reg3  = 0x30000000 // anchors extra region 3
-		reg4  = 0x40000000 // beyond maxExtraRegions: page map + spill shadow
+		reg4  = 0x40000000 // beyond maxExtraRegions: data and shadow page maps
 		reg5  = 0x50000000 // never written, out of every window
 	)
 	b := asm.NewBuilder("migration")
@@ -196,16 +212,16 @@ func TestFusedShadowMigration(t *testing.T) {
 	b.Li(21, 2) // trips
 	b.Li(22, 1)
 	b.Label("loop")
-	b.Ld(4, 1, 0)  // pre-anchor load of A: spilled touch, migrated at anchor
+	b.Ld(4, 1, 0)  // pre-anchor load of A: the touch anchors the shadow's arena
 	b.Ld(5, 3, 0)  // A+1MiB: never written -> read-only
-	b.St(1, 0, 2)  // anchors the primary arena at A (invalidates the touch)
-	b.St(2, 0, 1)  // grows the primary window out to A+512KiB
-	b.Ld(6, 2, 0)  // consumed load serviced from the grown window
-	b.St(10, 0, 1) // anchor three extra flat regions...
+	b.St(1, 0, 2)  // anchors the data arena at A (invalidates the touch)
+	b.St(2, 0, 1)  // grows the data arena out to A+512KiB
+	b.Ld(6, 2, 0)  // consumed load served from the grown windows
+	b.St(10, 0, 1) // fill the data memory's three extra flat regions...
 	b.St(11, 0, 1)
 	b.St(12, 0, 1)
-	b.St(13, 0, 1) // ...then a page-map store tracked by the spill shadow
-	b.Ld(7, 13, 0) // consumed load serviced from the spill shadow
+	b.St(13, 0, 1) // ...then a data store to the page map
+	b.Ld(7, 13, 0) // consumed load: data and shadow words in the page map
 	b.Ld(8, 14, 0) // never-written page-map word -> read-only
 	b.Add(20, 20, 22)
 	b.Blt(20, 21, "loop")
@@ -226,10 +242,10 @@ func TestFusedShadowMigration(t *testing.T) {
 		t.Fatalf("expected 5 loads, found %v", loadPCs)
 	}
 	wantRO := map[int]bool{
-		loadPCs[0]: false, // A is stored after the touch (migrated invalidation)
+		loadPCs[0]: false, // A is stored after the touch (store-time invalidation)
 		loadPCs[1]: true,  // A+1MiB never written
 		loadPCs[2]: false, // consumed
-		loadPCs[3]: false, // consumed via spill shadow
+		loadPCs[3]: false, // consumed via a page-map shadow word
 		loadPCs[4]: true,  // far page-map word never written
 	}
 	for pc, want := range wantRO {
@@ -247,6 +263,115 @@ func TestFusedShadowMigration(t *testing.T) {
 		if got := fus.ReadOnlyAddr(tc.addr); got != tc.want {
 			t.Errorf("ReadOnlyAddr(%#x) = %v, want %v", tc.addr, got, tc.want)
 		}
+	}
+}
+
+// TestFusedShadowWords pins each shadow word encoding on a hand-built
+// program, against the reference collector at every hot threshold and
+// against direct expectations: a word read by two, or by three, distinct
+// load PCs and then stored (every reader loses read-only); a word read by
+// three and never stored (every reader stays read-only, and the word stays
+// out of Written); a store of a never-written register, which has no
+// producer, read back; and a load, then a store, at PC 0.
+func TestFusedShadowWords(t *testing.T) {
+	const addr = 0x1000
+	for _, tc := range []struct {
+		name    string
+		code    func(b *asm.Builder)
+		ro      map[int]bool // LoadAllReadOnly by load PC
+		written []uint64     // Written, as byte addresses
+		check   func(t *testing.T, prof *profile.Profile)
+	}{
+		{
+			name: "two readers then stored",
+			code: func(b *asm.Builder) {
+				b.Ld(1, 0, addr).Ld(2, 0, addr).St(0, addr, 1)
+			},
+			ro:      map[int]bool{0: false, 1: false},
+			written: []uint64{addr},
+		},
+		{
+			name: "three readers then stored",
+			code: func(b *asm.Builder) {
+				b.Ld(1, 0, addr).Ld(2, 0, addr).Ld(3, 0, addr).St(0, addr, 1)
+			},
+			ro:      map[int]bool{0: false, 1: false, 2: false},
+			written: []uint64{addr},
+		},
+		{
+			name: "three readers never stored",
+			code: func(b *asm.Builder) {
+				b.Ld(1, 0, addr).Ld(2, 0, addr).Ld(3, 0, addr).St(0, addr+8, 1)
+			},
+			ro:      map[int]bool{0: true, 1: true, 2: true},
+			written: []uint64{addr + 8},
+		},
+		{
+			name: "store without producer",
+			code: func(b *asm.Builder) {
+				b.Li(2, addr).St(2, 0, 9).Ld(1, 2, 0)
+			},
+			ro:      map[int]bool{2: false},
+			written: []uint64{addr},
+			check: func(t *testing.T, prof *profile.Profile) {
+				if pc, _, ok := prof.StoreValueProducer[1].Dominant(); !ok || pc != profile.NoProducer {
+					t.Errorf("store's value producer %d (%v), want none", pc, ok)
+				}
+				if pc, _, ok := prof.Loads[2].ValueProducer.Dominant(); !ok || pc != profile.NoProducer {
+					t.Errorf("load's value producer %d (%v), want none", pc, ok)
+				}
+				if got := prof.StoresConsumedBy[1]; len(got) != 1 || !got[2] {
+					t.Errorf("store consumed by %v, want the load at pc 2", got)
+				}
+			},
+		},
+		{
+			name: "load at pc 0",
+			code: func(b *asm.Builder) {
+				b.Ld(1, 0, addr).St(0, addr, 1)
+			},
+			ro:      map[int]bool{0: false},
+			written: []uint64{addr},
+		},
+		{
+			name: "store at pc 0",
+			code: func(b *asm.Builder) {
+				b.St(0, addr, 0).Ld(1, 0, addr)
+			},
+			ro:      map[int]bool{1: false},
+			written: []uint64{addr},
+			check: func(t *testing.T, prof *profile.Profile) {
+				if got := prof.StoresConsumedBy[0]; len(got) != 1 || !got[1] {
+					t.Errorf("store at pc 0 consumed by %v, want the load at pc 1", got)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := asm.NewBuilder(tc.name)
+			tc.code(b)
+			p := b.Halt().MustAssemble()
+			ref := collectRef(t, p, mem.NewMemory())
+			for _, th := range hotThresholds {
+				fus := collectFused(t, p, mem.NewMemory(), th)
+				profilesEqual(t, ref, fus)
+				for pc, want := range tc.ro {
+					if got := fus.LoadAllReadOnly[pc]; got != want {
+						t.Errorf("hot%d: LoadAllReadOnly[%d] = %v, want %v", th, pc, got, want)
+					}
+				}
+				var words []uint64
+				for _, a := range tc.written {
+					words = append(words, a>>3)
+				}
+				if !slices.Equal(fus.Written, words) {
+					t.Errorf("hot%d: Written = %#x, want %#x", th, fus.Written, words)
+				}
+				if tc.check != nil {
+					tc.check(t, fus)
+				}
+			}
+		})
 	}
 }
 

@@ -15,21 +15,21 @@
 //
 // Collect is a fused specialized interpreter: a dedicated run loop
 // interleaves execution with dependence tracking, with all address-keyed
-// state held in dense per-word shadow arrays aligned to mem.Memory's flat
-// arena windows (see fused.go). Hot loops are recorded once and replayed
-// (see hot.go): loads and stores keep their per-access work, while the
-// register edges and instruction counts of the replayed iterations, fixed
-// by the recorded path and the producer table at entry, are added once
-// per replay. A write to R0 is discarded and defines nothing in either
-// collector, so a value read from R0 — a stored R0, say — has no
-// producer. CollectReference is the slow
-// reference implementation: an observer on the flat reference stepper
+// state held in one shadow word per data word, in a second mem.Memory at
+// the data's own addresses (see fused.go). Hot loops are recorded once
+// and replayed (see hot.go): loads and stores keep their per-access work,
+// while the register edges and instruction counts of the replayed
+// iterations, fixed by the recorded path and the producer table at entry,
+// are added once per replay. A write to R0 is discarded and defines
+// nothing in either collector, so a value read from R0 — a stored R0,
+// say — has no producer. CollectReference is the slow reference
+// implementation: an observer on the flat reference stepper
 // (internal/ref) recording through per-address maps; the differential
-// tests assert both produce identical profiles.
+// tests assert both produce identical profiles, written-word list
+// included.
 package profile
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -96,35 +96,8 @@ func (li *LoadInfo) ValueLocality() float64 {
 	return float64(li.SameValue) / float64(li.Count-1)
 }
 
-// writtenWin is one dense window of the written-address set: word w is
-// written iff st[w-base] >= 0 (st holds the last store PC, -1 = never
-// stored). The fused collector hands its shadow windows over directly,
-// so finalization costs nothing.
-type writtenWin struct {
-	base uint64 // word index of st[0]
-	st   []int32
-}
-
-// writtenSet records which words the program stored to: dense windows for
-// addresses inside the memory's flat arenas, a spill map (keyed by word
-// index) for the rest. The reference collector uses a pure-spill set.
-type writtenSet struct {
-	wins  []writtenWin
-	spill map[uint64]bool
-}
-
-func (ws *writtenSet) contains(w uint64) bool {
-	for i := range ws.wins {
-		win := &ws.wins[i]
-		if off := w - win.base; off < uint64(len(win.st)) {
-			return win.st[off] >= 0
-		}
-	}
-	return ws.spill[w]
-}
-
-// Profile is the result of a profiling run. All slice fields are indexed by
-// static PC and sized to the program length.
+// Profile is the result of a profiling run. All slice fields but Written
+// are indexed by static PC and sized to the program length.
 type Profile struct {
 	Program *isa.Program
 
@@ -150,10 +123,11 @@ type Profile struct {
 	// StoreCount is the dynamic execution count per static store.
 	StoreCount []uint64
 
-	// written records the addresses the program stored to. It is
-	// address-level: a load PC is a "read-only load" if every address it
-	// touched is read-only.
-	written writtenSet
+	// Written lists the word indices (byte address >> 3) the program
+	// stored to, in ascending order: the checkpoint engine's payload
+	// domain. It is address-level: a load PC is a "read-only load" if
+	// every address it touched is read-only.
+	Written []uint64
 	// LoadAllReadOnly reports, per static load, whether all its observed
 	// addresses were never written during the run.
 	LoadAllReadOnly []bool
@@ -166,47 +140,9 @@ type Profile struct {
 }
 
 // ReadOnlyAddr reports whether the program never stored to addr.
-func (p *Profile) ReadOnlyAddr(addr uint64) bool { return !p.written.contains(addr >> 3) }
-
-// WrittenWords returns the word indices the program stored to, in
-// ascending order (the checkpoint engine's payload domain; hot membership
-// queries use ReadOnlyAddr). The dense windows are disjoint and list their
-// words in order, so only the few words outside every window are sorted
-// before the two are merged.
-func (p *Profile) WrittenWords() []uint64 {
-	wins := make([]*writtenWin, len(p.written.wins))
-	for i := range p.written.wins {
-		wins[i] = &p.written.wins[i]
-	}
-	slices.SortFunc(wins, func(a, b *writtenWin) int { return cmp.Compare(a.base, b.base) })
-	spill := make([]uint64, 0, len(p.written.spill))
-	for w := range p.written.spill {
-		spill = append(spill, w)
-	}
-	slices.Sort(spill)
-	n := len(spill)
-	for _, win := range wins {
-		for _, st := range win.st {
-			if st >= 0 {
-				n++
-			}
-		}
-	}
-	out := make([]uint64, 0, n)
-	for _, win := range wins {
-		for off, st := range win.st {
-			if st < 0 {
-				continue
-			}
-			w := win.base + uint64(off)
-			for len(spill) > 0 && spill[0] < w {
-				out = append(out, spill[0])
-				spill = spill[1:]
-			}
-			out = append(out, w)
-		}
-	}
-	return append(out, spill...)
+func (p *Profile) ReadOnlyAddr(addr uint64) bool {
+	_, written := slices.BinarySearch(p.Written, addr>>3)
+	return !written
 }
 
 // newProfile allocates the PC-indexed skeleton shared by both collectors.
@@ -356,10 +292,11 @@ func CollectReference(model *energy.Model, p *isa.Program, initial *mem.Memory) 
 		}
 		prof.LoadAllReadOnly[pc] = ro
 	}
-	prof.written.spill = make(map[uint64]bool, len(writtenAddrs))
+	prof.Written = make([]uint64, 0, len(writtenAddrs))
 	for a := range writtenAddrs {
-		prof.written.spill[a>>3] = true
+		prof.Written = append(prof.Written, a>>3)
 	}
+	slices.Sort(prof.Written)
 	return prof, nil
 }
 

@@ -226,9 +226,6 @@ func (s *Server) Close() {
 	_ = s.Drain(ctx)
 }
 
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // --- submission ---
 
 type submitResult struct {
