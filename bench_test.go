@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"syscall"
 	"testing"
+	"time"
 
 	"github.com/amnesiac-sim/amnesiac/internal/amnesic"
 	"github.com/amnesiac-sim/amnesiac/internal/compiler"
@@ -471,6 +473,45 @@ func BenchmarkBreakEvenCached(b *testing.B) {
 		}
 	}
 	b.ReportMetric(be, "breakeven_R_factor")
+}
+
+// BenchmarkWarmPolicyStage is the in-process twin of jobbench's warm-sweep
+// workload: on an artifact cache primed before the timer starts over the
+// 11 responsive kernels at scale 0.3, one op runs, for each kernel, one
+// single-kernel suite and one break-even sweep up to 200, so only the
+// policy stage runs. Next to ns/op it reports the process's CPU time per
+// op from getrusage, which the policy runs' parallel workers add to.
+func BenchmarkWarmPolicyStage(b *testing.B) {
+	cfg := benchConfig()
+	cfg.Cache = harness.NewArtifactCache()
+	ws := workloads.Responsive()
+	for _, w := range ws {
+		if _, err := cfg.Cache.Get(cfg, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	start := cpuTime()
+	for i := 0; i < b.N; i++ {
+		for _, w := range ws {
+			if _, err := harness.RunSuite(cfg, []*workloads.Workload{w}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := harness.BreakEven(cfg, w, 200); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(cpuTime()-start)/1e6/float64(b.N), "cpu-ms/op")
+}
+
+// cpuTime returns the process's user plus system CPU time.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkCheckpointJobs runs the checkpoint jobs of jobbench's serve-mix

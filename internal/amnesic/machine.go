@@ -4,7 +4,8 @@
 // recomputation along the slice, or perform the load — and traverses fired
 // slices through the SFile/Hist/IBuff microarchitecture of §3.2, leaving
 // architectural state untouched until the recomputed value is copied into
-// the eliminated load's destination register.
+// the eliminated load's destination register. A fired slice runs its
+// compiled recipe (compiler.Recipe) as one loop over a value frame.
 package amnesic
 
 import (
@@ -125,6 +126,10 @@ type Machine struct {
 	// duration of a run: the Compiler policy's answer is a constant, so
 	// execRCMP skips the per-RCMP Ctx construction and dynamic dispatch.
 	compilerDecision bool
+
+	// frame is the value frame recipes run over, sized by New for the
+	// largest one. Position 0 is never written, so it always reads zero.
+	frame []uint64
 }
 
 // New builds a machine over fresh caches and the given memory image.
@@ -167,6 +172,11 @@ func New(model *energy.Model, ann *compiler.Annotated, m *mem.Memory, pol policy
 			mach.elimNOP[pc] = true
 		}
 	}
+	frame := 1
+	for _, si := range ann.Slices {
+		frame = max(frame, si.Recipe.FrameLen())
+	}
+	mach.frame = make([]uint64, frame)
 	return mach, nil
 }
 
@@ -195,7 +205,10 @@ func (m *Machine) WriteReg(r isa.Reg, v uint64) {
 // replays hot loops including ones crossing REC/RCMP: those sites record
 // as trace entries that call back into the same handlers at replay, so a
 // trace holds no recipe state of its own.
-func (m *Machine) Run() error {
+func (m *Machine) Run() error { return m.run(m) }
+
+// run executes the program with aux handling the amnesic opcodes.
+func (m *Machine) run(aux exec.Aux) error {
 	max := m.MaxInstrs
 	if max == 0 {
 		max = exec.DefaultMaxInstrs
@@ -213,7 +226,7 @@ func (m *Machine) Run() error {
 		Regs:      &m.Regs,
 		Acct:      &m.Acct,
 		MaxInstrs: max,
-		Aux:       m,
+		Aux:       aux,
 		StoreHook: m.StoreHook,
 		ElimNOP:   m.elimNOP,
 		NopSkips:  &m.Stat.NOPsSkipped,
@@ -239,7 +252,7 @@ func (m *Machine) ExecRec(pc int) {
 // in the historical "amnesic: pc ..." form.
 func (m *Machine) ExecRcmp(pc int) error {
 	m.PC = pc
-	if err := m.execRCMP(m.Ann.Prog.Code[pc]); err != nil {
+	if err := m.execRCMP(&m.Ann.Prog.Code[pc]); err != nil {
 		return fmt.Errorf("amnesic: pc %d (%s): %w", pc, m.Ann.Prog.Code[pc], err)
 	}
 	return nil
@@ -284,7 +297,7 @@ func (m *Machine) execREC(in isa.Instr) {
 
 // execRCMP resolves the fused branch-load (§3.3.2): consult the policy,
 // then either traverse the slice or perform the load.
-func (m *Machine) execRCMP(in isa.Instr) error {
+func (m *Machine) execRCMP(in *isa.Instr) error {
 	m.Stat.RcmpTotal++
 
 	si := m.rcmpSlices[m.PC] // pre-resolved by New
@@ -295,7 +308,8 @@ func (m *Machine) execRCMP(in isa.Instr) error {
 	if err := mem.CheckAligned(addr); err != nil {
 		return fmt.Errorf("RCMP load: %w", err)
 	}
-	level := m.Hier.Peek(addr)
+	loc := m.Hier.Lookup(addr)
+	level := loc.Level
 
 	dec := policy.Decision{Recompute: false}
 	if !m.failedSlices[si.ID] {
@@ -313,27 +327,32 @@ func (m *Machine) execRCMP(in isa.Instr) error {
 			dec = m.Policy.Decide(policy.Ctx{Level: level, Slice: si, Model: dm})
 		}
 	}
-	if dec.Recompute && len(si.Body) <= m.SFile.Capacity() {
+	if dec.Recompute && len(si.Recipe.Ops) <= m.SFile.Capacity() {
 		// The RCMP acts as a taken branch into the slice: one dynamic
 		// instruction of branch-like cost (§4).
 		m.Acct.AddInstr(isa.CatAmnesic)
 		for _, l := range dec.ProbeLevels {
 			m.Acct.Probes[l]++
 		}
-		v, err := m.traverse(si)
-		v ^= m.TamperRTN
-		if err == nil {
+		v, ok := m.traverse(si)
+		if si.Recipe.HasLoad {
+			// AccessAt needs a lookup made since the last access, and the
+			// walk's body loads accessed the caches.
+			loc = m.Hier.Lookup(addr)
+		}
+		if ok {
 			m.Stat.RcmpRecomputed++
 			m.Stat.SwappedServiced[level]++
 			m.Acct.Recomputed++
-			m.WriteReg(in.Dst, v)
+			m.WriteReg(in.Dst, v^m.TamperRTN)
 			if m.ShadowTouch {
-				m.Hier.Access(addr, false)
+				m.Hier.AccessAt(addr, false, loc)
 			}
 			return nil
 		}
-		// A missing Hist entry (e.g. evicted or never recorded on this
-		// path) falls back to the load, like a failed REC would.
+		// A walk stopped by a missing Hist entry (e.g. evicted or never
+		// recorded on this path) or a misaligned body load falls back to
+		// the load, like a failed REC would.
 	} else if dec.Recompute {
 		m.Stat.SFileRejected++
 	}
@@ -346,7 +365,7 @@ func (m *Machine) execRCMP(in isa.Instr) error {
 	if m.Ann.DeadStoreElim {
 		return fmt.Errorf("RCMP fallback load for slice %d under a dead-store-eliminated binary", si.ID)
 	}
-	res := m.Hier.Access(addr, false)
+	res := m.Hier.AccessAt(addr, false, loc)
 	m.Acct.AddWritebacks(res.WritebackL2, res.WritebackMem)
 	m.Acct.AddLoad(res.Level)
 	m.Acct.RcmpLoads++
@@ -355,71 +374,70 @@ func (m *Machine) execRCMP(in isa.Instr) error {
 	return nil
 }
 
-// traverse re-executes the slice body leaves-to-root (§3.3.2): operands come
-// from SFile (intermediate results), Hist (checkpointed inputs), or the
-// architectural register file (live values); results flow through SFile
-// only; the root value is returned for the RCMP to copy into the load's
-// destination register (RTN semantics). Instruction supply is counted as
-// IBuff hits and L1-I fetches.
-func (m *Machine) traverse(si *compiler.SliceInfo) (uint64, error) {
-	if !m.SFile.Begin(len(si.Body)) {
-		return 0, errors.New("sfile overflow")
-	}
-	hits, misses := m.IBuff.Traverse(si.ID, len(si.Body)+1) // body + RTN
+// traverse re-executes the slice body leaves-to-root (§3.3.2) as one loop
+// over its recipe: the live registers and Hist slots are copied into the
+// value frame, each op reads its operands from frame positions and writes
+// its result (its SFile entry) to its own, and the root value is returned
+// for the RCMP to copy into the load's destination register (RTN
+// semantics). Instruction supply is counted as IBuff hits and L1-I fetches.
+//
+// The walk stops early at the op that reads a missing Hist entry or at a
+// body load of a misaligned address, and reports false. It has then
+// counted and performed exactly the ops before that one, and the Hist
+// reads through the failing operand, and the RCMP falls back to the load.
+func (m *Machine) traverse(si *compiler.SliceInfo) (uint64, bool) {
+	r := &si.Recipe
+	hits, misses := m.IBuff.Traverse(si.ID, len(r.Ops)+1) // body + RTN
 	m.Acct.IBuffHits += uint64(hits)
 	m.Acct.Fetches += uint64(misses)
 
-	for idx := range si.Body {
-		bi := &si.Body[idx]
-		var ops [3]uint64
-		for slot := 0; slot < 3; slot++ {
-			src := bi.Srcs[slot]
-			switch src.Kind {
-			case compiler.SrcNone, compiler.SrcZero:
-				ops[slot] = 0
-			case compiler.SrcSFile:
-				v, ok := m.SFile.Read(src.BodyIdx)
-				if !ok {
-					return 0, fmt.Errorf("slice %d: SFile slot %d invalid", si.ID, src.BodyIdx)
-				}
-				ops[slot] = v
-			case compiler.SrcLive:
-				ops[slot] = m.ReadReg(src.Reg)
-			case compiler.SrcHist:
-				v, ok := m.Hist.Read(src.HistID, src.Slot)
-				m.Acct.HistReads++
-				if !ok {
-					return 0, fmt.Errorf("slice %d: hist entry %d/%d missing", si.ID, src.HistID, src.Slot)
-				}
-				ops[slot] = v
-			}
-		}
-		var v uint64
-		if bi.In.Op == isa.LD {
-			if !bi.ReadOnlyLoad {
-				return 0, fmt.Errorf("slice %d: non-read-only load in body", si.ID)
-			}
-			addr := ops[0] + uint64(bi.In.Imm)
-			if err := mem.CheckAligned(addr); err != nil {
-				return 0, fmt.Errorf("slice %d: body load: %w", si.ID, err)
-			}
-			res := m.Hier.Access(addr, false)
-			m.Acct.AddWritebacks(res.WritebackL2, res.WritebackMem)
-			m.Acct.AddLoad(res.Level)
-			v = m.Mem.Load(addr)
-		} else {
-			m.Acct.AddInstr(isa.CategoryOf(bi.In.Op))
-			v = isa.EvalCompute(bi.In, ops[0], ops[1], ops[2])
-		}
-		m.Acct.SliceInstrs++
-		m.SFile.Write(idx, v)
+	f := m.frame[:r.FrameLen()]
+	for i, reg := range r.Live {
+		f[1+i] = m.Regs[reg]
 	}
-	// RTN: return + copy SFile root into the destination (§3.1.2).
+	// n ops run and histReads Hist operands are read, unless a Hist slot
+	// is missing: the walk then stops at the op that reads it.
+	n, histReads := len(r.Ops), len(r.Hist)
+	hist := f[1+len(r.Live):]
+	for k, hs := range r.Hist {
+		v, ok := m.Hist.Read(hs.ID, hs.Slot)
+		if !ok {
+			n, histReads = hs.Op, k+1
+			break
+		}
+		hist[k] = v
+	}
+	done := n == len(r.Ops)
+	res := f[r.Results():]
+	for i := range r.Ops[:n] {
+		op := &r.Ops[i]
+		a := f[op.Src[0]]
+		if op.Op == isa.LD {
+			addr := a + uint64(op.Imm)
+			if mem.CheckAligned(addr) != nil {
+				// The walk read the operands of ops 0..i, then stopped.
+				n, done, histReads = i, false, 0
+				for histReads < len(r.Hist) && r.Hist[histReads].Op <= i {
+					histReads++
+				}
+				break
+			}
+			acc := m.Hier.Access(addr, false)
+			m.Acct.AddWritebacks(acc.WritebackL2, acc.WritebackMem)
+			m.Acct.AddLoad(acc.Level)
+			res[i] = m.Mem.Load(addr)
+			continue
+		}
+		m.Acct.AddInstr(op.Cat)
+		res[i] = isa.EvalComputeOp(op.Op, op.Imm, a, f[op.Src[1]], f[op.Src[2]])
+	}
+	m.Acct.SliceInstrs += uint64(n)
+	m.Acct.HistReads += uint64(histReads)
+	if !done {
+		return 0, false
+	}
+	// RTN: return + copy the root's SFile entry into the destination (§3.1.2).
 	m.Acct.AddInstr(isa.CatAmnesic)
-	root, ok := m.SFile.Read(len(si.Body) - 1)
-	if !ok {
-		return 0, fmt.Errorf("slice %d: empty body", si.ID)
-	}
 	m.Stat.SliceRecomputes[si.ID]++
-	return root, nil
+	return res[n-1], true
 }

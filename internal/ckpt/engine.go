@@ -60,8 +60,8 @@ type Engine struct {
 	stores uint64
 	ran    bool
 
-	scratch []uint64  // slice-body value buffer, reused across recipes
-	saved   []WordVal // payload buffer sized to the footprint; each checkpoint keeps an exact-size copy
+	frame []uint64  // recipe value frame, reused across recipes; position 0 stays zero
+	saved []WordVal // payload buffer sized to the footprint; each checkpoint keeps an exact-size copy
 
 	// Checkpoints taken so far (latest last; length 1 unless KeepAll).
 	Checkpoints []*Checkpoint
@@ -121,30 +121,16 @@ func NewEngine(model *energy.Model, prog *isa.Program, img *mem.Image, ann *comp
 	if ann != nil {
 		e.byID = make(map[int]*compiler.SliceInfo)
 		for _, si := range ann.Slices {
-			if histFree(si) {
+			// A slice that reads no Hist slot can replay at an arbitrary
+			// checkpoint boundary from the register file and read-only
+			// memory alone.
+			if len(si.Recipe.Hist) == 0 {
 				e.slices = append(e.slices, si)
 				e.byID[si.ID] = si
 			}
 		}
 	}
 	return e, nil
-}
-
-// histFree reports whether every operand of every body instruction resolves
-// without the Hist table: such a slice can replay at an arbitrary
-// checkpoint boundary from the register file and read-only memory alone.
-func histFree(si *compiler.SliceInfo) bool {
-	if len(si.Body) == 0 {
-		return false
-	}
-	for i := range si.Body {
-		for _, src := range si.Body[i].Srcs {
-			if src.Kind == compiler.SrcHist {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Mem exposes the engine's live memory (final state after a completed run).
@@ -197,7 +183,7 @@ func (e *Engine) Restart(ck *Checkpoint) (*RunResult, error) {
 		}
 		e.mem.Store(om.Addr, v^e.cfg.TamperRestart)
 		rs.Recomputed++
-		rs.RecompInstrs += len(si.Body)
+		rs.RecompInstrs += len(si.Recipe.Ops)
 		e.chargeRecipe(rs, si)
 	}
 	for _, wv := range ck.Saved {
@@ -366,46 +352,34 @@ func (e *Engine) planOmissions(ck *Checkpoint) []uint64 {
 	return omit
 }
 
-// evalRecipe executes a hist-free slice body leaves-to-root against the
-// given register file, with body loads served by the pristine base image.
-// It mirrors the amnesic machine's traverse but carries no energy model —
-// the engine charges checkpoint/restore costs separately — and it rejects
-// anything that cannot replay deterministically at restart.
+// evalRecipe runs a hist-free slice's recipe against the given register
+// file, with body loads served by the pristine base image. It walks the
+// recipe as the amnesic machine's traverse does but carries no energy model
+// — the engine charges checkpoint/restore costs separately — and it rejects
+// a misaligned body load, which cannot replay at restart.
 func (e *Engine) evalRecipe(si *compiler.SliceInfo, regs *[isa.NumRegs]uint64) (uint64, bool) {
-	if cap(e.scratch) < len(si.Body) {
-		e.scratch = make([]uint64, len(si.Body))
+	r := &si.Recipe
+	if cap(e.frame) < r.FrameLen() {
+		e.frame = make([]uint64, r.FrameLen())
 	}
-	vals := e.scratch[:len(si.Body)]
-	for idx := range si.Body {
-		bi := &si.Body[idx]
-		var ops [3]uint64
-		for slot := 0; slot < 3; slot++ {
-			src := bi.Srcs[slot]
-			switch src.Kind {
-			case compiler.SrcNone, compiler.SrcZero:
-				ops[slot] = 0
-			case compiler.SrcSFile:
-				ops[slot] = vals[src.BodyIdx]
-			case compiler.SrcLive:
-				ops[slot] = regs[src.Reg]
-			case compiler.SrcHist:
-				return 0, false
-			}
-		}
-		if bi.In.Op == isa.LD {
-			if !bi.ReadOnlyLoad {
-				return 0, false
-			}
-			addr := ops[0] + uint64(bi.In.Imm)
+	f := e.frame[:r.FrameLen()]
+	for i, reg := range r.Live {
+		f[1+i] = regs[reg]
+	}
+	res := f[r.Results():]
+	for i := range r.Ops {
+		op := &r.Ops[i]
+		if op.Op == isa.LD {
+			addr := f[op.Src[0]] + uint64(op.Imm)
 			if mem.CheckAligned(addr) != nil {
 				return 0, false
 			}
-			vals[idx] = e.base.Load(addr)
+			res[i] = e.base.Load(addr)
 		} else {
-			vals[idx] = isa.EvalCompute(bi.In, ops[0], ops[1], ops[2])
+			res[i] = isa.EvalComputeOp(op.Op, op.Imm, f[op.Src[0]], f[op.Src[1]], f[op.Src[2]])
 		}
 	}
-	return vals[len(vals)-1], true
+	return res[len(res)-1], true
 }
 
 // chargeRecipe adds one recipe evaluation's modeled cost to the restore
@@ -414,13 +388,12 @@ func (e *Engine) evalRecipe(si *compiler.SliceInfo, regs *[isa.NumRegs]uint64) (
 // from the snapshot, but the recovery path runs before the pipeline).
 func (e *Engine) chargeRecipe(rs *RestoreStats, si *compiler.SliceInfo) {
 	m := e.model
-	for i := range si.Body {
-		in := si.Body[i].In
-		if in.Op == isa.LD {
+	for _, op := range si.Recipe.Ops {
+		if op.Op == isa.LD {
 			rs.EnergyNJ += m.InstrEnergy(isa.CatLoad) + m.LoadEnergy(energy.Mem)
 			rs.TimeNS += m.LoadLatency(energy.Mem)
 		} else {
-			rs.EnergyNJ += m.InstrEnergy(isa.CategoryOf(in.Op))
+			rs.EnergyNJ += m.InstrEnergy(op.Cat)
 			rs.TimeNS += m.CycleNS()
 		}
 	}

@@ -78,56 +78,50 @@ func DefaultOptions() Options {
 	}
 }
 
-// SrcKind says where a slice-body operand's value comes from at runtime.
-type SrcKind uint8
-
-const (
-	// SrcZero is the hardwired zero register.
-	SrcZero SrcKind = iota
-	// SrcSFile reads the SFile entry written by an earlier body instruction.
-	SrcSFile
-	// SrcLive reads the architectural register file.
-	SrcLive
-	// SrcHist reads a slot of a Hist entry.
-	SrcHist
-	// SrcNone marks an unused operand slot.
-	SrcNone
-)
-
-func (k SrcKind) String() string {
-	switch k {
-	case SrcZero:
-		return "zero"
-	case SrcSFile:
-		return "sfile"
-	case SrcLive:
-		return "live"
-	case SrcHist:
-		return "hist"
-	}
-	return "none"
+// Recipe is a slice body compiled to straight-line code over one value
+// frame: the compile-time form of the hardware Renamer's work and of the
+// Hist/register-file operand selection (§3.2, §3.5). Frame position 0 holds
+// zero; the next len(Live) positions hold the live registers, then
+// len(Hist) positions the Hist slots, then one position per op its result
+// (its SFile entry, allocated by position), so the last position holds the
+// root value. Emit builds one recipe per slice and checks, once, what a
+// walk would otherwise check on every recompute: every operand names zero,
+// a live register, a Hist slot or an earlier op; every body load reads
+// read-only program input; and the body is not empty.
+type Recipe struct {
+	// Live lists the distinct architectural registers the body reads.
+	Live []isa.Reg
+	// Hist lists the Hist slots the body reads, in the order the walk
+	// reads them: by op, then by operand. Each is read by one operand.
+	Hist []HistSlot
+	// Ops is the body in execution order, leaves to root.
+	Ops []RecipeOp
+	// HasLoad reports whether any op is a body load, which accesses the
+	// data caches.
+	HasLoad bool
 }
 
-// OperandSource resolves one operand of a slice-body instruction.
-type OperandSource struct {
-	Kind    SrcKind
-	BodyIdx int     // SrcSFile: producing body instruction index
-	Reg     isa.Reg // SrcLive: architectural register
-	HistID  int     // SrcHist: Hist entry
-	Slot    int     // SrcHist: slot within the entry (operand index)
+// HistSlot is one Hist operand of a recipe: slot Slot of entry ID, read by
+// the op at index Op.
+type HistSlot struct {
+	ID, Slot, Op int
 }
 
-// BodyInstr is one recomputing instruction plus its operand routing — the
-// compile-time equivalent of what the hardware Renamer resolves (§3.2).
-type BodyInstr struct {
-	In   isa.Instr
-	Node *rslice.Node
-	// Srcs routes operand 0..2 (Src1, Src2, Dst-as-input).
-	Srcs [3]OperandSource
-	// ReadOnlyLoad marks body loads of read-only program inputs; these
-	// perform a real, energy-charged memory access at runtime.
-	ReadOnlyLoad bool
+// RecipeOp is one recomputing instruction: its opcode, immediate and
+// energy category, and the frame positions of operands 0..2 (Src1, Src2,
+// Dst-as-input). An operand the opcode does not read names position 0.
+type RecipeOp struct {
+	Imm int64
+	Op  isa.Op
+	Cat isa.Category
+	Src [3]uint16
 }
+
+// FrameLen returns the number of value-frame positions a walk uses.
+func (r *Recipe) FrameLen() int { return r.Results() + len(r.Ops) }
+
+// Results returns the frame position of the first op's result.
+func (r *Recipe) Results() int { return 1 + len(r.Live) + len(r.Hist) }
 
 // RecSpec describes what one REC instruction checkpoints: up to three
 // register values into the slots of one Hist entry.
@@ -146,7 +140,7 @@ type SliceInfo struct {
 	LoadPC  int // original program PC of the swapped load
 	RcmpPC  int // annotated program PC of the RCMP
 	EntryPC int // annotated program PC of the first body instruction
-	Body    []BodyInstr
+	Recipe  Recipe
 	// HistEntries is the number of Hist entries (leaf checkpoints) the
 	// slice consumes; HistBase is its first global Hist ID.
 	HistBase    int

@@ -96,12 +96,12 @@ func TestAnnotatedBinaryStructure(t *testing.T) {
 		if int(rcmp.Target) != si.EntryPC {
 			t.Errorf("slice %d: target %d != entry %d", si.ID, rcmp.Target, si.EntryPC)
 		}
-		end := si.EntryPC + len(si.Body)
+		end := si.EntryPC + len(si.Recipe.Ops)
 		if ann.Prog.Code[end].Op != isa.RTN {
 			t.Errorf("slice %d: body not terminated by RTN", si.ID)
 		}
-		for i, bi := range si.Body {
-			if ann.Prog.Code[si.EntryPC+i].Op != bi.In.Op {
+		for i, op := range si.Recipe.Ops {
+			if in := ann.Prog.Code[si.EntryPC+i]; in.Op != op.Op || in.Imm != op.Imm {
 				t.Errorf("slice %d: embedded body diverges at %d", si.ID, i)
 			}
 		}

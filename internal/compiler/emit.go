@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
@@ -19,7 +21,7 @@ import (
 // registers trivially still hold the leaf's inputs even when the leaf
 // overwrites one of its own sources (dst == src). The semantics — Hist
 // holds the most recent dynamic instance's inputs — are identical.
-func emit(model *energy.Model, prog *isa.Program, prof *profile.Profile, selected []*rslice.Slice, opts Options, b *builder) *Annotated {
+func emit(model *energy.Model, prog *isa.Program, prof *profile.Profile, selected []*rslice.Slice, opts Options, b *builder) (*Annotated, error) {
 	sort.Slice(selected, func(i, j int) bool { return selected[i].LoadPC < selected[j].LoadPC })
 
 	ann := &Annotated{
@@ -70,7 +72,11 @@ func emit(model *energy.Model, prog *isa.Program, prof *profile.Profile, selecte
 			}
 			recsAt[n.PC] = append(recsAt[n.PC], pendingRec{spec: spec, sliceID: id})
 		}
-		si.Body = buildBody(s, histOf)
+		rec, err := buildRecipe(s, histOf)
+		if err != nil {
+			return nil, fmt.Errorf("compiler: slice %d (load pc %d): %w", id, s.LoadPC, err)
+		}
+		si.Recipe = rec
 		swapped[s.LoadPC] = si
 		ann.Slices = append(ann.Slices, si)
 	}
@@ -133,15 +139,15 @@ func emit(model *energy.Model, prog *isa.Program, prof *profile.Profile, selecte
 	for _, si := range ann.Slices {
 		si.EntryPC = len(code)
 		code[si.RcmpPC].Target = int32(si.EntryPC)
-		for _, bi := range si.Body {
-			code = append(code, bi.In)
+		for _, n := range si.Slice.Nodes {
+			code = append(code, n.In)
 		}
 		code = append(code, isa.Instr{Op: isa.RTN, SliceID: int32(si.ID)})
 	}
 
 	ann.Prog = &isa.Program{Code: code, Name: prog.Name + "+amnesic"}
 	ann.PCMap = instrPos
-	return ann
+	return ann, nil
 }
 
 func isBranchWithTarget(op isa.Op) bool {
@@ -160,48 +166,83 @@ func totalBodyLen(selected []*rslice.Slice) int {
 	return n
 }
 
-// buildBody resolves operand routing for each recomputing instruction: the
-// compile-time equivalent of the hardware Renamer + Hist/registerfile
-// selection of §3.2/§3.5.
-func buildBody(s *rslice.Slice, histOf map[*rslice.Node]int) []BodyInstr {
+// buildRecipe resolves operand routing for each recomputing instruction:
+// the compile-time equivalent of the hardware Renamer + Hist/registerfile
+// selection of §3.2/§3.5. It rejects a body that breaks a rule the walk
+// relies on (see Recipe).
+func buildRecipe(s *rslice.Slice, histOf map[*rslice.Node]int) (Recipe, error) {
+	if len(s.Nodes) == 0 {
+		return Recipe{}, errors.New("empty body")
+	}
 	bodyIdx := make(map[*rslice.Node]int, len(s.Nodes))
 	for i, n := range s.Nodes {
 		bodyIdx[n] = i
 	}
-	kindOf := make(map[*rslice.Node][3]rslice.InputKind)
-	has := make(map[*rslice.Node][3]bool)
+	hist := make(map[*rslice.Node][3]bool)
 	for _, in := range s.Inputs {
-		k := kindOf[in.Node]
-		h := has[in.Node]
-		k[in.Operand] = in.Kind
-		h[in.Operand] = true
-		kindOf[in.Node] = k
-		has[in.Node] = h
+		h := hist[in.Node]
+		h[in.Operand] = in.Kind == rslice.InputHist
+		hist[in.Node] = h
 	}
 
-	body := make([]BodyInstr, 0, len(s.Nodes))
-	for _, n := range s.Nodes {
-		bi := BodyInstr{In: n.In, Node: n, ReadOnlyLoad: n.ReadOnlyLoad}
-		for i := range bi.Srcs {
-			bi.Srcs[i] = OperandSource{Kind: SrcNone}
+	// The live and Hist counts fix where the Hist slots and the results
+	// start, so each operand is first resolved to a frame section and an
+	// index within it, and placed once every section's length is known.
+	const (
+		secZero = iota
+		secLive
+		secHist
+		secOp
+	)
+	type ref struct{ sec, i int }
+	var r Recipe
+	refs := make([][3]ref, len(s.Nodes))
+	liveIdx := make(map[isa.Reg]int)
+	for i, n := range s.Nodes {
+		if n.In.Op == isa.LD {
+			if !n.ReadOnlyLoad {
+				return Recipe{}, fmt.Errorf("body op %d: load of writable memory", i)
+			}
+			r.HasLoad = true
 		}
 		for _, opIdx := range operandIdxs(n.In) {
 			if c, ok := n.Children[opIdx]; ok {
-				bi.Srcs[opIdx] = OperandSource{Kind: SrcSFile, BodyIdx: bodyIdx[c]}
+				j, ok := bodyIdx[c]
+				if !ok || j >= i {
+					return Recipe{}, fmt.Errorf("body op %d: operand %d is not an earlier op's result", i, opIdx)
+				}
+				refs[i][opIdx] = ref{secOp, j}
 				continue
 			}
-			r := rslice.OperandReg(n.In, opIdx)
-			if r == isa.R0 {
-				bi.Srcs[opIdx] = OperandSource{Kind: SrcZero}
-				continue
+			reg := rslice.OperandReg(n.In, opIdx)
+			switch {
+			case reg == isa.R0:
+				refs[i][opIdx] = ref{secZero, 0}
+			case hist[n][opIdx]:
+				refs[i][opIdx] = ref{secHist, len(r.Hist)}
+				r.Hist = append(r.Hist, HistSlot{ID: histOf[n], Slot: opIdx, Op: i})
+			default:
+				k, ok := liveIdx[reg]
+				if !ok {
+					k = len(r.Live)
+					liveIdx[reg] = k
+					r.Live = append(r.Live, reg)
+				}
+				refs[i][opIdx] = ref{secLive, k}
 			}
-			if has[n][opIdx] && kindOf[n][opIdx] == rslice.InputHist {
-				bi.Srcs[opIdx] = OperandSource{Kind: SrcHist, HistID: histOf[n], Slot: opIdx}
-				continue
-			}
-			bi.Srcs[opIdx] = OperandSource{Kind: SrcLive, Reg: r}
 		}
-		body = append(body, bi)
 	}
-	return body
+	if r.Results()+len(s.Nodes) > 1<<16 {
+		return Recipe{}, fmt.Errorf("value frame of %d positions exceeds %d", r.Results()+len(s.Nodes), 1<<16)
+	}
+	start := [...]int{secZero: 0, secLive: 1, secHist: 1 + len(r.Live), secOp: r.Results()}
+	r.Ops = make([]RecipeOp, len(s.Nodes))
+	for i, n := range s.Nodes {
+		op := RecipeOp{Imm: n.In.Imm, Op: n.In.Op, Cat: isa.CategoryOf(n.In.Op)}
+		for k, rf := range refs[i] {
+			op.Src[k] = uint16(start[rf.sec] + rf.i)
+		}
+		r.Ops[i] = op
+	}
+	return r, nil
 }

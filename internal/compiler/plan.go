@@ -109,7 +109,10 @@ func (p *Plan) Emit(mode Mode) (*Annotated, error) {
 		stats.RejectedCost = costRejected
 	}
 
-	ann := emit(b.model, b.prog, b.prof, selected, b.opts, b)
+	ann, err := emit(b.model, b.prog, b.prof, selected, b.opts, b)
+	if err != nil {
+		return nil, err
+	}
 	ann.Stats = stats
 	ann.Stats.SlicesSelected = len(ann.Slices)
 	ann.Stats.DeadStores = len(ann.EliminatedStores)

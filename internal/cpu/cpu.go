@@ -9,10 +9,10 @@
 //
 // The core runs on the shared dispatch core (internal/exec), which also
 // hosts the trace-reuse engine: hot loops are recorded once and replayed
-// as fused superblocks (see internal/trace). Tracing is on by default —
-// replay is bit-identical to interpretation in both architectural state
-// and energy accounting — and can be tuned or disabled through the Trace
-// field. Per-instruction observation is the reference stepper's job
+// as traces of one op per instruction (see internal/trace). Tracing is on
+// by default — replay is bit-identical to interpretation in both
+// architectural state and energy accounting — and can be tuned or disabled
+// through the Trace field. Per-instruction observation is the reference stepper's job
 // (internal/ref); a run observes stores through StoreHook and a sparse PC
 // set through Watch, and a watched run replays its loops as an unwatched
 // one does.

@@ -40,10 +40,15 @@ func (c CacheConfig) Validate() error {
 // means "invalid way" and the scan needs no separate valid-bit check; real
 // tags are at most 64-lineShift-setShift bits, so the bias cannot wrap.
 type Cache struct {
-	cfg       CacheConfig
-	tags      []uint64 // tag+1 per way, 0 = invalid; indexed set*assoc+way
-	dirty     []bool
-	lru       []uint64 // larger = more recently used
+	cfg   CacheConfig
+	tags  []uint64 // tag+1 per way, 0 = invalid; indexed set*assoc+way
+	dirty []bool
+	// lru holds each way's last-use clock, larger = more recently used.
+	// Every use ticks the clock before it stamps one way, so a valid way's
+	// stamp is at least 1 and unique in its cache, and an invalid way's
+	// is 0: the least recently used way, preferring the last invalid one,
+	// is the last way with the smallest stamp.
+	lru       []uint64
 	assoc     int
 	lineShift uint
 	setShift  uint
@@ -89,15 +94,16 @@ func (c *Cache) locate(addr uint64) (base int, want uint64) {
 	return int(lineAddr&c.setMask) * c.assoc, lineAddr>>c.setShift + 1
 }
 
-// Contains reports whether addr hits without touching LRU state or stats.
-func (c *Cache) Contains(addr uint64) bool {
+// find returns the index of the way holding addr's line, or -1, without
+// touching LRU state or stats.
+func (c *Cache) find(addr uint64) int {
 	base, want := c.locate(addr)
-	for _, t := range c.tags[base : base+c.assoc] {
-		if t == want {
-			return true
+	for i := base; i < base+c.assoc; i++ {
+		if c.tags[i] == want {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // ProbeHit is the hit-only half of Access: it scans for a tag match with
@@ -107,19 +113,17 @@ func (c *Cache) Contains(addr uint64) bool {
 // values only matter relatively, so the extra tick cannot reorder any LRU
 // decision) and counts nothing — the follow-up Access records the miss.
 func (c *Cache) ProbeHit(addr uint64, write bool) bool {
-	base, want := c.locate(addr)
 	c.clock++
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == want {
-			return c.probeUpdate(i, write)
-		}
+	if i := c.find(addr); i >= 0 {
+		return c.probeUpdate(i, write)
 	}
 	return false
 }
 
-// probeUpdate applies the hit-path bookkeeping for way i. Split from
-// ProbeHit so the scan itself stays within the inlining budget — the
-// probe is the single hottest call in both interpretation and replay.
+// probeUpdate applies the hit bookkeeping for way i at the current clock:
+// the one rule ProbeHit, Access and Hierarchy.AccessAt share. (ProbeHit
+// itself is over the compiler's inlining budget, so interpreter loops call
+// it.)
 func (c *Cache) probeUpdate(i int, write bool) bool {
 	c.lru[i] = c.clock
 	if write {
@@ -135,22 +139,17 @@ func (c *Cache) probeUpdate(i int, write bool) bool {
 func (c *Cache) Access(addr uint64, write bool) (hit, evictedDirty bool) {
 	base, want := c.locate(addr)
 	c.clock++
-	victim := base
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == want {
-			c.lru[i] = c.clock
-			if write {
-				c.dirty[i] = true
-			}
-			c.Hits++
-			return true, false
+	tags, lru := c.tags[base:base+c.assoc], c.lru[base:base+c.assoc]
+	way, oldest := 0, lru[0]
+	for i, t := range tags {
+		if t == want {
+			return c.probeUpdate(base+i, write), false
 		}
-		if c.tags[i] == 0 {
-			victim = i
-		} else if c.tags[victim] != 0 && c.lru[i] < c.lru[victim] {
-			victim = i
+		if lru[i] <= oldest {
+			way, oldest = i, lru[i]
 		}
 	}
+	victim := base + way
 	c.Misses++
 	if c.tags[victim] != 0 {
 		c.Evictions++
@@ -158,32 +157,6 @@ func (c *Cache) Access(addr uint64, write bool) (hit, evictedDirty bool) {
 	}
 	c.tags[victim], c.dirty[victim], c.lru[victim] = want, write, c.clock
 	return false, evictedDirty
-}
-
-// Invalidate drops the line containing addr if present, returning whether it
-// was dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	base, want := c.locate(addr)
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == want {
-			d := c.dirty[i]
-			c.tags[i], c.dirty[i], c.lru[i] = 0, false, 0
-			return true, d
-		}
-	}
-	return false, false
-}
-
-// DirtyLines returns the number of currently dirty lines (for final flush
-// accounting).
-func (c *Cache) DirtyLines() int {
-	n := 0
-	for i, t := range c.tags {
-		if t != 0 && c.dirty[i] {
-			n++
-		}
-	}
-	return n
 }
 
 // Clone returns a deep copy: tags, LRU state, clock and stats all carry
@@ -277,16 +250,52 @@ func (h *Hierarchy) AccessMiss(addr uint64, write bool) AccessResult {
 	return r
 }
 
-// Peek returns the level that would service addr right now, with no side
-// effects on cache state or statistics. Used by the oracle policies.
-func (h *Hierarchy) Peek(addr uint64) energy.Level {
-	if h.L1.Contains(addr) {
-		return energy.L1
+// Loc is where Lookup found addr's line: the level that would service an
+// access right now and, on an L1 or L2 hit, the way that holds the line.
+type Loc struct {
+	Level energy.Level
+	way   int
+}
+
+// Lookup returns where addr would be serviced right now, with no side
+// effects on cache state or statistics. Used by the policies' probes; hand
+// the result to AccessAt to perform the access without searching the sets
+// again.
+func (h *Hierarchy) Lookup(addr uint64) Loc {
+	if i := h.L1.find(addr); i >= 0 {
+		return Loc{Level: energy.L1, way: i}
 	}
-	if h.L2.Contains(addr) {
-		return energy.L2
+	if i := h.L2.find(addr); i >= 0 {
+		return Loc{Level: energy.L2, way: i}
 	}
-	return energy.Mem
+	return Loc{Level: energy.Mem}
+}
+
+// AccessAt performs Access(addr, write) for loc = Lookup(addr). It is valid
+// only while nothing has accessed h since that lookup; it then leaves tags,
+// LRU stamps, clocks, dirty bits, stats and Serviced exactly as Access
+// would. A hit updates the way found without searching its set again.
+func (h *Hierarchy) AccessAt(addr uint64, write bool, loc Loc) AccessResult {
+	// Access's L1 probe ticks the clock whether it hits or not.
+	h.L1.clock++
+	switch loc.Level {
+	case energy.L1:
+		h.L1.probeUpdate(loc.way, write)
+		h.Serviced[energy.L1]++
+		return AccessResult{Level: energy.L1}
+	case energy.Mem:
+		return h.AccessMiss(addr, write)
+	}
+	var r AccessResult
+	if _, evictedDirty := h.L1.Access(addr, write); evictedDirty {
+		r.WritebackL2++
+	}
+	// L1's allocation above leaves L2 untouched, so the way still holds.
+	h.L2.clock++
+	h.L2.probeUpdate(loc.way, write)
+	h.Serviced[energy.L2]++
+	r.Level = energy.L2
+	return r
 }
 
 // Clone returns a deep copy of both levels and the serviced counters. The

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -110,10 +112,10 @@ func TestCacheHitMissLRU(t *testing.T) {
 	c.Access(b, false) // set 0 now holds {a,b}
 	c.Access(a, false) // touch a: b becomes LRU
 	c.Access(d, false) // evicts b
-	if !c.Contains(a) {
+	if c.find(a) < 0 {
 		t.Error("MRU line evicted")
 	}
-	if c.Contains(b) {
+	if c.find(b) >= 0 {
 		t.Error("LRU line survived")
 	}
 	if c.Evictions != 1 {
@@ -130,20 +132,13 @@ func TestCacheWriteBackDirtyEviction(t *testing.T) {
 	if _, dirty := c.Access(0, false); dirty {
 		t.Error("clean eviction reported dirty")
 	}
-	c.Access(0, true)
-	if c.DirtyLines() != 1 {
-		t.Errorf("DirtyLines = %d, want 1", c.DirtyLines())
-	}
-	if present, dirty := c.Invalidate(0); !present || !dirty {
-		t.Error("Invalidate lost the dirty line")
-	}
 }
 
-func TestHierarchyLevelsAndPeek(t *testing.T) {
+func TestHierarchyLevelsAndLookup(t *testing.T) {
 	h := NewDefaultHierarchy()
 	addr := uint64(0x12340)
-	if h.Peek(addr) != energy.Mem {
-		t.Error("cold peek should be Mem")
+	if h.Lookup(addr).Level != energy.Mem {
+		t.Error("cold lookup should be Mem")
 	}
 	if r := h.Access(addr, false); r.Level != energy.Mem {
 		t.Errorf("cold access level = %v", r.Level)
@@ -151,8 +146,8 @@ func TestHierarchyLevelsAndPeek(t *testing.T) {
 	if r := h.Access(addr, false); r.Level != energy.L1 {
 		t.Errorf("warm access level = %v", r.Level)
 	}
-	if h.Peek(addr) != energy.L1 {
-		t.Error("peek after access should be L1")
+	if h.Lookup(addr).Level != energy.L1 {
+		t.Error("lookup after access should be L1")
 	}
 	// Evict from L1 by filling its set; line should still be in L2.
 	l1 := h.L1.Config()
@@ -160,25 +155,118 @@ func TestHierarchyLevelsAndPeek(t *testing.T) {
 	for i := 1; i <= l1.Assoc; i++ {
 		h.Access(addr+uint64(i)*setStride, false)
 	}
-	if lvl := h.Peek(addr); lvl != energy.L2 {
-		t.Errorf("after L1 eviction peek = %v, want L2", lvl)
+	if lvl := h.Lookup(addr).Level; lvl != energy.L2 {
+		t.Errorf("after L1 eviction lookup = %v, want L2", lvl)
 	}
 	if h.Serviced[energy.Mem] == 0 || h.Serviced[energy.L1] == 0 {
 		t.Error("serviced counters not updated")
 	}
 }
 
-func TestPeekHasNoSideEffects(t *testing.T) {
+func TestLookupHasNoSideEffects(t *testing.T) {
 	h := NewDefaultHierarchy()
 	addr := uint64(0x8000)
-	before := h.L1.Hits + h.L1.Misses
+	h.Access(addr+64, true)
+	before := h.Clone()
 	for i := 0; i < 10; i++ {
-		h.Peek(addr)
+		h.Lookup(addr)
+		h.Lookup(addr + 64)
 	}
-	if h.L1.Hits+h.L1.Misses != before {
-		t.Error("Peek perturbed statistics")
+	if !reflect.DeepEqual(h, before) {
+		t.Error("Lookup perturbed cache state or statistics")
 	}
-	if h.Peek(addr) != energy.Mem {
-		t.Error("Peek allocated a line")
+	if h.Lookup(addr).Level != energy.Mem {
+		t.Error("Lookup allocated a line")
+	}
+}
+
+// TestLookupAccessAtMatchesAccess drives two copies of a small hierarchy
+// with one random stream of loads and stores: one copy through Access, the
+// other through Lookup and then AccessAt at the location found. After
+// every access the results must match and the copies must be equal in
+// every field: tags, LRU stamps, clocks, dirty bits, stats and Serviced.
+func TestLookupAccessAtMatchesAccess(t *testing.T) {
+	cfg := HierarchyConfig{
+		L1: CacheConfig{Name: "L1", SizeBytes: 256, Assoc: 2, LineBytes: 64},
+		L2: CacheConfig{Name: "L2", SizeBytes: 1024, Assoc: 4, LineBytes: 64},
+	}
+	a, b := NewHierarchy(cfg), NewHierarchy(cfg)
+	rng := rand.New(rand.NewSource(7))
+	var at [energy.NumLevels]int
+	for i := 0; i < 50000; i++ {
+		addr, write := uint64(rng.Intn(64))*64+uint64(rng.Intn(8))*8, rng.Intn(3) == 0
+		loc := b.Lookup(addr)
+		want, got := a.Access(addr, write), b.AccessAt(addr, write, loc)
+		if got != want || loc.Level != want.Level {
+			t.Fatalf("access %d (%#x, write %v): AccessAt %+v at %+v, Access %+v", i, addr, write, got, loc, want)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("access %d (%#x, write %v, %v): hierarchies diverge", i, addr, write, loc.Level)
+		}
+		at[want.Level]++
+	}
+	if a.L1.Evictions == 0 || a.L2.Evictions == 0 || at[energy.L1] == 0 || at[energy.L2] == 0 || at[energy.Mem] == 0 {
+		t.Fatalf("weak stream: serviced %v, evictions L1 %d L2 %d", at, a.L1.Evictions, a.L2.Evictions)
+	}
+}
+
+// refAccess is Access with the victim rule spelled out over tags: the
+// last invalid way if the set has one, else the first way with the
+// smallest LRU stamp.
+func refAccess(c *Cache, addr uint64, write bool) (hit, evictedDirty bool) {
+	base, want := c.locate(addr)
+	c.clock++
+	victim := base
+	for i := base; i < base+c.assoc; i++ {
+		if c.tags[i] == want {
+			c.lru[i] = c.clock
+			if write {
+				c.dirty[i] = true
+			}
+			c.Hits++
+			return true, false
+		}
+		if c.tags[i] == 0 {
+			victim = i
+		} else if c.tags[victim] != 0 && c.lru[i] < c.lru[victim] {
+			victim = i
+		}
+	}
+	c.Misses++
+	if c.tags[victim] != 0 {
+		c.Evictions++
+		evictedDirty = c.dirty[victim]
+	}
+	c.tags[victim], c.dirty[victim], c.lru[victim] = want, write, c.clock
+	return false, evictedDirty
+}
+
+// TestAccessVictimMatchesReference drives a cache and a reference copy
+// with one random stream of accesses and hit-only probes (which tick the
+// clock without stamping a way): Access must pick the victim refAccess
+// picks, leaving both equal in every field.
+func TestAccessVictimMatchesReference(t *testing.T) {
+	cfg := CacheConfig{Name: "t", SizeBytes: 1024, Assoc: 4, LineBytes: 64}
+	c, ref := NewCache(cfg), NewCache(cfg)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 50000; i++ {
+		addr, write := uint64(rng.Intn(48))*64, rng.Intn(3) == 0
+		if rng.Intn(4) == 0 {
+			if c.ProbeHit(addr, write) != ref.ProbeHit(addr, write) {
+				t.Fatalf("step %d: probes diverge", i)
+			}
+		} else {
+			hit, dirty := c.Access(addr, write)
+			rhit, rdirty := refAccess(ref, addr, write)
+			if hit != rhit || dirty != rdirty {
+				t.Fatalf("step %d: Access = %v,%v, reference %v,%v", i, hit, dirty, rhit, rdirty)
+			}
+		}
+		if !reflect.DeepEqual(c, ref) {
+			t.Fatalf("step %d (%#x): caches diverge", i, addr)
+		}
+	}
+	if c.Evictions == 0 || c.Hits == 0 {
+		t.Fatalf("weak stream: %d hits, %d evictions", c.Hits, c.Evictions)
 	}
 }

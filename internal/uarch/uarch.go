@@ -3,72 +3,34 @@
 // from architectural state (Condition-I, §3.2), the Hist table buffering
 // non-recomputable leaf inputs (Condition-II), and the IBuff instruction
 // buffer that relaxes I-cache pressure during slice traversal. Each
-// structure has a capacity and an invalid bit per entry, and overflow
-// semantics matching §3.5: a failed REC forces the matching RCMP to skip
-// recomputation.
+// structure has a capacity with overflow semantics matching §3.5: a failed
+// REC forces the matching RCMP to skip recomputation, and a body larger
+// than the SFile makes its RCMP load.
 //
 // The register Renamer of Fig. 2 has no runtime state here: operand routing
-// is resolved at compile time (compiler.BodyInstr.Srcs), which is the
-// software equivalent of the renamer's work; SFile slots are allocated
-// positionally (one per recomputing instruction), respecting the paper's
-// max#rename = 3 per-instruction bound via the capacity check in Begin.
+// is resolved at compile time into each slice's recipe (compiler.Recipe),
+// which is the software equivalent of the renamer's work. SFile slots are
+// allocated positionally (one per recomputing instruction) as positions of
+// the recipe's value frame, so only the SFile's capacity is modeled here.
 package uarch
 
-// SFile is the scratch file recomputing instructions communicate over.
-// Entries are (re)allocated per slice traversal; the architectural register
-// file is never touched during recomputation.
+// SFile is the scratch file recomputing instructions communicate over
+// (Condition-I, §3.2): the architectural register file is never touched
+// during recomputation. Its entries are the result positions of a recipe's
+// value frame; a slice whose body needs more entries than the SFile has
+// must perform the load instead.
 type SFile struct {
-	entries []sfileEntry
-	// gen is the current traversal's generation: an entry is valid only if
-	// it was written under the current generation, so Begin invalidates all
-	// previous contents by bumping one counter instead of clearing slots.
-	gen uint64
-	// Reads / Writes count accesses for reporting.
-	Reads, Writes uint64
-	// Overflows counts traversals rejected because the slice needed more
-	// entries than the SFile has.
-	Overflows uint64
-}
-
-type sfileEntry struct {
-	val uint64
-	gen uint64
+	capacity int
 }
 
 // NewSFile returns an SFile with the given entry count. The paper's loose
 // upper bound is max-instructions-per-slice × 3 (§3.4).
 func NewSFile(capacity int) *SFile {
-	return &SFile{entries: make([]sfileEntry, capacity), gen: 1}
+	return &SFile{capacity: capacity}
 }
 
 // Capacity returns the entry count.
-func (s *SFile) Capacity() int { return len(s.entries) }
-
-// Begin prepares a traversal needing n result slots, invalidating previous
-// contents. It reports false (and counts an overflow) if n exceeds capacity,
-// in which case the RCMP must perform the load instead.
-func (s *SFile) Begin(n int) bool {
-	if n > len(s.entries) {
-		s.Overflows++
-		return false
-	}
-	s.gen++
-	return true
-}
-
-// Write stores a recomputing instruction's result into its slot.
-func (s *SFile) Write(slot int, v uint64) {
-	s.entries[slot] = sfileEntry{val: v, gen: s.gen}
-	s.Writes++
-}
-
-// Read returns the value in slot; ok=false if the slot was never written
-// during this traversal (a compiler bug the machine turns into an error).
-func (s *SFile) Read(slot int) (uint64, bool) {
-	s.Reads++
-	e := s.entries[slot]
-	return e.val, e.gen == s.gen
-}
+func (s *SFile) Capacity() int { return s.capacity }
 
 // Hist buffers non-recomputable leaf inputs: up to three operand values per
 // entry (max#src, §3.4), keyed by the compiler-assigned Hist ID (the
@@ -84,8 +46,8 @@ type Hist struct {
 	// MaxUsed tracks the high-water mark of allocated entries (for the
 	// §5.4 sizing analysis: "no more than 600 entries").
 	MaxUsed int
-	// Reads / Writes / FailedWrites count accesses.
-	Reads, Writes, FailedWrites uint64
+	// Writes / FailedWrites count REC checkpoints.
+	Writes, FailedWrites uint64
 }
 
 type histEntry struct {
@@ -135,7 +97,6 @@ func (h *Hist) Write(id int, vals [3]uint64, mask uint8) bool {
 // Read returns slot `slot` of entry id; ok=false if the entry or slot was
 // never recorded.
 func (h *Hist) Read(id, slot int) (uint64, bool) {
-	h.Reads++
 	if id >= len(h.entries) {
 		return 0, false
 	}
@@ -144,14 +105,6 @@ func (h *Hist) Read(id, slot int) (uint64, bool) {
 		return 0, false
 	}
 	return e.vals[slot], true
-}
-
-// Invalidate drops entry id (space deallocation).
-func (h *Hist) Invalidate(id int) {
-	if id < len(h.entries) && h.entries[id].live {
-		h.entries[id] = histEntry{}
-		h.used--
-	}
 }
 
 // IBuff caches recomputing instructions so repeated traversals of hot
@@ -167,9 +120,6 @@ type IBuff struct {
 	lruClock uint64
 	lru      []uint64 // last-touch clock per slice ID
 	used     int
-	// HitInstrs / MissInstrs count instruction fetches served by IBuff vs
-	// the instruction cache.
-	HitInstrs, MissInstrs uint64
 }
 
 // NewIBuff returns an IBuff holding up to capacity recomputing instructions
@@ -201,10 +151,8 @@ func (b *IBuff) Traverse(sliceID, bodyLen int) (hits, misses int) {
 	b.lruClock++
 	b.lru[sliceID] = b.lruClock
 	if n := b.resident[sliceID]; n >= 0 && int(n) == bodyLen {
-		b.HitInstrs += uint64(bodyLen)
 		return bodyLen, 0
 	}
-	b.MissInstrs += uint64(bodyLen)
 	if bodyLen <= b.capacity {
 		for b.used+bodyLen > b.capacity {
 			b.evictLRU()

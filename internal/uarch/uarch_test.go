@@ -5,33 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestSFileLifecycle(t *testing.T) {
-	s := NewSFile(4)
-	if !s.Begin(3) {
-		t.Fatal("Begin(3) failed on capacity 4")
-	}
-	if _, ok := s.Read(0); ok {
-		t.Error("unwritten slot read as valid")
-	}
-	s.Write(0, 42)
-	if v, ok := s.Read(0); !ok || v != 42 {
-		t.Errorf("Read = %v,%v", v, ok)
-	}
-	// Begin invalidates prior contents.
-	if !s.Begin(2) {
-		t.Fatal("second Begin failed")
-	}
-	if _, ok := s.Read(0); ok {
-		t.Error("Begin did not invalidate")
-	}
-	if s.Begin(5) {
-		t.Error("overflow Begin accepted")
-	}
-	if s.Overflows != 1 {
-		t.Errorf("overflows = %d", s.Overflows)
-	}
-}
-
 func TestHistCapacityAndMask(t *testing.T) {
 	h := NewHist(2)
 	if !h.Write(1, [3]uint64{10, 20, 0}, 0b011) {
@@ -61,10 +34,6 @@ func TestHistCapacityAndMask(t *testing.T) {
 	}
 	if h.MaxUsed != 2 || h.Used() != 2 {
 		t.Errorf("usage tracking wrong: max=%d used=%d", h.MaxUsed, h.Used())
-	}
-	h.Invalidate(1)
-	if h.Used() != 1 {
-		t.Error("Invalidate did not free the entry")
 	}
 }
 
@@ -126,14 +95,12 @@ func TestDefaultConfigSanity(t *testing.T) {
 }
 
 // TestHistWriteOverflowTable sweeps capacity edges the lifecycle test does
-// not: a zero-capacity table, filling exactly to capacity, updates at
-// capacity, and re-use of space freed by Invalidate. Counters must agree
-// with the accepted/rejected split.
+// not: a zero-capacity table, filling exactly to capacity, and updates at
+// capacity. Counters must agree with the accepted/rejected split.
 func TestHistWriteOverflowTable(t *testing.T) {
 	type op struct {
-		id         int
-		invalidate bool
-		wantOK     bool
+		id     int
+		wantOK bool
 	}
 	cases := []struct {
 		name        string
@@ -169,26 +136,11 @@ func TestHistWriteOverflowTable(t *testing.T) {
 			},
 			wantWrites: 3, wantFailed: 1, wantUsed: 1, wantMaxUsed: 1,
 		},
-		{
-			name:     "invalidate frees space for a new ID",
-			capacity: 2,
-			ops: []op{
-				{id: 1, wantOK: true}, {id: 2, wantOK: true},
-				{id: 3}, // full
-				{id: 1, invalidate: true},
-				{id: 3, wantOK: true}, // freed slot re-used
-			},
-			wantWrites: 3, wantFailed: 1, wantUsed: 2, wantMaxUsed: 2,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := NewHist(tc.capacity)
 			for i, o := range tc.ops {
-				if o.invalidate {
-					h.Invalidate(o.id)
-					continue
-				}
 				if ok := h.Write(o.id, [3]uint64{uint64(i)}, 1); ok != o.wantOK {
 					t.Fatalf("op %d: Write(%d) = %v, want %v", i, o.id, ok, o.wantOK)
 				}
