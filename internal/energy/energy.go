@@ -258,6 +258,31 @@ func (a *Account) AddWritebacks(toL2, toMem int) {
 	a.Writebacks[Mem] += uint64(toMem)
 }
 
+// Add adds b's counts into a, leaving a's priced fields alone: price a
+// after the last Add. Several lanes of one amnesic pass add the pass's
+// shared counts into each lane's own this way.
+func (a *Account) Add(b *Account) {
+	a.Instrs += b.Instrs
+	a.Loads += b.Loads
+	a.Stores += b.Stores
+	for c := range a.ByCategory {
+		a.ByCategory[c] += b.ByCategory[c]
+	}
+	a.Recomputed += b.Recomputed
+	a.RcmpLoads += b.RcmpLoads
+	a.SliceInstrs += b.SliceInstrs
+	for l := L1; l < NumLevels; l++ {
+		a.LoadsAt[l] += b.LoadsAt[l]
+		a.StoresAt[l] += b.StoresAt[l]
+		a.Writebacks[l] += b.Writebacks[l]
+		a.Probes[l] += b.Probes[l]
+	}
+	a.HistReads += b.HistReads
+	a.HistWrites += b.HistWrites
+	a.Fetches += b.Fetches
+	a.IBuffHits += b.IBuffHits
+}
+
 // Price writes the energy buckets, EnergyNJ and TimeNS from the counts
 // under m, replacing any earlier pricing. The terms are summed in one fixed
 // order, so equal counts priced under equal models give bit-identical

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
@@ -214,6 +215,58 @@ func TestCheckConsistencyIdentities(t *testing.T) {
 		breakIt(&b)
 		if b.CheckConsistency() == nil {
 			t.Errorf("%s: broken identity not reported", name)
+		}
+	}
+}
+
+// TestAddSumsEveryCount fills every count of two accounts with distinct
+// values, by reflection so a count added later is covered too, and demands
+// Add sum each one and leave the priced fields alone.
+func TestAddSumsEveryCount(t *testing.T) {
+	var a, b Account
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	n := uint64(1)
+	fill := func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Uint64:
+			v.SetUint(n)
+			n++
+		case reflect.Float64:
+			v.SetFloat(float64(n))
+			n++
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				v.Index(i).SetUint(n)
+				n++
+			}
+		}
+	}
+	for i := 0; i < av.NumField(); i++ {
+		fill(av.Field(i))
+		fill(bv.Field(i))
+	}
+	before := a
+	a.Add(&b)
+	wv, xv := reflect.ValueOf(before), reflect.ValueOf(a)
+	for i := 0; i < xv.NumField(); i++ {
+		name := xv.Type().Field(i).Name
+		switch f := xv.Field(i); f.Kind() {
+		case reflect.Uint64:
+			if want := wv.Field(i).Uint() + bv.Field(i).Uint(); f.Uint() != want {
+				t.Errorf("%s = %d, want %d", name, f.Uint(), want)
+			}
+		case reflect.Float64:
+			if f.Float() != wv.Field(i).Float() {
+				t.Errorf("%s moved to %v: Add must leave priced fields alone", name, f.Float())
+			}
+		case reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				if want := wv.Field(i).Index(j).Uint() + bv.Field(i).Index(j).Uint(); f.Index(j).Uint() != want {
+					t.Errorf("%s[%d] = %d, want %d", name, j, f.Index(j).Uint(), want)
+				}
+			}
+		default:
+			t.Fatalf("field %s: unhandled kind %s", name, f.Kind())
 		}
 	}
 }

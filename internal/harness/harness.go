@@ -52,8 +52,8 @@ type Config struct {
 	// Policies selects which policy labels RunSuite evaluates per
 	// workload; nil or empty means all of PolicyLabels. Entries must come
 	// from PolicyLabels. BenchResult.Runs holds exactly these labels, and
-	// labels that execute the same binary under the same policy kind share
-	// one simulation.
+	// labels that execute the same binary share one simulation, with one
+	// lane per policy kind (see scheduler.go).
 	Policies []string
 	// Cache, when non-nil, shares prepare-stage artifacts (profiles,
 	// compiled binaries, classic baselines) across harness entry points, so
@@ -67,9 +67,11 @@ type Config struct {
 	// mutate cfg or the results.
 	Progress func(Progress)
 	// TraceObs, when non-nil, accumulates trace-engine statistics (traces
-	// built/blacklisted, replays, replay coverage) from every amnesic policy
-	// run into one aggregate. It is safe for concurrent observation; the
-	// server threads a per-job Agg through here for /metrics and job status.
+	// built/blacklisted, replays, replay coverage) from every amnesic
+	// simulation into one aggregate: a pass of several lanes counts once,
+	// with the instructions it retired itself (amnesic.Machine.PassInstrs).
+	// It is safe for concurrent observation; the server threads a per-job
+	// Agg through here for /metrics and job status.
 	TraceObs *trace.Agg
 }
 
@@ -197,9 +199,25 @@ func Run(cfg Config, w *workloads.Workload) (*BenchResult, error) {
 // deep copy of the initial memory is made — and releases the fork before
 // returning.
 func RunPolicy(cfg Config, binary *compiler.Annotated, img *mem.Image, classic *cpu.Result, prof *profile.Profile, k policy.Kind, label string) (*PolicyRun, error) {
+	runs, err := runLanes(cfg, binary, img, classic, prof, []policy.Kind{k})
+	if err != nil {
+		return nil, err
+	}
+	runs[0].Label = label
+	return runs[0], nil
+}
+
+// runLanes executes the binary once with one lane per policy kind (see
+// amnesic.NewLanes) and returns each lane's run, unlabelled, in kind order.
+// The trace aggregate observes the one pass.
+func runLanes(cfg Config, binary *compiler.Annotated, img *mem.Image, classic *cpu.Result, prof *profile.Profile, kinds []policy.Kind) ([]*PolicyRun, error) {
 	fm := img.Fork()
 	defer fm.Release()
-	machine, err := amnesic.New(cfg.Model, binary, fm, policy.New(k), cfg.UArch)
+	pols := make([]policy.Policy, len(kinds))
+	for i, k := range kinds {
+		pols[i] = policy.New(k)
+	}
+	machine, err := amnesic.NewLanes(cfg.Model, binary, fm, pols, cfg.UArch)
 	if err != nil {
 		return nil, err
 	}
@@ -207,25 +225,22 @@ func RunPolicy(cfg Config, binary *compiler.Annotated, img *mem.Image, classic *
 	if err := machine.Run(); err != nil {
 		return nil, err
 	}
+	if cfg.Verify && machine.Regs != classic.Regs {
+		return nil, fmt.Errorf("architectural state diverges from classic execution")
+	}
 	if cfg.TraceObs != nil {
-		cfg.TraceObs.Observe(machine.Engine, machine.Acct.Instrs)
+		cfg.TraceObs.Observe(machine.Engine, machine.PassInstrs())
 	}
-	run := &PolicyRun{
-		Label: label,
-		Acct:  machine.Acct,
-		Stat:  machine.Stat,
+	runs := make([]*PolicyRun, len(kinds))
+	for i, l := range machine.Lanes {
+		run := &PolicyRun{Acct: l.Acct, Stat: l.Stat, Verified: cfg.Verify}
+		run.EDPGain = stats.Gain(classic.Acct.EDP(), l.Acct.EDP())
+		run.EnergyGain = stats.Gain(classic.Acct.EnergyNJ, l.Acct.EnergyNJ)
+		run.TimeGain = stats.Gain(classic.Acct.TimeNS, l.Acct.TimeNS)
+		run.Swapped, run.SwappedCount = swappedProfile(binary, prof, l.Stat)
+		runs[i] = run
 	}
-	run.EDPGain = stats.Gain(classic.Acct.EDP(), machine.Acct.EDP())
-	run.EnergyGain = stats.Gain(classic.Acct.EnergyNJ, machine.Acct.EnergyNJ)
-	run.TimeGain = stats.Gain(classic.Acct.TimeNS, machine.Acct.TimeNS)
-	run.Swapped, run.SwappedCount = swappedProfile(binary, prof, machine.Stat)
-	if cfg.Verify {
-		run.Verified = machine.Regs == classic.Regs
-		if !run.Verified {
-			return nil, fmt.Errorf("architectural state diverges from classic execution")
-		}
-	}
-	return run, nil
+	return runs, nil
 }
 
 // swappedProfile computes the paper's Table 5 rows: the classic-execution
@@ -269,13 +284,14 @@ func RunSuite(cfg Config, ws []*workloads.Workload) ([]*BenchResult, error) {
 // workload order. The (workload × policy) grid — cfg.Policies, or all of
 // PolicyLabels when unset — runs as a job DAG over a bounded worker pool
 // of cfg.Workers goroutines (see scheduler.go). Labels that execute the
-// same binary under the same policy kind share one simulation: Oracle and
-// C-Oracle do whenever the compiler kept every valid slice (see
-// compiler.Plan.Emit), and each label gets its own copy of the run. Result
-// assembly is order-preserving, so the output is deep-equal — and renders
-// byte-identical reports — regardless of worker count. On failure the error
-// reported is the one a serial run would have hit first; a failed shared
-// simulation fails every label it serves.
+// same binary share one simulation with one lane per policy kind: on a
+// responsive kernel all five do, since the compiler keeps every valid
+// slice (see compiler.Plan.Emit), and each label gets its own copy of its
+// lane's run. Result assembly is order-preserving, so the output is
+// deep-equal — and renders byte-identical reports — regardless of worker
+// count. On failure the error reported is the one a serial run would have
+// hit first: a failed pass of several lanes reruns each lane alone, and a
+// failed lane fails every label it serves.
 //
 // Cancelling ctx stops the run at job granularity: in-flight simulations
 // finish, queued ones are dropped, the pool drains (no goroutine leak), and
@@ -322,19 +338,23 @@ func RunSuiteContext(ctx context.Context, cfg Config, ws []*workloads.Workload) 
 			report(w.Name, "prepare", false)
 			for _, sim := range simulations(art, labels) {
 				p.submit(func() {
-					run, err := sim.run(cfg, art, labels[sim.labels[0]])
-					for n, j := range sim.labels {
-						label := labels[j]
-						if err != nil {
-							errs.record(rank(i, j), fmt.Errorf("harness: %s/%s: %w", w.Name, label, err))
-							report(w.Name, label, true)
-							continue
+					laneRuns, laneErrs := sim.run(ctx, cfg, art)
+					for l, lane := range sim.lanes {
+						run, err := laneRuns[l], laneErrs[l]
+						for n, j := range lane.labels {
+							label := labels[j]
+							if err != nil {
+								errs.record(rank(i, j), fmt.Errorf("harness: %s/%s: %w", w.Name, label, err))
+								report(w.Name, label, true)
+								continue
+							}
+							if n > 0 {
+								run = run.relabel(label)
+							}
+							run.Label = label
+							runs[i][j] = run
+							report(w.Name, label, false)
 						}
-						if n > 0 {
-							run = run.relabel(label)
-						}
-						runs[i][j] = run
-						report(w.Name, label, false)
 					}
 				})
 			}

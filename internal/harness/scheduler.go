@@ -1,32 +1,37 @@
 // Concurrent evaluation scheduler. The paper's evaluation is embarrassingly
-// parallel — every benchmark, and every policy within a benchmark, is an
-// independent simulation — so the harness fans the (workload × policy) grid
-// out as a job DAG over a bounded worker pool:
+// parallel across benchmarks, so the harness fans the workloads out as a
+// job DAG over a bounded worker pool; the policies of one binary share one
+// amnesic pass:
 //
-//	prepare(w) ─┬─ policy(w, Oracle + C-Oracle)   one run when Ann == OracleAnn
-//	            ├─ policy(w, Compiler)
-//	            ├─ policy(w, FLC)
-//	            └─ policy(w, LLC)
+//	prepare(w) ─┬─ policy(w, Ann: C-Oracle + Oracle, Compiler, FLC, LLC)   one pass, one lane per kind
+//	            └─ policy(w, OracleAnn: Oracle)                            only when OracleAnn != Ann
 //
 // prepare builds the workload, profiles it, runs the classic baseline —
 // validating the compiler's slices on the way — and emits both annotated
 // binaries; the policy runs then only read those artifacts. There is one
-// policy job per distinct (binary, policy kind) among the selected labels:
-// Oracle and C-Oracle both run the Exact policy, so they share a job
-// whenever the compiler emitted one binary for both modes. A binary with
-// no slice (and no dead-store elimination) never reaches a policy
-// decision, so every label on it shares one job: a workload that compiles
-// no slice makes one simulation, and one whose only slice is cost-rejected
-// makes two (Oracle, and one for the four labels on the slice-free
-// probabilistic binary). Results are written into pre-indexed slots and
-// assembled in workload/policy order after the pool drains, so parallel
-// output is byte-identical to serial output. All shared inputs (the
-// energy.Model, compiler.Annotated binaries, profiles, and the sealed
-// initial memory image) are read-only during runs; every simulation forks
-// the sealed image copy-on-write and builds private caches and machine
-// state. A panic inside a prepare, policy or per-workload job becomes
-// that stage's error (see contain), so one faulting job cannot take the
-// process down.
+// policy job per binary among the selected labels, which runs every
+// distinct policy kind on it as a lane of one amnesic simulation
+// (amnesic.NewLanes): a valid slice recomputes the value the load would
+// return and the shadow touch gives a recompute the load's cache access,
+// so all kinds follow one path over one cache trajectory. Oracle and
+// C-Oracle both run the Exact kind, so they share a lane whenever the
+// compiler emitted one binary for both modes. A binary amnesic.LaneSafe
+// refuses (a body-load slice, as on fe, or dead-store elimination) gets
+// one job per kind instead. A binary with no slice (and no dead-store
+// elimination) never reaches a policy decision, so every label on it
+// shares one lane: a workload that compiles no slice makes one
+// simulation, and one whose only slice is cost-rejected makes two
+// (Oracle, and one for the four labels on the slice-free probabilistic
+// binary). A pass of several lanes that fails is rerun one lane at a
+// time, so each label gets the result or error of its own run. Results
+// are written into pre-indexed slots and assembled in workload/policy
+// order after the pool drains, so parallel output is byte-identical to
+// serial output. All shared inputs (the energy.Model, compiler.Annotated
+// binaries, profiles, and the sealed initial memory image) are read-only
+// during runs; every simulation forks the sealed image copy-on-write and
+// builds private caches and machine state. A panic inside a prepare,
+// policy or per-workload job becomes that stage's error (see contain), so
+// one faulting job cannot take the process down.
 package harness
 
 import (
@@ -36,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/amnesiac-sim/amnesiac/internal/amnesic"
 	"github.com/amnesiac-sim/amnesiac/internal/compiler"
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
@@ -120,42 +126,93 @@ func contain(err *error, prefix string) {
 	}
 }
 
-// simulation is one distinct amnesic run of a workload: a binary, a
-// runtime policy kind, and the indices of the selected labels it serves.
+// simulation is one amnesic pass over a binary: one lane per distinct
+// runtime policy kind among the labels it serves.
 type simulation struct {
 	binary *compiler.Annotated
+	lanes  []simLane
+}
+
+// simLane is one policy kind of a simulation and the indices of the
+// selected labels it serves.
+type simLane struct {
 	kind   policy.Kind
 	labels []int
 }
 
-// simulations groups labels by the (binary, policy kind) they execute, in
-// label order. Runs are deterministic functions of that pair, so labels in
-// one group get identical results from one simulation. A binary with no
-// slices has no RCMP, so its runs never reach a policy decision: all its
-// labels share one simulation whatever their kind, unless dead-store
-// elimination ran, which makes the kind decide whether the run may start
-// at all (amnesic.ErrPolicyDSE).
+// simulations groups labels by the binary they execute, in label order,
+// with one lane per distinct policy kind: runs are deterministic functions
+// of the (binary, kind) pair, so labels in one lane get identical results,
+// and the lanes of one binary share one pass (amnesic.NewLanes). A binary
+// amnesic.LaneSafe refuses — a body-load slice, or dead-store elimination,
+// which makes the kind decide whether the run may start at all
+// (amnesic.ErrPolicyDSE) — gets one simulation per kind instead. A binary
+// with no slices has no RCMP, so its runs never reach a policy decision:
+// unless dead-store elimination ran, all its labels share one lane
+// whatever their kind.
 func simulations(art *Artifacts, labels []string) []*simulation {
 	var sims []*simulation
-next:
 	for j, label := range labels {
 		binary, k := policyBinary(art, label)
 		anyKind := len(binary.Slices) == 0 && !binary.DeadStoreElim
+		var sim *simulation
 		for _, s := range sims {
-			if s.binary == binary && (s.kind == k || anyKind) {
-				s.labels = append(s.labels, j)
-				continue next
+			if s.binary == binary && (amnesic.LaneSafe(binary) || s.lanes[0].kind == k) {
+				sim = s
+				break
 			}
 		}
-		sims = append(sims, &simulation{binary: binary, kind: k, labels: []int{j}})
+		if sim == nil {
+			sim = &simulation{binary: binary}
+			sims = append(sims, sim)
+		}
+		lane := -1
+		for i, l := range sim.lanes {
+			if l.kind == k || anyKind {
+				lane = i
+				break
+			}
+		}
+		if lane < 0 {
+			lane = len(sim.lanes)
+			sim.lanes = append(sim.lanes, simLane{kind: k})
+		}
+		sim.lanes[lane].labels = append(sim.lanes[lane].labels, j)
 	}
 	return sims
 }
 
-// run executes the simulation once, labelled label.
-func (s *simulation) run(cfg Config, art *Artifacts, label string) (run *PolicyRun, err error) {
+// run executes the simulation and returns each lane's run or error. When a
+// pass of several lanes fails, every lane runs again alone, unless ctx is
+// cancelled, so each gets exactly the result or error of its own run.
+func (s *simulation) run(ctx context.Context, cfg Config, art *Artifacts) ([]*PolicyRun, []error) {
+	kinds := make([]policy.Kind, len(s.lanes))
+	for i, l := range s.lanes {
+		kinds[i] = l.kind
+	}
+	runs, err := s.pass(cfg, art, kinds)
+	errs := make([]error, len(kinds))
+	if err == nil {
+		return runs, errs
+	}
+	runs = make([]*PolicyRun, len(kinds))
+	for i, k := range kinds {
+		if len(kinds) == 1 || ctx.Err() != nil {
+			errs[i] = err
+			continue
+		}
+		var one []*PolicyRun
+		if one, errs[i] = s.pass(cfg, art, []policy.Kind{k}); errs[i] == nil {
+			runs[i] = one[0]
+		}
+	}
+	return runs, errs
+}
+
+// pass makes one amnesic pass of the simulation's binary over kinds.
+func (s *simulation) pass(cfg Config, art *Artifacts, kinds []policy.Kind) (runs []*PolicyRun, err error) {
 	defer contain(&err, "policy run")
-	return RunPolicy(cfg, s.binary, art.Image, art.Classic, art.Profile, s.kind, label)
+	return runLanes(cfg, s.binary, art.Image, art.Classic, art.Profile, kinds)
 }
 
 // eachWorkload calls fn for every workload over a pool of

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/amnesiac-sim/amnesiac/internal/policy"
 	"github.com/amnesiac-sim/amnesiac/internal/workloads"
 )
 
@@ -75,9 +76,10 @@ func TestJobsContainPanics(t *testing.T) {
 		}
 	}
 
-	// A simulation over artifacts with no image panics inside RunPolicy.
-	run, err := (&simulation{}).run(DefaultConfig(), &Artifacts{}, "Oracle")
-	if run != nil || err == nil || !strings.HasPrefix(err.Error(), "policy run: panic: ") {
-		t.Fatalf("simulation.run = (%v, %v), want a contained panic", run, err)
+	// A simulation over artifacts with no image panics inside runLanes.
+	sim := &simulation{lanes: []simLane{{kind: policy.Exact}}}
+	runs, errs := sim.run(context.Background(), DefaultConfig(), &Artifacts{})
+	if runs[0] != nil || errs[0] == nil || !strings.HasPrefix(errs[0].Error(), "policy run: panic: ") {
+		t.Fatalf("simulation.run = (%v, %v), want a contained panic", runs[0], errs[0])
 	}
 }

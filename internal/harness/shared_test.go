@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"github.com/amnesiac-sim/amnesiac/internal/amnesic"
+	"github.com/amnesiac-sim/amnesiac/internal/compiler"
 	"github.com/amnesiac-sim/amnesiac/internal/harness"
+	"github.com/amnesiac-sim/amnesiac/internal/policy"
 	"github.com/amnesiac-sim/amnesiac/internal/trace"
 	"github.com/amnesiac-sim/amnesiac/internal/workloads"
 )
@@ -65,16 +67,19 @@ func (l *progressLog) check(t *testing.T, ws []*workloads.Workload, labels []str
 var costRejecting = []string{"GemsFDTD", "lbm", "fluidanimate", "particlefilter"}
 
 // TestSharedRunSimulatesOnce: a five-policy suite makes one simulation per
-// distinct (binary, policy kind). The Oracle binary is the probabilistic
-// one exactly when the compiler cost-rejected no valid slice: on each
-// responsive kernel Oracle and C-Oracle share a run, so the suite makes
-// four simulations. A workload that cost-rejects its only slice makes two:
-// Oracle on the oracle binary, and one run of the probabilistic binary,
-// which keeps no slice and so serves the other four labels whatever their
-// policy kind (see TestZeroSliceSimulatesOnce). The trace aggregate
-// counts exactly those runs' instructions. Every label
-// still gets its own run and progress unit, and on is and lbm each
-// label's run deep-equals the run of a single-label suite.
+// binary, with one lane per distinct policy kind, unless the binary has a
+// body-load slice, which splits it per kind. On each responsive kernel
+// Oracle and C-Oracle share a binary (the compiler cost-rejects no valid
+// slice), so the suite makes one pass, except on fe, whose slice loads in
+// its body: four simulations there, one per kind. A workload that
+// cost-rejects its only slice makes two: Oracle on the oracle binary, and
+// one run of the probabilistic binary, which keeps no slice and so serves
+// the other four labels whatever their policy kind (see
+// TestZeroSliceSimulatesOnce). The trace aggregate holds exactly those
+// simulations: a pass's engine and its own instruction count, or the sum
+// of the single-label suites' aggregates. Every label still gets its own
+// run and progress unit, and each label's run deep-equals the run of a
+// single-label suite.
 func TestSharedRunSimulatesOnce(t *testing.T) {
 	ws := workloads.Responsive()
 	for _, name := range costRejecting {
@@ -90,6 +95,9 @@ func TestSharedRunSimulatesOnce(t *testing.T) {
 	cfg.Cache = harness.NewArtifactCache()
 	for _, w := range ws {
 		t.Run(w.Name, func(t *testing.T) {
+			// Every suite below observes into its own aggregate and progress
+			// log, so the workloads can run side by side.
+			t.Parallel()
 			ws := []*workloads.Workload{w}
 			suiteCfg := cfg
 			suiteCfg.TraceObs = new(trace.Agg)
@@ -102,19 +110,49 @@ func TestSharedRunSimulatesOnce(t *testing.T) {
 			log.check(t, ws, harness.PolicyLabels, nil)
 
 			r := res[0]
-			distinct := harness.PolicyLabels[1:] // Oracle is C-Oracle's simulation
-			if !w.Responsive {
+			single := map[string]trace.Stats{}
+			for _, label := range harness.PolicyLabels {
+				one := cfg
+				one.Policies = []string{label}
+				one.TraceObs = new(trace.Agg)
+				s, err := harness.RunSuite(one, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := r.Runs[label], s[0].Runs[label]; !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: five-policy run differs from a single-label suite:\n%+v\n%+v", label, got, want)
+				}
+				single[label] = one.TraceObs.Load()
+			}
+
+			var sims []string // the labels whose own simulations the suite makes
+			switch {
+			case !w.Responsive:
 				if len(r.Ann.Slices) != 0 {
 					t.Fatalf("%d slices left after cost rejection, want none", len(r.Ann.Slices))
 				}
-				distinct = []string{"Oracle", "C-Oracle"} // C-Oracle's run serves every label on Ann
+				sims = []string{"Oracle", "C-Oracle"} // C-Oracle's run serves every label on Ann
+			case w.Name == "fe":
+				sims = harness.PolicyLabels[1:] // Oracle is C-Oracle's simulation
 			}
-			var instrs uint64
-			for _, label := range distinct {
-				instrs += r.Runs[label].Acct.Instrs
+			var want trace.Stats
+			for _, label := range sims {
+				s := single[label]
+				want.Built += s.Built
+				want.Blacklisted += s.Blacklisted
+				want.Replays += s.Replays
+				want.ReplayedInstrs += s.ReplayedInstrs
+				want.TotalInstrs += s.TotalInstrs
 			}
-			if got := suiteCfg.TraceObs.Load().TotalInstrs; got != instrs {
-				t.Errorf("trace aggregate counted %d instructions, want %d from %d simulations", got, instrs, len(distinct))
+			if sims == nil {
+				want = lanesPass(t, cfg, w, r.Ann)
+				// One pass takes the path C-Oracle's own run takes.
+				if c := single["C-Oracle"]; want.Built != c.Built || want.Replays != c.Replays {
+					t.Errorf("the pass built %d traces and replayed %d, C-Oracle alone %d and %d", want.Built, want.Replays, c.Built, c.Replays)
+				}
+			}
+			if got := suiteCfg.TraceObs.Load(); got != want {
+				t.Errorf("trace aggregate %+v, want %+v from %d simulations", got, want, max(len(sims), 1))
 			}
 			shared := r.OracleAnn == r.Ann
 			if rejected := r.Ann.Stats.RejectedCost; shared != (rejected == 0) || shared != w.Responsive {
@@ -128,22 +166,34 @@ func TestSharedRunSimulatesOnce(t *testing.T) {
 			if a, b := oracle.Stat.SliceRecomputes, coracle.Stat.SliceRecomputes; len(a) > 0 && len(b) > 0 && &a[0] == &b[0] {
 				t.Error("Oracle and C-Oracle share a SliceRecomputes backing array")
 			}
-			if w.Name != "is" && w.Name != "lbm" {
-				return
-			}
-			for _, label := range harness.PolicyLabels {
-				one := cfg
-				one.Policies = []string{label}
-				single, err := harness.RunSuite(one, ws)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := r.Runs[label], single[0].Runs[label]; !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: five-policy run differs from a single-label suite:\n%+v\n%+v", label, got, want)
-				}
-			}
 		})
 	}
+}
+
+// lanesPass runs ann once with one lane per policy kind, as a five-policy
+// suite does, and returns the trace statistics of that one pass.
+func lanesPass(t *testing.T, cfg harness.Config, w *workloads.Workload, ann *compiler.Annotated) trace.Stats {
+	t.Helper()
+	art, err := cfg.Cache.Get(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm := art.Image.Fork()
+	defer fm.Release()
+	var pols []policy.Policy
+	for _, k := range []policy.Kind{policy.Exact, policy.Compiler, policy.FLC, policy.LLC} {
+		pols = append(pols, policy.New(k))
+	}
+	m, err := amnesic.NewLanes(cfg.Model, ann, fm, pols, cfg.UArch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var agg trace.Agg
+	agg.Observe(m.Engine, m.PassInstrs())
+	return agg.Load()
 }
 
 // TestSharedRunFailureKeepsLabels: a shared simulation that fails records

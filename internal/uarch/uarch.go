@@ -46,8 +46,6 @@ type Hist struct {
 	// MaxUsed tracks the high-water mark of allocated entries (for the
 	// §5.4 sizing analysis: "no more than 600 entries").
 	MaxUsed int
-	// Writes / FailedWrites count REC checkpoints.
-	Writes, FailedWrites uint64
 }
 
 type histEntry struct {
@@ -72,7 +70,6 @@ func (h *Hist) Used() int { return h.used }
 func (h *Hist) Write(id int, vals [3]uint64, mask uint8) bool {
 	if id >= len(h.entries) {
 		if h.used >= h.capacity {
-			h.FailedWrites++
 			return false
 		}
 		h.entries = append(h.entries, make([]histEntry, id+1-len(h.entries))...)
@@ -80,7 +77,6 @@ func (h *Hist) Write(id int, vals [3]uint64, mask uint8) bool {
 	e := &h.entries[id]
 	if !e.live {
 		if h.used >= h.capacity {
-			h.FailedWrites++
 			return false
 		}
 		e.live = true
@@ -90,7 +86,6 @@ func (h *Hist) Write(id int, vals [3]uint64, mask uint8) bool {
 		}
 	}
 	e.vals, e.mask = vals, mask
-	h.Writes++
 	return true
 }
 

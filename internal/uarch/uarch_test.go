@@ -13,15 +13,15 @@ func TestHistCapacityAndMask(t *testing.T) {
 	if !h.Write(2, [3]uint64{5, 0, 7}, 0b101) {
 		t.Fatal("second write failed")
 	}
-	// Full: new ID fails, existing ID updates.
+	// Full: new ID fails and allocates nothing, existing ID updates.
 	if h.Write(3, [3]uint64{}, 1) {
 		t.Error("overflow write accepted")
 	}
+	if h.Used() != 2 {
+		t.Errorf("used = %d after a failed write, want 2", h.Used())
+	}
 	if !h.Write(1, [3]uint64{11, 21, 0}, 0b011) {
 		t.Error("update of existing entry failed")
-	}
-	if h.FailedWrites != 1 {
-		t.Errorf("failed writes = %d", h.FailedWrites)
 	}
 	if v, ok := h.Read(1, 0); !ok || v != 11 {
 		t.Errorf("Read(1,0) = %v,%v", v, ok)
@@ -96,7 +96,8 @@ func TestDefaultConfigSanity(t *testing.T) {
 
 // TestHistWriteOverflowTable sweeps capacity edges the lifecycle test does
 // not: a zero-capacity table, filling exactly to capacity, and updates at
-// capacity. Counters must agree with the accepted/rejected split.
+// capacity. Write's results must add up to the accepted/rejected split,
+// and Used must count only the entries the accepted writes allocated.
 func TestHistWriteOverflowTable(t *testing.T) {
 	type op struct {
 		id     int
@@ -140,13 +141,20 @@ func TestHistWriteOverflowTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := NewHist(tc.capacity)
+			var writes, failed uint64
 			for i, o := range tc.ops {
-				if ok := h.Write(o.id, [3]uint64{uint64(i)}, 1); ok != o.wantOK {
+				ok := h.Write(o.id, [3]uint64{uint64(i)}, 1)
+				if ok != o.wantOK {
 					t.Fatalf("op %d: Write(%d) = %v, want %v", i, o.id, ok, o.wantOK)
 				}
+				if ok {
+					writes++
+				} else {
+					failed++
+				}
 			}
-			if h.Writes != tc.wantWrites || h.FailedWrites != tc.wantFailed {
-				t.Errorf("writes/failed = %d/%d, want %d/%d", h.Writes, h.FailedWrites, tc.wantWrites, tc.wantFailed)
+			if writes != tc.wantWrites || failed != tc.wantFailed {
+				t.Errorf("writes/failed = %d/%d, want %d/%d", writes, failed, tc.wantWrites, tc.wantFailed)
 			}
 			if h.Used() != tc.wantUsed || h.MaxUsed != tc.wantMaxUsed {
 				t.Errorf("used/max = %d/%d, want %d/%d", h.Used(), h.MaxUsed, tc.wantUsed, tc.wantMaxUsed)
