@@ -20,6 +20,7 @@ package compiler
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
@@ -187,6 +188,24 @@ type Annotated struct {
 	// the runtime to the always-recompute policy).
 	DeadStoreElim bool
 	Stats         Stats
+}
+
+// Bytes returns the bytes the binary keeps resident: its annotated
+// program and PC map, and each slice with its recipe and slice tree. It
+// does not count Original, the program it was compiled from, nor the few
+// entries of its side-table maps.
+func (a *Annotated) Bytes() int64 {
+	b := a.Prog.Bytes() + int64(len(a.PCMap))*int64(unsafe.Sizeof(0))
+	for _, si := range a.Slices {
+		r := &si.Recipe
+		b += int64(unsafe.Sizeof(*si)) + int64(len(r.Live))*int64(unsafe.Sizeof(isa.Reg(0))) +
+			int64(len(r.Hist))*int64(unsafe.Sizeof(HistSlot{})) + int64(len(r.Ops))*int64(unsafe.Sizeof(RecipeOp{}))
+		if sl := si.Slice; sl != nil {
+			b += int64(unsafe.Sizeof(*sl)) + int64(len(sl.Nodes))*int64(unsafe.Sizeof(&rslice.Node{})+unsafe.Sizeof(rslice.Node{})) +
+				int64(len(sl.Inputs))*int64(unsafe.Sizeof(&rslice.Input{})+unsafe.Sizeof(rslice.Input{}))
+		}
+	}
+	return b
 }
 
 // SliceByID returns the slice with the given ID, or nil.

@@ -137,8 +137,9 @@ func CheckCkpt(prog *isa.Program, initial *mem.Memory, opts CkptOptions) error {
 	if err != nil {
 		return fmt.Errorf("difftest: ckpt compile: %w", err)
 	}
-	// The harness's checkpoint jobs fork the prepared image the same way.
-	img := initial.Clone().Seal()
+	// The harness's checkpoint jobs fork the prepared image the same way:
+	// sealed with the profile's written set, which sizes the forks' windows.
+	img := initial.Clone().Seal(prof.Written...)
 
 	rng := rand.New(rand.NewSource(opts.RandSeed ^ 0x636b7074)) // "ckpt"
 	crashes := opts.CrashPoints

@@ -14,6 +14,7 @@ package isa
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // Reg names one of the 32 architectural registers. R0 is hardwired to zero:
@@ -347,6 +348,15 @@ type Program struct {
 func (p *Program) Decoded() *Decoded {
 	p.decOnce.Do(func() { p.dec = decode(p.Code) })
 	return p.dec
+}
+
+// Bytes returns the bytes the program keeps resident: its code and the
+// pre-decoded form its first run builds.
+func (p *Program) Bytes() int64 {
+	var d Decoded
+	per := unsafe.Sizeof(Instr{}) + unsafe.Sizeof(d.Kind[0]) + unsafe.Sizeof(d.Op[0]) + unsafe.Sizeof(d.Cat[0]) +
+		unsafe.Sizeof(d.Dst[0]) + unsafe.Sizeof(d.Src1[0]) + unsafe.Sizeof(d.Src2[0]) + unsafe.Sizeof(d.Imm[0]) + unsafe.Sizeof(d.Target[0])
+	return int64(len(p.Code))*int64(per) + int64(len(p.Name))
 }
 
 // Validate checks every instruction.

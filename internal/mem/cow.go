@@ -10,7 +10,8 @@
 //   - Seal(m) consumes m: the caller must not store through m afterwards
 //     (stores panic) and should touch the contents only via Image.Mem().
 //     Sealing a forked view first flattens it into a private copy, so
-//     images never chain.
+//     images never chain. Seal may record the written set of the program
+//     that will run on the forks, which sizes their windows (see window).
 //   - Image.Fork() increments the image's refcount and returns a view;
 //     Memory.Release() on that view drops the reference and clears the
 //     overlay so its storage is collectable. Release on a private memory
@@ -29,6 +30,7 @@ package mem
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Image is a sealed, immutable memory snapshot that forks share as their
@@ -36,6 +38,14 @@ import (
 type Image struct {
 	refs atomic.Int64
 	m    *Memory
+	// written is the written set the image was sealed with. A fork that
+	// anchors, copies or grows a window over one of its runs allocates the
+	// run's page-rounded extent at once instead of climbing the doubling
+	// ladder; the image itself allocates nothing for it.
+	written []Run
+	// regrown counts forks' reallocations of private window storage to
+	// grow it further.
+	regrown atomic.Int64
 }
 
 // Seal freezes m into an immutable Image and returns it. The image starts
@@ -44,7 +54,13 @@ type Image struct {
 // returned image. Sealing an already-sealed memory panics; sealing a
 // forked view flattens the overlay into a private copy first (and drops
 // the view's base reference), so an Image never points at another.
-func (m *Memory) Seal() *Image {
+//
+// written, when given, is the set of words the programs run on the forks
+// store to, as ascending, disjoint runs (a profile's written set): each
+// fork sizes its windows from it. Stores outside it, and forks of an image
+// sealed without it, grow windows by doubling. Either way a window only
+// decides where a word is stored, never what a load returns.
+func (m *Memory) Seal(written ...Run) *Image {
 	if m.sealed {
 		panic("mem: Seal of already-sealed memory")
 	}
@@ -62,9 +78,25 @@ func (m *Memory) Seal() *Image {
 		s.extras[i].w = 0
 	}
 	s.lastPN, s.lastPage = 0, nil
-	img := &Image{m: s}
+	img := &Image{m: s, written: written}
 	img.refs.Store(1)
 	return img
+}
+
+// Regrown returns how many times forks of the image reallocated a flat
+// window's private storage to grow it after they had first made it: zero
+// when the written set the image was sealed with sized every window.
+func (img *Image) Regrown() int64 { return img.regrown.Load() }
+
+// Bytes returns the bytes the image keeps resident: its flat windows, its
+// page-map pages and its written set.
+func (img *Image) Bytes() int64 {
+	m := img.m
+	words := len(m.arena) + len(m.pages)*pageWords
+	for _, r := range m.extras {
+		words += len(r.words)
+	}
+	return int64(8*words) + int64(len(img.written))*int64(unsafe.Sizeof(Run{}))
 }
 
 // Mem returns the sealed memory for read-only access (loads, Equal, Diff,

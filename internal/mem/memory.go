@@ -62,7 +62,8 @@ type page [pageWords]uint64
 //
 // Representation: the page of the first store anchors a contiguous arena —
 // a flat []uint64 indexed by (word - arenaBase) — which grows by doubling
-// (capped at maxArenaWords) as nearby stores extend it. Workload kernels
+// (capped at maxArenaWords) as nearby stores extend it; a fork of an image
+// sealed with its written set sizes each window once instead (see window). Workload kernels
 // and generated programs keep nearly all traffic inside one such window,
 // so the hot path is a single bounds check and slice index. Stores landing
 // outside every existing window anchor up to maxExtraRegions further flat
@@ -238,7 +239,9 @@ func (m *Memory) Store(addr, val uint64) {
 // a sealed base, anchoring the arena on the first store, extending a
 // region whose growth window covers the address, anchoring a new secondary
 // region for a fresh address cluster, and falling back to the page map
-// once the region slots are exhausted.
+// once the region slots are exhausted. A fork whose image was sealed with
+// its written set sizes each window's private storage once (see window
+// and anchor).
 func (m *Memory) storeSlow(w, val uint64) {
 	if m.sealed {
 		panic(fmt.Sprintf("mem: store to sealed image at word %#x", w<<3))
@@ -249,7 +252,7 @@ func (m *Memory) storeSlow(w, val uint64) {
 		// full-window views in locals, so a finer grain would force a read
 		// barrier on every load. Untouched windows are never copied.
 		if off := w - m.arenaBase; off < uint64(len(m.arena)) && off >= m.arenaW {
-			m.arena = append([]uint64(nil), m.arena...)
+			m.arena = m.window(m.arenaBase, m.arena, maxArenaWords, w)
 			m.arenaW = uint64(len(m.arena))
 			m.arena[off] = val
 			return
@@ -257,7 +260,7 @@ func (m *Memory) storeSlow(w, val uint64) {
 		for i := range m.extras {
 			r := &m.extras[i]
 			if off := w - r.base; off < uint64(len(r.words)) && off >= r.w {
-				r.words = append([]uint64(nil), r.words...)
+				r.words = m.window(r.base, r.words, r.lim, w)
 				r.w = uint64(len(r.words))
 				r.words[off] = val
 				return
@@ -265,15 +268,18 @@ func (m *Memory) storeSlow(w, val uint64) {
 		}
 	}
 	if m.arena == nil {
-		base := w &^ uint64(pageMask)
+		base := m.anchor(w)
 		m.arenaBase = base
-		m.arena = m.grown(base, nil, maxArenaWords, w-base+1)
+		m.arena = m.window(base, nil, maxArenaWords, w)
 		m.arenaW = uint64(len(m.arena))
 		m.arena[w-base] = val
 		return
 	}
 	if off := w - m.arenaBase; w >= m.arenaBase && off < maxArenaWords {
-		m.arena = m.grown(m.arenaBase, m.arena, maxArenaWords, off+1)
+		if m.arenaW > 0 {
+			m.regrow()
+		}
+		m.arena = m.window(m.arenaBase, m.arena, maxArenaWords, w)
 		m.arenaW = uint64(len(m.arena))
 		m.arena[off] = val
 		return
@@ -282,7 +288,10 @@ func (m *Memory) storeSlow(w, val uint64) {
 		r := &m.extras[i]
 		if off := w - r.base; w >= r.base && off < r.lim {
 			if off >= uint64(len(r.words)) {
-				r.words = m.grown(r.base, r.words, r.lim, off+1)
+				if r.w > 0 {
+					m.regrow()
+				}
+				r.words = m.window(r.base, r.words, r.lim, w)
 				r.w = uint64(len(r.words))
 			}
 			r.words[off] = val
@@ -290,7 +299,7 @@ func (m *Memory) storeSlow(w, val uint64) {
 		}
 	}
 	if len(m.extras) < maxExtraRegions {
-		base := w &^ uint64(pageMask)
+		base := m.anchor(w)
 		// Fix the growth window at anchor time, clipped so it cannot
 		// collide with the primary window or any existing region.
 		lim := uint64(maxArenaWords)
@@ -305,7 +314,7 @@ func (m *Memory) storeSlow(w, val uint64) {
 			}
 		}
 		r := region{base: base, lim: lim}
-		r.words = m.grown(base, nil, lim, w-base+1)
+		r.words = m.window(base, nil, lim, w)
 		r.w = uint64(len(r.words))
 		r.words[w-base] = val
 		m.extras = append(m.extras, r)
@@ -338,43 +347,93 @@ func (m *Memory) storeSlow(w, val uint64) {
 	p[off] = val
 }
 
-// grown extends a flat region to at least minLen words (a page multiple,
-// doubling from one page, capped at lim), migrating any page-map pages the
-// widened window swallows (base-image pages are copied, never deleted),
-// and returns the new backing slice. Callers guarantee minLen <= lim; lim
-// is a page multiple. Growing a window whose words alias a sealed base
-// copies them into the new private slice, so callers reset the writable
-// prefix to the new length.
-func (m *Memory) grown(base uint64, words []uint64, lim, minLen uint64) []uint64 {
-	newLen := uint64(len(words))
-	if newLen >= minLen && newLen > 0 {
-		return words
+// run returns the run of the base image's written set that holds word w.
+// A memory that is not a fork, or whose image was sealed without its
+// written set, knows no runs.
+func (m *Memory) run(w uint64) (Run, bool) {
+	if m.base == nil {
+		return Run{}, false
 	}
-	if newLen == 0 {
-		newLen = pageWords
+	return FindRun(m.base.written, w)
+}
+
+// anchor returns the word index at which a new flat window holding word w
+// starts: the first page of the written run holding w, so that one window
+// holds the whole run even when the first store lands above its first
+// page, unless another window's growth range reaches into the pages
+// between, or the window could not reach w; otherwise w's own page.
+func (m *Memory) anchor(w uint64) uint64 {
+	pg := w &^ uint64(pageMask)
+	r, ok := m.run(w)
+	lo := r.Start &^ uint64(pageMask)
+	if !ok || lo == pg || w-lo >= maxArenaWords {
+		return pg
 	}
-	for newLen < minLen {
+	if m.arena != nil && m.arenaBase < pg && m.arenaBase+maxArenaWords > lo {
+		return pg
+	}
+	for i := range m.extras {
+		if x := &m.extras[i]; x.base < pg && x.base+x.lim > lo {
+			return pg
+		}
+	}
+	return lo
+}
+
+// regrow counts, on a fork's image, one reallocation of a window's private
+// storage to grow it: the image's written set did not size it.
+func (m *Memory) regrow() {
+	if m.base != nil {
+		m.base.regrown.Add(1)
+	}
+}
+
+// window returns new private storage for the flat window at base, with
+// growth limit lim (a page multiple), that holds word w (w-base < lim). A
+// fork sizes it once from its image's written set: out to the page-rounded
+// end of the run holding w, clipped to lim. Otherwise the window keeps its
+// length when w already fits (a copy-on-write copy) or grows. Callers set
+// the writable prefix to the new length.
+func (m *Memory) window(base uint64, words []uint64, lim, w uint64) []uint64 {
+	if r, ok := m.run(w); ok {
+		return m.resize(base, words, max(uint64(len(words)), min(lim, (r.End()+pageMask)&^uint64(pageMask)-base)))
+	}
+	if w-base < uint64(len(words)) {
+		return m.resize(base, words, uint64(len(words)))
+	}
+	return m.grown(base, words, lim, w)
+}
+
+// grown extends a flat window to hold word w by a doubling ladder from one
+// page, capped at lim.
+func (m *Memory) grown(base uint64, words []uint64, lim, w uint64) []uint64 {
+	newLen := max(uint64(len(words)), pageWords)
+	for newLen <= w-base {
 		newLen *= 2
 	}
 	// When extending an established region, overshoot one extra doubling:
 	// a region that keeps creeping upward (a kernel streaming through its
 	// output array) then skips every other rung of the growth ladder,
 	// cutting the total words zeroed and copied across its lifetime by
-	// about a third. Unwritten words read as zero either way, and the
-	// page-migration loop below keeps any swallowed page-map pages
-	// visible, so a wider window is semantically identical to a tight
-	// one. Fresh anchors stay at the minimal size: address clusters that
-	// never grow shouldn't pay for speculative width.
+	// about a third. Unwritten words read as zero either way, and resize
+	// keeps any swallowed page-map pages visible, so a wider window is
+	// semantically identical to a tight one. Fresh anchors stay at the
+	// minimal size: address clusters that never grow shouldn't pay for
+	// speculative width.
 	if len(words) > 0 && newLen < lim/2 {
 		newLen *= 2
 	}
-	if newLen > lim {
-		newLen = lim
-	}
-	na := make([]uint64, newLen)
+	return m.resize(base, words, min(newLen, lim))
+}
+
+// resize returns private storage of n words for the flat window at base:
+// words copied in, and any page-map pages the wider window swallows
+// migrated (base-image pages are copied, never deleted).
+func (m *Memory) resize(base uint64, words []uint64, n uint64) []uint64 {
+	na := make([]uint64, n)
 	copy(na, words)
 	basePN := base >> pageShift
-	for pn := basePN + (uint64(len(words)) >> pageShift); pn < basePN+(newLen>>pageShift); pn++ {
+	for pn := basePN + (uint64(len(words)) >> pageShift); pn < basePN+(n>>pageShift); pn++ {
 		if p := m.pages[pn]; p != nil {
 			copy(na[(pn-basePN)<<pageShift:], p[:])
 			delete(m.pages, pn)

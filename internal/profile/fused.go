@@ -126,7 +126,6 @@ type fusedCollector struct {
 	data, shadow winCache
 	touchSpill   map[uint64][]int32 // word -> touch set, when >2 distinct PCs
 	roFalse      []bool             // per load PC: touched a written address
-	written      int                // distinct words stored
 	// consCache short-circuits the consumed-by set insert: per load PC, the
 	// last two store PCs already recorded, as the upper half of their
 	// shadow words (never 0), since loads overwhelmingly re-consume the
@@ -284,11 +283,8 @@ func (c *fusedCollector) store(pc int, addr, val uint64, vp int32) error {
 	c.data.store(w, val)
 	c.prof.StoreCount[pc]++
 
-	if s := c.shadow.load(w); s&stored == 0 {
-		c.written++
-		if s != 0 {
-			c.invalidate(w, s)
-		}
+	if s := c.shadow.load(w); s != 0 && s&stored == 0 {
+		c.invalidate(w, s)
 	}
 	c.shadow.store(w, stored|uint64(pc)<<32|uint64(uint32(vp)))
 	return nil
@@ -504,12 +500,12 @@ loop:
 			prof.LoadAllReadOnly[pc] = !c.roFalse[pc]
 		}
 	}
-	// The written set: every word whose shadow carries the stored tag.
-	prof.Written = make([]uint64, 0, c.written)
+	// The written set: every word whose shadow carries the stored tag,
+	// visited in ascending order.
 	shadow.EachPage(func(w uint64, words []uint64) {
 		for i, s := range words {
 			if s&stored != 0 {
-				prof.Written = append(prof.Written, w+uint64(i))
+				prof.Written = mem.AppendWord(prof.Written, w+uint64(i))
 			}
 		}
 	})

@@ -19,7 +19,7 @@ import (
 // profilesEqual asserts the fused collector's Profile is bit-identical to
 // the reference collector's: producers, load levels, value locality,
 // read-only classification, store-consumer sets, counts, and the exact
-// written-address set.
+// written set, whose runs must be well formed in both.
 func profilesEqual(t *testing.T, ref, fus *profile.Profile) {
 	t.Helper()
 	if ref.TotalDynamic != fus.TotalDynamic {
@@ -76,15 +76,23 @@ func profilesEqual(t *testing.T, ref, fus *profile.Profile) {
 			t.Errorf("Loads[%d].ValueProducer: ref %v, fused %v", pc, rl.ValueProducer, fl.ValueProducer)
 		}
 	}
-	rw, fw := ref.Written, fus.Written
-	if len(rw) != len(fw) {
-		t.Errorf("Written: ref %d words, fused %d words", len(rw), len(fw))
-		return
+	checkRuns(t, "reference", ref.Written)
+	checkRuns(t, "fused", fus.Written)
+	if !slices.Equal(ref.Written, fus.Written) {
+		t.Errorf("Written: ref %d runs %#x, fused %d runs %#x", len(ref.Written), ref.Written, len(fus.Written), fus.Written)
 	}
-	for i := range rw {
-		if rw[i] != fw[i] {
-			t.Errorf("Written[%d]: ref %#x, fused %#x", i, rw[i], fw[i])
-			return
+}
+
+// checkRuns asserts that runs is a written set: runs in ascending order,
+// each non-empty, with a gap before the next.
+func checkRuns(t *testing.T, collector string, runs []mem.Run) {
+	t.Helper()
+	for i, r := range runs {
+		if r.Len == 0 {
+			t.Errorf("%s Written[%d] at %#x is empty", collector, i, r.Start)
+		}
+		if i > 0 && runs[i-1].End() >= r.Start {
+			t.Errorf("%s Written[%d] at %#x does not start after a gap past Written[%d] %#x", collector, i, r.Start, i-1, runs[i-1])
 		}
 	}
 }
@@ -279,7 +287,7 @@ func TestFusedShadowWords(t *testing.T) {
 		name    string
 		code    func(b *asm.Builder)
 		ro      map[int]bool // LoadAllReadOnly by load PC
-		written []uint64     // Written, as byte addresses
+		written []uint64     // Written, as ascending byte addresses
 		check   func(t *testing.T, prof *profile.Profile)
 	}{
 		{
@@ -360,12 +368,12 @@ func TestFusedShadowWords(t *testing.T) {
 						t.Errorf("hot%d: LoadAllReadOnly[%d] = %v, want %v", th, pc, got, want)
 					}
 				}
-				var words []uint64
+				var runs []mem.Run
 				for _, a := range tc.written {
-					words = append(words, a>>3)
+					runs = mem.AppendWord(runs, a>>3)
 				}
-				if !slices.Equal(fus.Written, words) {
-					t.Errorf("hot%d: Written = %#x, want %#x", th, fus.Written, words)
+				if !slices.Equal(fus.Written, runs) {
+					t.Errorf("hot%d: Written = %#x, want %#x", th, fus.Written, runs)
 				}
 				if tc.check != nil {
 					tc.check(t, fus)

@@ -25,13 +25,13 @@
 // say — has no producer. CollectReference is the slow reference
 // implementation: an observer on the flat reference stepper
 // (internal/ref) recording through per-address maps; the differential
-// tests assert both produce identical profiles, written-word list
-// included.
+// tests assert both produce identical profiles, written set included.
 package profile
 
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"github.com/amnesiac-sim/amnesiac/internal/cpu"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
@@ -123,11 +123,13 @@ type Profile struct {
 	// StoreCount is the dynamic execution count per static store.
 	StoreCount []uint64
 
-	// Written lists the word indices (byte address >> 3) the program
-	// stored to, in ascending order: the checkpoint engine's payload
-	// domain. It is address-level: a load PC is a "read-only load" if
-	// every address it touched is read-only.
-	Written []uint64
+	// Written is the set of words the program stored to, as ascending
+	// runs of consecutive word indices (byte address >> 3), none adjacent
+	// to the next: the checkpoint engine's payload domain, and what sizes
+	// the windows of forks of the prepared image (mem.Memory.Seal). It is
+	// address-level: a load PC is a "read-only load" if every address it
+	// touched is read-only.
+	Written []mem.Run
 	// LoadAllReadOnly reports, per static load, whether all its observed
 	// addresses were never written during the run.
 	LoadAllReadOnly []bool
@@ -141,8 +143,23 @@ type Profile struct {
 
 // ReadOnlyAddr reports whether the program never stored to addr.
 func (p *Profile) ReadOnlyAddr(addr uint64) bool {
-	_, written := slices.BinarySearch(p.Written, addr>>3)
+	_, written := mem.FindRun(p.Written, addr>>3)
 	return !written
+}
+
+// Bytes returns the bytes the profile keeps resident: its PC-indexed
+// tables, the load records they point to, and its written set (16 bytes a
+// run, however many words it holds). The few map entries it holds per
+// static instruction (producer spills, consumer sets) are not counted.
+func (p *Profile) Bytes() int64 {
+	b := int64(len(p.InstrCount)) * int64(4*unsafe.Sizeof(ProducerDist{})+unsafe.Sizeof(&LoadInfo{})+
+		unsafe.Sizeof(map[int]bool(nil))+2*unsafe.Sizeof(uint64(0))+unsafe.Sizeof(false))
+	for _, li := range p.Loads {
+		if li != nil {
+			b += int64(unsafe.Sizeof(*li))
+		}
+	}
+	return b + int64(len(p.Written))*int64(unsafe.Sizeof(mem.Run{}))
 }
 
 // newProfile allocates the PC-indexed skeleton shared by both collectors.
@@ -292,11 +309,14 @@ func CollectReference(model *energy.Model, p *isa.Program, initial *mem.Memory) 
 		}
 		prof.LoadAllReadOnly[pc] = ro
 	}
-	prof.Written = make([]uint64, 0, len(writtenAddrs))
+	words := make([]uint64, 0, len(writtenAddrs))
 	for a := range writtenAddrs {
-		prof.Written = append(prof.Written, a>>3)
+		words = append(words, a>>3)
 	}
-	slices.Sort(prof.Written)
+	slices.Sort(words)
+	for _, w := range words {
+		prof.Written = mem.AppendWord(prof.Written, w)
+	}
 	return prof, nil
 }
 

@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/amnesiac-sim/amnesiac/internal/asm"
@@ -143,5 +144,53 @@ func TestDominantTieBreakDeterministic(t *testing.T) {
 	pc, share, ok := d.Dominant()
 	if !ok || pc != 3 || share != 0.5 {
 		t.Errorf("Dominant = %d,%v,%v; want lowest PC 3", pc, share, ok)
+	}
+}
+
+// TestReadOnlyAddrOverRuns: ReadOnlyAddr's binary search over the written
+// runs agrees with a brute-force word set on random written sets, at every
+// word of their span, each run's first and last word and the words just
+// outside it, from word 0 to the top of the address space.
+func TestReadOnlyAddrOverRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const top = 1 << 61 // one past the highest word index
+	for trial := 0; trial < 300; trial++ {
+		span := uint64(1 + rng.Intn(600))
+		base := []uint64{0, 1 << 20, top - span}[trial%3]
+		density := rng.Float64()
+		set := map[uint64]bool{}
+		var runs []mem.Run
+		for w := base; w < base+span; w++ {
+			if rng.Float64() < density {
+				set[w] = true
+				runs = mem.AppendWord(runs, w)
+			}
+		}
+		checkRuns(t, "AppendWord", runs)
+		n := uint64(0)
+		for _, r := range runs {
+			n += r.Len
+		}
+		if n != uint64(len(set)) {
+			t.Fatalf("trial %d: runs hold %d words, the set %d", trial, n, len(set))
+		}
+		prof := &profile.Profile{Written: runs}
+		probe := func(w uint64) {
+			if w >= top {
+				return
+			}
+			if got := prof.ReadOnlyAddr(w << 3); got == set[w] {
+				t.Fatalf("trial %d: ReadOnlyAddr(word %#x) = %v, written %v (runs %#x)", trial, w, got, set[w], runs)
+			}
+		}
+		for w := base; w <= base+span; w++ {
+			probe(w)
+		}
+		for _, r := range runs {
+			probe(r.Start - 1) // wraps past the top at word 0, which probe skips
+			probe(r.Start)
+			probe(r.End() - 1)
+			probe(r.End())
+		}
 	}
 }

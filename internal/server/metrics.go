@@ -73,6 +73,7 @@ func (m *metrics) write(w io.Writer, cs CacheStats, ps harness.CacheStats, ss st
 	counter("prepared_image_hits_total", "workload lookups that found the prepared image resident or building", ps.Hits)
 	counter("prepared_image_misses_total", "workload lookups that built the prepared image", ps.Misses)
 	gauge("prepared_images", "sealed prepared images currently resident", int64(ps.Resident))
+	gauge("artifact_bytes", "bytes the resident prepared artifacts hold: images, profiles, binaries", ps.Bytes)
 	counter("traces_built_total", "superblock traces recorded by amnesic simulations", m.tracesBuilt.Load())
 	counter("traces_blacklisted_total", "trace heads tombstoned as unrecordable", m.tracesBlacklisted.Load())
 	counter("trace_replays_total", "trace replay activations", m.traceReplays.Load())

@@ -189,8 +189,9 @@ func TestRestartRewarmsPreparedImages(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if ps := artifacts.Stats(); ps != (harness.CacheStats{Misses: 1, Resident: 1}) {
-		t.Fatalf("after re-warm: %+v, want 1 miss and 1 resident image", ps)
+	warm := artifacts.Stats()
+	if warm.Bytes <= 0 || warm != (harness.CacheStats{Misses: 1, Resident: 1, Bytes: warm.Bytes}) {
+		t.Fatalf("after re-warm: %+v, want 1 miss and 1 resident image holding bytes", warm)
 	}
 
 	st, code = h2.post(t, `{"kind":"checkpoint","workloads":["is"],"scale":0.05}`)
@@ -200,8 +201,8 @@ func TestRestartRewarmsPreparedImages(t *testing.T) {
 	if done := h2.waitTerminal(t, st.ID); done.State != StateDone {
 		t.Fatalf("checkpoint job = %+v, want done", done)
 	}
-	if ps := artifacts.Stats(); ps != (harness.CacheStats{Hits: 1, Misses: 1, Resident: 1}) {
-		t.Fatalf("after checkpoint job: %+v, want 1 hit, 1 miss, 1 resident image", ps)
+	if ps := artifacts.Stats(); ps != (harness.CacheStats{Hits: 1, Misses: 1, Resident: 1, Bytes: warm.Bytes}) {
+		t.Fatalf("after checkpoint job: %+v, want 1 hit, 1 miss, 1 resident image of %d bytes", ps, warm.Bytes)
 	}
 	resp, err := http.Get(h2.ts.URL + "/metrics")
 	if err != nil {
@@ -213,6 +214,7 @@ func TestRestartRewarmsPreparedImages(t *testing.T) {
 		"amnesiacd_prepared_images 1\n",
 		"amnesiacd_prepared_image_hits_total 1\n",
 		"amnesiacd_prepared_image_misses_total 1\n",
+		fmt.Sprintf("amnesiacd_artifact_bytes %d\n", warm.Bytes),
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics missing %q", want)
